@@ -146,9 +146,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_payload(path: str):
+def _read_payload(path: str) -> dict:
     text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    return json.loads(text)
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
+    return payload
 
 
 def _write_result(path: str, result) -> None:

@@ -7,6 +7,10 @@ intersection sign of the X curve with the Y curve there.  No embedding is
 stored; when a surface is needed (genus verification) it is recovered from
 the rotation system the signs force at each crossing.
 
+Every query reads one crossing index, built lazily once per diagram.
+Building it is the structural validation: a defective diagram raises the
+first violation that :func:`validate` reports.
+
 Positive diagrams admit the classical encoding by a pair of permutations
 of the crossings: flow along X (respectively Y) from one crossing to the
 next.  ``montesinos_encode`` / ``montesinos_decode`` implement that codec;
@@ -16,12 +20,16 @@ per component.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from operator import add, sub
+from typing import Mapping
 
 from .errors import Disconnected, IsolatedCurve, NotPositive
-from .exactalg import SnfResult
-from .presentation import Presentation, abelianization
+from .exactalg import IntMatrix, SnfResult, snf
+from .presentation import Presentation
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,15 @@ class Diagram:
     def crossing_count(self) -> int:
         return len(self.signs)
 
+    @cached_property
+    def _index(self) -> "_CrossingIndex":
+        """The crossing index; raises ``ValueError`` on a defective diagram."""
+        index = _crossing_index(self.declared_genus, self.x_curves, self.y_curves, self.signs)
+        if index is None:
+            first = validate(self)[0]
+            raise ValueError(f"invalid diagram: {first.code}: {first.message}")
+        return index
+
     def to_json(self) -> dict:
         return {
             "genus": self.declared_genus,
@@ -64,12 +81,14 @@ class Diagram:
 
     @classmethod
     def from_json(cls, data: dict) -> "Diagram":
-        return cls.build(
-            int(data["genus"]),
-            [[int(c) for c in curve] for curve in data["x_curves"]],
-            [[int(c) for c in curve] for curve in data["y_curves"]],
-            {int(k): int(v) for k, v in data["signs"].items()},
-        )
+        genus = int(data["genus"])
+        x_curves = [[int(c) for c in curve] for curve in data["x_curves"]]
+        y_curves = [[int(c) for c in curve] for curve in data["y_curves"]]
+        if not isinstance(data["signs"], dict):
+            kind = type(data["signs"]).__name__
+            raise TypeError(f"signs: expected an object mapping crossing id to sign, got {kind}")
+        signs = {int(k): int(v) for k, v in data["signs"].items()}
+        return cls.build(genus, x_curves, y_curves, signs)
 
 
 @dataclass(frozen=True)
@@ -96,10 +115,7 @@ def validate(dg: Diagram) -> list[DiagramViolation]:
         out.append(DiagramViolation("EmptySide", "no Y curves"))
 
     def side_ids(curves, dup_code):
-        seen: dict[int, int] = {}
-        for curve in curves:
-            for c in curve:
-                seen[c] = seen.get(c, 0) + 1
+        seen = Counter(c for curve in curves for c in curve)
         for c, count in sorted(seen.items()):
             if count > 1:
                 out.append(DiagramViolation(dup_code, f"crossing {c} appears {count} times"))
@@ -122,32 +138,58 @@ def validate(dg: Diagram) -> list[DiagramViolation]:
     return out
 
 
-def _require_valid(dg: Diagram) -> None:
-    problems = validate(dg)
-    if problems:
-        first = problems[0]
-        raise ValueError(f"invalid diagram: {first.code}: {first.message}")
+class _CrossingIndex:
+    """The crossings of a valid diagram ranked ``0..d-1`` by id; ``rank``
+    maps id to rank, or is None for ids ``1..d``.  Arrays, as the index is
+    cached, give per rank the next rank along X and Y, the sign and the X
+    curve; then the component count and the Y-by-X intersection matrix."""
+
+    __slots__ = ("rank", "sign", "positive", "x_next", "y_next", "x_curve", "components", "matrix")
 
 
-def is_positive_diagram(dg: Diagram) -> bool:
-    """True iff every crossing sign is +1 (vacuously true with none)."""
-    _require_valid(dg)
-    return all(v == 1 for _, v in dg.signs)
+def _ranks(curve, rank, d: int) -> list[int]:
+    """Ranks of a curve's crossings; KeyError if one is not a signed id."""
+    if rank is None:
+        if curve and (min(curve) < 1 or max(curve) > d):
+            raise KeyError(curve)
+        return [c - 1 for c in curve]
+    return [rank[c] for c in curve]
 
 
-def _successors(curves) -> tuple[dict[int, int], dict[int, int]]:
-    nxt: dict[int, int] = {}
-    prv: dict[int, int] = {}
-    for curve in curves:
-        k = len(curve)
-        for i, c in enumerate(curve):
-            nxt[c] = curve[(i + 1) % k]
-            prv[c] = curve[(i - 1) % k]
-    return nxt, prv
+def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
+    """Index of diagram data; None on any defect :func:`validate` reports."""
+    values = [v for _, v in signs]
+    if genus < 0 or not x_curves or not y_curves or not set(values) <= {1, -1}:
+        return None
+    idx = _CrossingIndex()
+    idx.positive = -1 not in values
+    if [c for c, _ in signs] == list(range(1, len(signs) + 1)):
+        idx.rank, idx.sign = None, array("b", values)
+    else:
+        sign_map = dict(signs)
+        idx.rank = {c: r for r, c in enumerate(sorted(sign_map))}
+        idx.sign = array("b", [sign_map[c] for c in idx.rank])
+    d = len(idx.sign)
+    sides = []
+    for curves in (x_curves, y_curves):
+        nxt, which, total = [-1] * d, [-1] * d, 0
+        for ci, curve in enumerate(curves):
+            try:
+                rs = _ranks(curve, idx.rank, d)
+            except KeyError:
+                return None
+            total += len(rs)
+            for r, n in zip(rs, rs[1:] + rs[:1]):
+                nxt[r] = n
+                which[r] = ci
+        if total != d or -1 in which:
+            return None
+        sides.append((array("i", nxt), array("i", which)))
+    (idx.x_next, idx.x_curve), (idx.y_next, y_curve) = sides
 
-
-def _components(dg: Diagram) -> list[set[int]]:
-    parent: dict[int, int] = {}
+    gx = len(x_curves)
+    rows = [[0] * gx for _ in y_curves]
+    parent = list(range(gx + len(y_curves)))
 
     def find(a):
         while parent[a] != a:
@@ -155,73 +197,56 @@ def _components(dg: Diagram) -> list[set[int]]:
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for k, _ in dg.signs:
-        parent[k] = k
-    for curve in list(dg.x_curves) + list(dg.y_curves):
-        for i in range(1, len(curve)):
-            union(curve[0], curve[i])
-    groups: dict[int, set[int]] = {}
-    for k, _ in dg.signs:
-        groups.setdefault(find(k), set()).add(k)
-    return list(groups.values())
+    # union-find over the curves, joining X curve i and Y curve j that cross
+    for (j, i, s), count in Counter(zip(y_curve, idx.x_curve, idx.sign)).items():
+        rows[j][i] += s * count
+        parent[find(i)] = find(gx + j)
+    idx.components = len({find(i) for i in set(idx.x_curve)})
+    idx.matrix = tuple(map(tuple, rows))
+    return idx
 
 
-# dart slots at a crossing: X-out, Y-out, X-in, Y-in
-_XO, _YO, _XI, _YI = 0, 1, 2, 3
-# counterclockwise successor of each slot, by crossing sign
-_CCW = {1: {_XO: _YO, _YO: _XI, _XI: _YI, _YI: _XO},
-        -1: {_XO: _YI, _YI: _XI, _XI: _YO, _YO: _XO}}
+def is_positive_diagram(dg: Diagram) -> bool:
+    """True iff every crossing sign is +1 (vacuously true with none)."""
+    return dg._index.positive
 
 
-def _face_count(crossings: Iterable[int], dg: Diagram) -> int:
-    """Number of faces traced by the forced rotation system on a crossing set."""
-    nxt_x, prv_x = _successors(dg.x_curves)
-    nxt_y, prv_y = _successors(dg.y_curves)
-    sign = dg.sign_map
-    crossings = set(crossings)
-
-    def alpha(dart):
-        c, slot = dart
-        if slot == _XO:
-            return (nxt_x[c], _XI)
-        if slot == _XI:
-            return (prv_x[c], _XO)
-        if slot == _YO:
-            return (nxt_y[c], _YI)
-        return (prv_y[c], _YO)
-
-    def face_next(dart):
-        c, slot = alpha(dart)
-        return (c, _CCW[sign[c]][slot])
-
-    todo = {(c, slot) for c in crossings for slot in (_XO, _YO, _XI, _YI)}
+def _face_count(idx: _CrossingIndex) -> int:
+    """Cycle count of the face permutation on darts ``4 * rank + slot``,
+    slots X-out 0, Y-out 1, X-in 2, Y-in 3: a face runs along an edge to
+    the far crossing, then turns to its next slot counterclockwise."""
+    sign = idx.sign
+    n = 4 * len(sign)
+    x_prev, y_prev = [0] * len(sign), [0] * len(sign)
+    for r, (xn, yn) in enumerate(zip(idx.x_next, idx.y_next)):
+        x_prev[xn] = y_prev[yn] = r
+    # the turn after arriving through X-in, X-out, Y-in or Y-out: to slot
+    # 2 + sign, 2 - sign, 1 - sign or 1 + sign
+    at_xi = list(map(add, range(2, n, 4), sign))
+    at_xo = list(map(sub, range(2, n, 4), sign))
+    at_yi = list(map(sub, range(1, n, 4), sign))
+    at_yo = list(map(add, range(1, n, 4), sign))
+    face = [0] * n
+    face[0::4] = map(at_xi.__getitem__, idx.x_next)
+    face[1::4] = map(at_yi.__getitem__, idx.y_next)
+    face[2::4] = map(at_xo.__getitem__, x_prev)
+    face[3::4] = map(at_yo.__getitem__, y_prev)
+    seen = bytearray(n)
     faces = 0
-    while todo:
-        start = todo.pop()
+    for start in range(n):
+        if seen[start]:
+            continue
         faces += 1
-        dart = face_next(start)
-        while dart != start:
-            todo.remove(dart)
-            dart = face_next(dart)
+        dart = start
+        while not seen[dart]:
+            seen[dart] = 1
+            dart = face[dart]
     return faces
 
 
-def _genus_sum(dg: Diagram) -> int:
-    """Sum of the forced genera over the components of the curve union."""
-    total = 0
-    for comp in _components(dg):
-        v = len(comp)
-        e = 2 * v
-        f = _face_count(comp, dg)
-        chi = v - e + f
-        assert (2 - chi) % 2 == 0
-        total += (2 - chi) // 2
-    return total
+def _forced_genus(idx: _CrossingIndex) -> int:
+    """Forced genus summed over the components: ``(2C + d - F) / 2``."""
+    return (2 * idx.components + len(idx.sign) - _face_count(idx)) // 2
 
 
 def rotation_genus(dg: Diagram) -> int:
@@ -229,21 +254,20 @@ def rotation_genus(dg: Diagram) -> int:
 
     The 4-valent graph X union Y gets the counterclockwise half-edge order
     (X-out, Y-out, X-in, Y-in) at a +1 crossing and
-    (X-out, Y-in, X-in, Y-out) at a -1 crossing; faces are traced from
-    that rotation system and the genus is ``(2 - (V - E + F)) / 2`` with
-    ``V = d`` crossings and ``E = 2d`` edges.
+    (X-out, Y-in, X-in, Y-out) at a -1 crossing.  The faces are the
+    cycles of that rotation system's face permutation on the ``4d``
+    darts, and the genus is ``(2 - (V - E + F)) / 2`` with ``V = d``
+    crossings and ``E = 2d`` edges.
 
     Requires every curve to carry a crossing (:class:`IsolatedCurve`) and
     the graph to be connected (:class:`Disconnected`).
     """
-    _require_valid(dg)
-    for curve in list(dg.x_curves) + list(dg.y_curves):
-        if not curve:
-            raise IsolatedCurve("a curve without crossings has no rotation data")
-    comps = _components(dg)
-    if len(comps) != 1:
-        raise Disconnected(f"curve union has {len(comps)} components")
-    return _genus_sum(dg)
+    idx = dg._index
+    if not all(dg.x_curves) or not all(dg.y_curves):
+        raise IsolatedCurve("a curve without crossings has no rotation data")
+    if idx.components != 1:
+        raise Disconnected(f"curve union has {idx.components} components")
+    return _forced_genus(idx)
 
 
 def diagram_presentation(dg: Diagram) -> Presentation:
@@ -254,21 +278,24 @@ def diagram_presentation(dg: Diagram) -> Presentation:
     sign as exponent.  No free reduction is applied, so each relator's
     length equals that Y curve's crossing count.
     """
-    _require_valid(dg)
-    x_index: dict[int, int] = {}
-    for idx, curve in enumerate(dg.x_curves, start=1):
-        for c in curve:
-            x_index[c] = idx
-    sign = dg.sign_map
+    idx = dg._index
+    letter = [s * (i + 1) for s, i in zip(idx.sign, idx.x_curve)]
     relators = tuple(
-        tuple(sign[c] * x_index[c] for c in curve) for curve in dg.y_curves
+        tuple(map(letter.__getitem__, _ranks(curve, idx.rank, len(letter))))
+        for curve in dg.y_curves
     )
     return Presentation(len(dg.x_curves), relators)
 
 
+def intersection_matrix(dg: Diagram) -> IntMatrix:
+    """Algebraic intersection matrix: entry ``(j, i)`` sums the signs of
+    the crossings of Y curve ``j`` with X curve ``i``."""
+    return IntMatrix(len(dg.y_curves), len(dg.x_curves), dg._index.matrix)
+
+
 def diagram_homology(dg: Diagram) -> SnfResult:
     """Smith data of the algebraic intersection matrix (Y rows, X columns)."""
-    return abelianization(diagram_presentation(dg))
+    return snf(intersection_matrix(dg))
 
 
 @dataclass(frozen=True)
@@ -305,36 +332,24 @@ def montesinos_encode(dg: Diagram) -> PermutationPair:
     Crossing ids are ranked into 1..d in increasing order, so diagrams
     differing only by id relabeling encode identically.
     """
-    _require_valid(dg)
-    if not is_positive_diagram(dg):
+    idx = dg._index
+    if not idx.positive:
         raise NotPositive("the permutation encoding needs an all-positive diagram")
-    ids = sorted(k for k, _ in dg.signs)
-    rank = {c: i + 1 for i, c in enumerate(ids)}
-    d = len(ids)
-    nxt_x, _ = _successors(dg.x_curves)
-    nxt_y, _ = _successors(dg.y_curves)
-    sx = [0] * d
-    sy = [0] * d
-    for c in ids:
-        sx[rank[c] - 1] = rank[nxt_x[c]]
-        sy[rank[c] - 1] = rank[nxt_y[c]]
-    return PermutationPair(d, tuple(sx), tuple(sy))
+    sigma_x, sigma_y = (tuple(n + 1 for n in nxt) for nxt in (idx.x_next, idx.y_next))
+    return PermutationPair(len(idx.sign), sigma_x, sigma_y)
 
 
 def _cycles(sigma: tuple[int, ...]) -> list[tuple[int, ...]]:
-    seen = set()
+    seen = bytearray(len(sigma) + 1)
     cycles = []
     for start in range(1, len(sigma) + 1):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        c = sigma[start - 1]
-        while c != start:
+        cycle, c = [], start
+        while not seen[c]:
+            seen[c] = 1
             cycle.append(c)
-            seen.add(c)
             c = sigma[c - 1]
-        cycles.append(tuple(cycle))
+        if cycle:
+            cycles.append(tuple(cycle))
     return cycles
 
 
@@ -345,24 +360,19 @@ def montesinos_decode(p: PermutationPair) -> Diagram:
     crossing), all signs are +1, and the declared genus is the forced
     rotation genus, summed over components when the pair is intransitive.
     """
-    x_curves = _cycles(p.sigma_x)
-    y_curves = _cycles(p.sigma_y)
-    signs = {c: 1 for c in range(1, p.degree + 1)}
-    dg = Diagram.build(0, x_curves, y_curves, signs)
-    genus = _genus_sum(dg) if p.degree else 0
-    return Diagram.build(genus, x_curves, y_curves, signs)
+    x_curves = tuple(_cycles(p.sigma_x))
+    y_curves = tuple(_cycles(p.sigma_y))
+    signs = tuple((c, 1) for c in range(1, p.degree + 1))
+    genus = _forced_genus(_crossing_index(0, x_curves, y_curves, signs)) if p.degree else 0
+    return Diagram(genus, x_curves, y_curves, signs)
 
 
 def to_dot(dg: Diagram) -> str:
     """Diagnostic DOT rendering of the 4-valent graph with colored curve edges."""
     lines = ["graph diagram {"]
-    for idx, curve in enumerate(dg.x_curves, start=1):
-        for i, c in enumerate(curve):
-            nxt = curve[(i + 1) % len(curve)]
-            lines.append(f'  "{c}" -- "{nxt}" [color=red, label="x{idx}"];')
-    for idx, curve in enumerate(dg.y_curves, start=1):
-        for i, c in enumerate(curve):
-            nxt = curve[(i + 1) % len(curve)]
-            lines.append(f'  "{c}" -- "{nxt}" [color=blue, label="y{idx}"];')
+    for color, side, curves in (("red", "x", dg.x_curves), ("blue", "y", dg.y_curves)):
+        for idx, curve in enumerate(curves, start=1):
+            for c, nxt in zip(curve, curve[1:] + curve[:1]):
+                lines.append(f'  "{c}" -- "{nxt}" [color={color}, label="{side}{idx}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,8 +18,8 @@ positive on E, every intersection can be oriented positively:
   adjacent X curves.
 
 The resulting crossing orders are read off the explicit layout, so the
-combinatorics embeds in the genus r-1 surface and the forced rotation
-genus can never exceed the declared one.  Correctness is pinned by exact
+combinatorics embeds in the genus r-1 surface; the forced rotation genus
+is checked to equal the declared one.  Correctness is pinned by exact
 oracles: the algebraic intersection matrix must present the same first
 homology as the input invariants.
 """
@@ -27,9 +27,10 @@ homology as the input invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import gcd
 
-from .diagram import Diagram, diagram_homology, diagram_presentation, is_positive_diagram, rotation_genus, validate
+from .diagram import Diagram, diagram_homology, intersection_matrix, is_positive_diagram, rotation_genus, validate
 from .errors import BaseGenusUnsupported, SynthesisInvariantViolation
 from .seifert import FiberInvariant, SeifertData, denormalize, homology, normalize
 
@@ -178,28 +179,21 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
     beads = r - 1
     a_e, b_e = alphas[r - 1], bmag[r - 1]
 
-    next_id = 1
-
-    def take() -> int:
-        nonlocal next_id
-        out = next_id
-        next_id += 1
-        return out
-
-    # crossing ids, keyed per family
+    # crossing ids 1, 2, ..., keyed per family
+    ids = count(1)
     a_id = {
-        (i, v, p): take()
+        (i, v, p): next(ids)
         for i in range(beads)
         for v in range(bmag[i])
         for p in range(a_e)
     }
-    b_id = {(k, v): take() for k in range(alphas[0]) for v in range(b_e)}
+    b_id = {(k, v): next(ids) for k in range(alphas[0]) for v in range(b_e)}
     c_id = {}
     for q in range(r - 2):
         for k in range(alphas[q]):
-            c_id[(q, q, k)] = take()
+            c_id[(q, q, k)] = next(ids)
         for k in range(alphas[q + 1]):
-            c_id[(q, q + 1, k)] = take()
+            c_id[(q, q + 1, k)] = next(ids)
 
     def x_horizontal_events(i: int, k: int) -> list[int]:
         right = [c_id[(i, i, k)]] if i <= r - 3 else []
@@ -236,30 +230,19 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
         else:
             y_curves.append(tuple(own[::-1] + other))
 
-    dg = Diagram.build(
-        declared_genus=beads,
-        x_curves=x_curves,
-        y_curves=y_curves,
-        signs={c: 1 for c in range(1, next_id)},
-    )
+    d = len(a_id) + len(b_id) + len(c_id)
+    dg = Diagram(beads, tuple(x_curves), tuple(y_curves), tuple(zip(range(1, d + 1), [1] * d)))
 
-    problems = validate(dg)
-    if problems:
-        raise SynthesisInvariantViolation(f"structural defect: {problems[0]}")
-    target = [[0] * beads for _ in range(beads)]
-    for i in range(beads):
-        target[0][i] = bmag[i] * a_e + (alphas[0] * b_e if i == 0 else 0)
+    try:
+        got = intersection_matrix(dg)
+    except ValueError:
+        raise SynthesisInvariantViolation(f"structural defect: {validate(dg)[0]}") from None
+    target = [[bmag[i] * a_e for i in range(beads)]] + [[0] * beads for _ in range(r - 2)]
+    target[0][0] += alphas[0] * b_e
     for q in range(r - 2):
         target[1 + q][q] = alphas[q]
         target[1 + q][q + 1] = alphas[q + 1]
-    pres = diagram_presentation(dg)
-    got = []
-    for word in pres.relators:
-        row = [0] * beads
-        for letter in word:
-            row[abs(letter) - 1] += 1 if letter > 0 else -1
-        got.append(row)
-    if got != target:
+    if got.entries != tuple(map(tuple, target)):
         raise SynthesisInvariantViolation("intersection matrix mismatch")
     return dg
 
@@ -269,9 +252,10 @@ def build_positive_vertical(s: SeifertData) -> Diagram:
     vertical splitting of a space over the sphere.
 
     Runs plan, slope assignment, and synthesis, then checks the produced
-    diagram against independent oracles: all signs positive, curve counts
-    and declared genus equal to the plan genus, forced rotation genus not
-    above it, and first homology equal to that of the input invariants.
+    diagram against independent oracles: all signs positive, curve counts,
+    declared genus and forced rotation genus all equal to the plan genus,
+    and first homology equal to that of the input invariants.  All of
+    them read the diagram's one crossing index, built during synthesis.
     """
     if s.base_genus != 0:
         raise BaseGenusUnsupported(
@@ -287,8 +271,8 @@ def build_positive_vertical(s: SeifertData) -> Diagram:
         raise SynthesisInvariantViolation("built diagram has a negative crossing")
     if len(dg.x_curves) != genus or len(dg.y_curves) != genus or dg.declared_genus != genus:
         raise SynthesisInvariantViolation("curve counts disagree with the plan genus")
-    if rotation_genus(dg) > genus:
-        raise SynthesisInvariantViolation("forced rotation genus exceeds the plan genus")
+    if rotation_genus(dg) != genus:
+        raise SynthesisInvariantViolation("forced rotation genus differs from the plan genus")
     if not diagram_homology(dg).same_group(homology(n)):
         raise SynthesisInvariantViolation("diagram homology disagrees with the invariants")
     return dg

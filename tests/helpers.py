@@ -1,8 +1,10 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own algorithms: determinants use
-Bareiss elimination, Smith data is recomputed from gcds of k-minors, and
-congruences are checked by exhaustive scan.
+Bareiss elimination, Smith data is recomputed from gcds of k-minors,
+congruences are checked by exhaustive scan, and forced rotation genera
+are traced over ``(crossing, slot)`` darts with dict successor maps and a
+union-find over the crossings.
 """
 
 from itertools import combinations
@@ -65,3 +67,91 @@ def crt_by_scan(pairs):
         if all((x - r) % m == 0 for r, m in pairs):
             return x, lcm
     return None
+
+
+def _successors(curves):
+    nxt = {}
+    prv = {}
+    for curve in curves:
+        k = len(curve)
+        for i, c in enumerate(curve):
+            nxt[c] = curve[(i + 1) % k]
+            prv[c] = curve[(i - 1) % k]
+    return nxt, prv
+
+
+def dict_components(dg):
+    """Crossing sets of the components of a valid diagram's curve union."""
+    parent = {}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for k, _ in dg.signs:
+        parent[k] = k
+    for curve in list(dg.x_curves) + list(dg.y_curves):
+        for i in range(1, len(curve)):
+            union(curve[0], curve[i])
+    groups = {}
+    for k, _ in dg.signs:
+        groups.setdefault(find(k), set()).add(k)
+    return list(groups.values())
+
+
+# dart slots at a crossing: X-out, Y-out, X-in, Y-in
+_XO, _YO, _XI, _YI = 0, 1, 2, 3
+# counterclockwise successor of each slot, by crossing sign
+_CCW = {1: {_XO: _YO, _YO: _XI, _XI: _YI, _YI: _XO},
+        -1: {_XO: _YI, _YI: _XI, _XI: _YO, _YO: _XO}}
+
+
+def dict_face_count(crossings, dg):
+    """Number of faces traced by the forced rotation system on a crossing set."""
+    nxt_x, prv_x = _successors(dg.x_curves)
+    nxt_y, prv_y = _successors(dg.y_curves)
+    sign = dg.sign_map
+    crossings = set(crossings)
+
+    def alpha(dart):
+        c, slot = dart
+        if slot == _XO:
+            return (nxt_x[c], _XI)
+        if slot == _XI:
+            return (prv_x[c], _XO)
+        if slot == _YO:
+            return (nxt_y[c], _YI)
+        return (prv_y[c], _YO)
+
+    def face_next(dart):
+        c, slot = alpha(dart)
+        return (c, _CCW[sign[c]][slot])
+
+    todo = {(c, slot) for c in crossings for slot in (_XO, _YO, _XI, _YI)}
+    faces = 0
+    while todo:
+        start = todo.pop()
+        faces += 1
+        dart = face_next(start)
+        while dart != start:
+            todo.remove(dart)
+            dart = face_next(dart)
+    return faces
+
+
+def dict_genus_sum(dg):
+    """Forced rotation genus of a valid diagram, summed over components."""
+    total = 0
+    for comp in dict_components(dg):
+        v = len(comp)
+        chi = v - 2 * v + dict_face_count(comp, dg)
+        assert (2 - chi) % 2 == 0
+        total += (2 - chi) // 2
+    return total

@@ -82,7 +82,7 @@ def test_criterion_2_vertical_pipeline_sweep():
             dg = build_positive_vertical(s)
             assert is_positive_diagram(dg)
             assert len(dg.x_curves) == len(dg.y_curves) == dg.declared_genus == m - 1
-            assert rotation_genus(dg) <= m - 1
+            assert rotation_genus(dg) == m - 1
             assert diagram_homology(dg).same_group(homology(s))
         elapsed = time.monotonic() - start
         assert elapsed < 60, f"sweep took {elapsed:.1f}s"

@@ -173,6 +173,21 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert captured.err
 
 
+def test_non_object_payload_exit_2(tmp_path, capsys):
+    code, out, err = run_with_file(tmp_path, capsys, "normalize", [1])
+    assert code == 2 and out == ""
+    assert err == "TypeError: expected a JSON object, got list\n"
+
+
+def test_diagram_signs_list_exit_2(tmp_path, capsys):
+    payload = {"genus": 1, "x_curves": [[1]], "y_curves": [[1]], "signs": [1]}
+    code, out, err = run_with_file(tmp_path, capsys, "diagram-verify", payload)
+    assert code == 2 and out == ""
+    assert err == (
+        "TypeError: signs: expected an object mapping crossing id to sign, got list\n"
+    )
+
+
 def test_precondition_error_exit_3(tmp_path, capsys):
     payload = {"base_genus": 1, "mode": "normalized", "fibers": [], "euler": 0}
     code, out, err = run_with_file(tmp_path, capsys, "diagram-build", payload)

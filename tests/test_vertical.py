@@ -184,5 +184,5 @@ class TestBuild:
             assert validate(dg) == []
             assert is_positive_diagram(dg)
             assert len(dg.x_curves) == len(dg.y_curves) == dg.declared_genus == r - 1
-            assert rotation_genus(dg) <= r - 1
+            assert rotation_genus(dg) == r - 1
             assert diagram_homology(dg).same_group(homology(s))
