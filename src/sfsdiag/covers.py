@@ -163,6 +163,7 @@ def _adjust_for_prime(pairs, p: int):
 
 
 def _prime_powers(n: int):
+    """``(p, p**k)`` for each prime power ``p**k`` exactly dividing odd ``n``."""
     out = []
     d = 3
     while d * d <= n:
@@ -171,20 +172,11 @@ def _prime_powers(n: int):
             while n % d == 0:
                 n //= d
                 q *= d
-            out.append(q)
+            out.append((d, q))
         d += 2
     if n > 1:
-        out.append(n)
+        out.append((n, n))
     return out
-
-
-def _prime_of(q: int) -> int:
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
-            return d
-        d += 2
-    return q
 
 
 def beta_star(pairs, lam: int):
@@ -210,11 +202,10 @@ def beta_star(pairs, lam: int):
         return tuple(b for _, b in pairs)
 
     alphas = [a for a, _ in pairs]
-    powers = _prime_powers(lam)
-    partial = _adjust_for_prime(pairs, _prime_of(powers[0]))
-    mod = powers[0]
-    for q in powers[1:]:
-        nxt = _adjust_for_prime(pairs, _prime_of(q))
+    (p, mod), *others = _prime_powers(lam)
+    partial = _adjust_for_prime(pairs, p)
+    for p, q in others:
+        nxt = _adjust_for_prime(pairs, p)
         combined = []
         for i, a in enumerate(alphas):
             value, _ = crt([(partial[i], a * mod), (nxt[i], a * q)])

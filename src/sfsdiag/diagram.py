@@ -103,8 +103,8 @@ def validate(dg: Diagram) -> list[DiagramViolation]:
     """Check the structural invariants exhaustively; empty list means ok.
 
     Every crossing id must occur exactly once across the X curves and once
-    across the Y curves, and the sign map must cover exactly those ids
-    with values +-1.
+    across the Y curves, and the signs must name each of those ids exactly
+    once, with values +-1.
     """
     out: list[DiagramViolation] = []
     if dg.declared_genus < 0:
@@ -127,7 +127,7 @@ def validate(dg: Diagram) -> list[DiagramViolation]:
         out.append(DiagramViolation("MissingFromY", f"crossing {c} is only on an X curve"))
     for c in sorted(on_y - on_x):
         out.append(DiagramViolation("MissingFromX", f"crossing {c} is only on a Y curve"))
-    signed = {k for k, _ in dg.signs}
+    signed = side_ids([[k for k, _ in dg.signs]], "DuplicateSign")
     for c in sorted((on_x | on_y) - signed):
         out.append(DiagramViolation("MissingSign", f"crossing {c} has no sign"))
     for c in sorted(signed - (on_x | on_y)):
@@ -167,6 +167,8 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
         idx.rank, idx.sign = None, array("b", values)
     else:
         sign_map = dict(signs)
+        if len(sign_map) != len(signs):
+            return None
         idx.rank = {c: r for r, c in enumerate(sorted(sign_map))}
         idx.sign = array("b", [sign_map[c] for c in idx.rank])
     d = len(idx.sign)

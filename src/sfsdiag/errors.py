@@ -1,9 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checked JSON reader.
 
 Class names double as machine-readable error codes: the CLI prints them
 verbatim and maps them to exit statuses, so renaming one is a breaking
 change for scripts.
 """
+
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "float", str: "string",
+               list: "list", dict: "object", type(None): "null"}
+
+
+def want(value, kind: type, path: str, *keys):
+    """``value`` if its JSON type is ``kind`` (a bool is no integer), else a
+    ``TypeError`` naming the JSON path ``path.format(*keys)``."""
+    if type(value) is kind:
+        return value
+    got = _JSON_TYPES.get(type(value), type(value).__name__)
+    raise TypeError(f"{path.format(*keys)}: expected {_JSON_TYPES[kind]}, got {got}")
 
 
 class SfsError(Exception):

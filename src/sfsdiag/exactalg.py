@@ -154,71 +154,79 @@ class SnfResult:
 
 
 def snf(m: IntMatrix) -> SnfResult:
-    """Smith normal form data of an integer matrix.
+    """Smith normal form data of an integer matrix, by sparse elimination.
 
-    Diagonalizes by elementary row and column operations, then normalizes
-    the diagonal with pairwise gcd/lcm exchanges so the factors form the
-    canonical divisibility chain.  Deterministic for fixed input.
+    Rows are ``{col: value}`` dicts of nonzeros, beside a column -> row-set
+    map.  Each pivot is the least ``|v|`` entry, ties to the shorter column,
+    of the active row with the fewest nonzeros.  Local Euclid passes: row
+    operations clear the pivot column walking only the pivot row, column
+    operations reduce the pivot row modulo the pivot and touch no other row,
+    and remainders move the pivot to the least of them, ties to the shorter
+    row or column, so a long row is rarely added into short ones.  A pivot
+    alone in its row and column retires into the ascending divisibility
+    chain of invariant factors, merged from the top by gcd/lcm exchanges
+    that stop once a 1 passes down; a pivot of 1 goes straight to the bottom.
     """
-    a = [list(row) for row in m.entries]
-    nr, nc = m.rows, m.cols
-
-    def smallest(t):
+    rows, cols = {}, {}
+    for i, entries in enumerate(m.entries):
+        if row := {j: v for j, v in enumerate(entries) if v}:
+            rows[i] = row
+            for j in row:
+                if j in cols:
+                    cols[j].add(i)
+                else:
+                    cols[j] = {i}
+    chain = []
+    while rows:
+        r = min(zip(map(len, rows.values()), rows))[1]
+        row = rows[r]
         best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = a[i][j]
-                if v != 0 and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(nr, nc):
-        best = smallest(t)
-        if best is None:
-            break
+        for j, v in row.items():
+            if best is None or (abs(v), len(cols[j])) < best:
+                best, c = (abs(v), len(cols[j])), j
         while True:
-            bi, bj = best
-            if bi != t:
-                a[t], a[bi] = a[bi], a[t]
-            if bj != t:
-                for row in a:
-                    row[t], row[bj] = row[bj], row[t]
-            p = a[t][t]
-            # Euclid passes: leave remainders in place, then restart from
-            # the smallest survivor; keeps entry growth tame
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // p
-                    if q:
-                        for j in range(t, nc):
-                            a[i][j] -= q * a[t][j]
-                    if a[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // p
-                    if q:
-                        for i in range(t, nr):
-                            a[i][j] -= q * a[i][t]
-                    if a[t][j] != 0:
-                        dirty = True
-            if not dirty:
+            p, best = row[c], None
+            for i in [*cols[c]]:
+                if i == r:
+                    continue
+                other = rows[i]
+                if q := other[c] // p:
+                    for j, v in row.items():
+                        w = other.get(j)
+                        if w is None:
+                            other[j] = -q * v
+                            cols[j].add(i)
+                        elif w := w - q * v:
+                            other[j] = w
+                        else:
+                            del other[j]
+                            cols[j].discard(i)
+                if c in other:
+                    if best is None or (abs(other[c]), len(other)) < best:
+                        best, move = (abs(other[c]), len(other)), i
+                elif not other:
+                    del rows[i]
+            if best is not None:
+                r, row = move, rows[move]
+                continue
+            for j in [*row]:
+                if j == c:
+                    continue
+                if w := row[j] % p:
+                    row[j] = w
+                    if best is None or (abs(w), len(cols[j])) < best:
+                        best, move = (abs(w), len(cols[j])), j
+                else:
+                    del row[j]
+                    cols[j].discard(r)
+            if best is None:
                 break
-            best = smallest(t)
-        t += 1
-    diag = [abs(a[i][i]) for i in range(min(nr, nc)) if a[i][i] != 0]
-    # pairwise (gcd, lcm) exchanges yield the true invariant factors from
-    # any diagonal form
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i] != 0:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] // g * diag[j]
-                    changed = True
-    diag.sort()
-    return SnfResult(tuple(diag), m.cols - len(diag))
+            c = move
+        d, i = abs(p), len(chain)
+        while d != 1 and i:
+            i -= 1
+            g = gcd(chain[i], d)
+            chain[i], d = chain[i] // g * d, g
+        chain.insert(0, d)
+        del rows[r], cols[c]
+    return SnfResult(tuple(chain), m.cols - len(chain))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import want
 from .exactalg import IntMatrix, SnfResult, snf
 
 
@@ -37,10 +38,13 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
-        return cls(
-            int(data["generators"]),
-            tuple(tuple(int(x) for x in word) for word in data["relators"]),
-        )
+        relators = []
+        for i, word in enumerate(want(data["relators"], list, "$.relators")):
+            if not set(map(type, want(word, list, "$.relators[{}]", i))) <= {int}:
+                for k, x in enumerate(word):
+                    want(x, int, "$.relators[{}][{}]", i, k)
+            relators.append(tuple(word))
+        return cls(want(data["generators"], int, "$.generators"), tuple(relators))
 
 
 def free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -99,4 +103,4 @@ def abelianization(p: Presentation) -> SnfResult:
         for letter in word:
             row[abs(letter) - 1] += 1 if letter > 0 else -1
         rows.append(row)
-    return snf(IntMatrix.from_rows(rows, cols=p.n_generators))
+    return snf(IntMatrix(len(rows), p.n_generators, tuple(map(tuple, rows))))

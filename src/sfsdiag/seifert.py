@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvalidInvariant, UnsatisfiablePattern
+from .errors import InvalidInvariant, UnsatisfiablePattern, want
 from .exactalg import IntMatrix, SnfResult, floor_sum, least_positive_residue, snf
 from .presentation import Presentation
 
@@ -98,10 +98,15 @@ class SeifertData:
             raise ValueError("normalized data requires an euler field")
         if mode == "non_normalized" and euler is not None:
             raise ValueError("non-normalized data must not carry an euler field")
-        fibers = tuple(
-            FiberInvariant(int(f["alpha"]), int(f["beta"])) for f in data["fibers"]
-        )
-        return cls(int(data["base_genus"]), fibers, None if euler is None else int(euler))
+        fibers = []
+        for i, f in enumerate(want(data["fibers"], list, "$.fibers")):
+            alpha, beta = want(f, dict, "$.fibers[{}]", i)["alpha"], f["beta"]
+            if type(alpha) is not int or type(beta) is not int:
+                want(alpha, int, "$.fibers[{}].alpha", i)
+                want(beta, int, "$.fibers[{}].beta", i)
+            fibers.append(FiberInvariant(alpha, beta))
+        euler = None if euler is None else want(euler, int, "$.euler")
+        return cls(want(data["base_genus"], int, "$.base_genus"), tuple(fibers), euler)
 
 
 def normalize(s: SeifertData) -> SeifertData:
@@ -255,18 +260,12 @@ def homology(s: SeifertData) -> SnfResult:
     n = normalize(s)
     g, m = n.base_genus, len(n.fibers)
     cols = 2 * g + m + 1
-    rows = []
+    rows = [[0] * cols for _ in range(m + 1)]
     for i, f in enumerate(n.fibers):
-        row = [0] * cols
-        row[2 * g + i] = f.alpha
-        row[-1] = f.beta
-        rows.append(row)
-    long_row = [0] * cols
-    for i in range(m):
-        long_row[2 * g + i] = 1
-    long_row[-1] = n.euler
-    rows.append(long_row)
-    return snf(IntMatrix.from_rows(rows, cols=cols))
+        rows[i][2 * g + i], rows[i][-1] = f.alpha, f.beta
+        rows[m][2 * g + i] = 1
+    rows[m][-1] = n.euler
+    return snf(IntMatrix(m + 1, cols, tuple(map(tuple, rows))))
 
 
 def vertical_genus_bound(s: SeifertData) -> int:

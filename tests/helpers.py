@@ -1,14 +1,17 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own algorithms: determinants use
-Bareiss elimination, Smith data is recomputed from gcds of k-minors,
-congruences are checked by exhaustive scan, and forced rotation genera
-are traced over ``(crossing, slot)`` darts with dict successor maps and a
-union-find over the crossings.
+Bareiss elimination, Smith data is recomputed from gcds of k-minors or
+by dense elimination with a global pivot rescan, congruences are checked
+by exhaustive scan, and forced rotation genera are traced over
+``(crossing, slot)`` darts with dict successor maps and a union-find over
+the crossings.
 """
 
 from itertools import combinations
 from math import gcd
+
+from sfsdiag.exactalg import IntMatrix, SnfResult
 
 
 def det(rows):
@@ -56,6 +59,77 @@ def smith_via_minors(rows, ncols):
         divisors.append(g)
     factors = tuple(divisors[i] // divisors[i - 1] for i in range(1, len(divisors)))
     return factors, ncols - len(factors)
+
+
+def dense_snf(m: IntMatrix) -> SnfResult:
+    """Smith normal form data of an integer matrix.
+
+    Diagonalizes by elementary row and column operations, then normalizes
+    the diagonal with pairwise gcd/lcm exchanges so the factors form the
+    canonical divisibility chain.  Deterministic for fixed input.
+    """
+    a = [list(row) for row in m.entries]
+    nr, nc = m.rows, m.cols
+
+    def smallest(t):
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                v = a[i][j]
+                if v != 0 and (best is None or abs(v) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(nr, nc):
+        best = smallest(t)
+        if best is None:
+            break
+        while True:
+            bi, bj = best
+            if bi != t:
+                a[t], a[bi] = a[bi], a[t]
+            if bj != t:
+                for row in a:
+                    row[t], row[bj] = row[bj], row[t]
+            p = a[t][t]
+            # Euclid passes: leave remainders in place, then restart from
+            # the smallest survivor; keeps entry growth tame
+            dirty = False
+            for i in range(t + 1, nr):
+                if a[i][t] != 0:
+                    q = a[i][t] // p
+                    if q:
+                        for j in range(t, nc):
+                            a[i][j] -= q * a[t][j]
+                    if a[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, nc):
+                if a[t][j] != 0:
+                    q = a[t][j] // p
+                    if q:
+                        for i in range(t, nr):
+                            a[i][j] -= q * a[i][t]
+                    if a[t][j] != 0:
+                        dirty = True
+            if not dirty:
+                break
+            best = smallest(t)
+        t += 1
+    diag = [abs(a[i][i]) for i in range(min(nr, nc)) if a[i][i] != 0]
+    # pairwise (gcd, lcm) exchanges yield the true invariant factors from
+    # any diagonal form
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag)):
+            for j in range(i + 1, len(diag)):
+                if diag[j] % diag[i] != 0:
+                    g = gcd(diag[i], diag[j])
+                    diag[i], diag[j] = g, diag[i] // g * diag[j]
+                    changed = True
+    diag.sort()
+    return SnfResult(tuple(diag), m.cols - len(diag))
 
 
 def crt_by_scan(pairs):

@@ -221,3 +221,18 @@ def test_output_file(tmp_path, capsys):
     code = main(["normalize", "--input", str(src), "--output", str(dst)])
     assert code == 0
     assert json.loads(dst.read_text(encoding="utf-8"))["euler"] == 5
+
+
+@pytest.mark.parametrize("verb,payload,message", [
+    ("normalize",
+     {"base_genus": 0, "mode": "normalized", "fibers": [{"alpha": 2.7, "beta": 1}], "euler": 1},
+     "$.fibers[0].alpha: expected integer, got float"),
+    ("normalize",
+     {"base_genus": 0, "mode": "normalized", "fibers": [{"alpha": 3, "beta": 1}], "euler": True},
+     "$.euler: expected integer, got boolean"),
+    ("positivize", {"generators": 2, "relators": "12"}, "$.relators: expected list, got string"),
+])
+def test_no_silent_coercion_exit_2(tmp_path, capsys, verb, payload, message):
+    code, out, err = run_with_file(tmp_path, capsys, verb, payload)
+    assert code == 2 and out == ""
+    assert err == f"TypeError: {message}\n"

@@ -52,6 +52,13 @@ class TestValidate:
         dg = Diagram.build(1, [[1]], [[1]], {1: 2})
         assert any(v.code == "BadSign" for v in validate(dg))
 
+    def test_duplicate_sign(self):
+        # a sign tuple naming crossing 1 twice; Diagram.build cannot make it
+        dg = Diagram(1, ((1,),), ((1,),), ((1, 1), (1, -1)))
+        assert [(v.code, v.message) for v in validate(dg)] == [
+            ("DuplicateSign", "crossing 1 appears 2 times")
+        ]
+
 
 class TestPositivity:
     def test_all_positive(self):

@@ -144,7 +144,8 @@ def test_index_is_cached_and_leaves_identity_alone():
     assert dg.to_json() == twin.to_json()
 
 
-# every invalid diagram of test_diagram.py, with today's exact message
+# every invalid diagram of test_diagram.py, plus a repeated sign id that
+# agrees in sign, with today's exact message
 INVALID = [
     (Diagram.build(1, [[1], [1]], [[1]], {1: 1}),
      "invalid diagram: DuplicateOnX: crossing 1 appears 2 times"),
@@ -158,6 +159,10 @@ INVALID = [
      "invalid diagram: NegativeGenus: declared genus is negative"),
     (Diagram.build(1, [], [[1]], {1: 1}),
      "invalid diagram: EmptySide: no X curves"),
+    (Diagram(1, ((1,),), ((1,),), ((1, 1), (1, -1))),
+     "invalid diagram: DuplicateSign: crossing 1 appears 2 times"),
+    (Diagram(1, ((2, 5),), ((5, 2),), ((2, 1), (2, 1), (5, 1))),
+     "invalid diagram: DuplicateSign: crossing 2 appears 2 times"),
 ]
 
 

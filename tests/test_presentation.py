@@ -105,3 +105,15 @@ class TestAbelianization:
     def test_json_round_trip(self):
         p = Presentation(2, ((1, -2), (2, 2)))
         assert Presentation.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"generators": 2, "relators": [[1, 2], [1, True]]},
+         "$.relators[1][1]: expected integer, got boolean"),
+        ({"generators": 2, "relators": [[1, 2.0]]}, "$.relators[0][1]: expected integer, got float"),
+        ({"generators": 2, "relators": [[1], 3]}, "$.relators[1]: expected list, got integer"),
+        ({"generators": "2", "relators": []}, "$.generators: expected integer, got string"),
+    ])
+    def test_json_types_are_checked(self, doc, message):
+        with pytest.raises(TypeError) as exc:
+            Presentation.from_json(doc)
+        assert str(exc.value) == message

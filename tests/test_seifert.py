@@ -51,6 +51,21 @@ class TestData:
         t = SeifertData.non_normalized(0, [(4, -7), (1, 3)])
         assert SeifertData.from_json(t.to_json()) == t
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"base_genus": "0", "mode": "non_normalized", "fibers": []},
+         "$.base_genus: expected integer, got string"),
+        ({"base_genus": 0, "mode": "non_normalized", "fibers": [{"alpha": 3, "beta": 1}, [3, 1]]},
+         "$.fibers[1]: expected object, got list"),
+        ({"base_genus": 0, "mode": "non_normalized", "fibers": [{"alpha": 3, "beta": None}]},
+         "$.fibers[0].beta: expected integer, got null"),
+        ({"base_genus": 0, "mode": "non_normalized", "fibers": {}},
+         "$.fibers: expected list, got object"),
+    ])
+    def test_json_types_are_checked(self, doc, message):
+        with pytest.raises(TypeError) as exc:
+            SeifertData.from_json(doc)
+        assert str(exc.value) == message
+
     def test_json_mode_consistency(self):
         with pytest.raises(ValueError):
             SeifertData.from_json({"base_genus": 0, "mode": "normalized", "fibers": []})
