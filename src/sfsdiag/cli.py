@@ -24,7 +24,7 @@ from .diagram import (
     to_dot,
     validate,
 )
-from .errors import DomainError, SynthesisInvariantViolation
+from .errors import DomainError, SynthesisInvariantViolation, want, want_ints
 from .presentation import Presentation, positivize
 from .seifert import SeifertData, genus_report, homology, normalize
 from .vertical import build_positive_vertical
@@ -88,8 +88,8 @@ def _cmd_diagram_decode(payload, args):
 
 def _cmd_cover_lift(payload, args):
     lifted = lift_seifert(
-        SeifertData.from_json(payload["seifert"]),
-        CoverSpec.from_json(payload["cover"]),
+        SeifertData.from_json(want(payload["seifert"], dict, "$.seifert")),
+        CoverSpec.from_json(want(payload["cover"], dict, "$.cover")),
     )
     return lifted.to_json()
 
@@ -104,8 +104,8 @@ def _cmd_cover_base(payload, args):
 
 
 def _cmd_betastar(payload, args):
-    pairs = [(int(a), int(b)) for a, b in payload["pairs"]]
-    stars = beta_star(pairs, int(payload["lambda"]))
+    pairs = [tuple(want_ints(p, "$.pairs[{}]", i)) for i, p in enumerate(want(payload["pairs"], list, "$.pairs"))]
+    stars = beta_star(pairs, want(payload["lambda"], int, "$.lambda"))
     return {"beta_star": list(stars)}
 
 

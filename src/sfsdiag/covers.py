@@ -22,6 +22,8 @@ from .errors import (
     InfeasibleBetaStar,
     ParityError,
     TooManyFibers,
+    want,
+    want_ints,
 )
 from .exactalg import crt, floor_sum
 from .seifert import FiberInvariant, SeifertData, normalize
@@ -54,10 +56,8 @@ class CoverSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoverSpec":
-        return cls(
-            int(data["lambda"]),
-            tuple(tuple(int(b) for b in part) for part in data["partitions"]),
-        )
+        sheets, parts = want(data["lambda"], int, "$.lambda"), want(data["partitions"], list, "$.partitions")
+        return cls(sheets, tuple(tuple(want_ints(p, "$.partitions[{}]", i)) for i, p in enumerate(parts)))
 
 
 def cyclic_cover_spec(sheets: int, boundaries: int = 3) -> CoverSpec:

@@ -24,10 +24,11 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, sub
+from itertools import compress
+from operator import ne
 from typing import Mapping
 
-from .errors import Disconnected, IsolatedCurve, NotPositive
+from .errors import Disconnected, IsolatedCurve, NotPositive, want, want_ints
 from .exactalg import IntMatrix, SnfResult, snf
 from .presentation import Presentation
 
@@ -81,14 +82,24 @@ class Diagram:
 
     @classmethod
     def from_json(cls, data: dict) -> "Diagram":
-        genus = int(data["genus"])
-        x_curves = [[int(c) for c in curve] for curve in data["x_curves"]]
-        y_curves = [[int(c) for c in curve] for curve in data["y_curves"]]
-        if not isinstance(data["signs"], dict):
-            kind = type(data["signs"]).__name__
-            raise TypeError(f"signs: expected an object mapping crossing id to sign, got {kind}")
-        signs = {int(k): int(v) for k, v in data["signs"].items()}
-        return cls.build(genus, x_curves, y_curves, signs)
+        genus = want(data["genus"], int, "$.genus")
+        x_curves, y_curves = (
+            [want_ints(c, "$.{}[{}]", side, i) for i, c in enumerate(want(data[side], list, "$." + side))]
+            for side in ("x_curves", "y_curves"))
+        signs = data["signs"]
+        if not isinstance(signs, dict):
+            raise TypeError(f"signs: expected an object mapping crossing id to sign, got {type(signs).__name__}")
+        try:
+            ids = list(map(int, signs))
+        except ValueError:
+            ids = []
+        # canonical decimal keys only: int() alone also takes " 1", "+1" and "1_0"
+        if list(map(str, ids)) != list(signs) or not set(map(type, signs.values())) <= {int}:
+            for k, v in signs.items():
+                if not (k.removeprefix("-").isdecimal() and str(int(k)) == k):
+                    raise ValueError(f"$.signs: key {k!r} is not a crossing id")
+                want(v, int, "$.signs[{!r}]", k)
+        return cls(genus, tuple(map(tuple, x_curves)), tuple(map(tuple, y_curves)), tuple(sorted(zip(ids, signs.values()))))
 
 
 @dataclass(frozen=True)
@@ -139,55 +150,58 @@ def validate(dg: Diagram) -> list[DiagramViolation]:
 
 
 class _CrossingIndex:
-    """The crossings of a valid diagram ranked ``0..d-1`` by id; ``rank``
-    maps id to rank, or is None for ids ``1..d``.  Arrays, as the index is
-    cached, give per rank the next rank along X and Y, the sign and the X
-    curve; then the component count and the Y-by-X intersection matrix."""
+    """The crossings of a valid diagram ranked ``1..d`` by id (``rank`` maps
+    id to rank, or is None for ids ``1..d``); per rank the next rank along X
+    and Y as lists, the sign and the X curve as arrays, rank 0 a positive
+    dummy whose curves close on themselves; the component count and the
+    Y-by-X intersection matrix."""
 
     __slots__ = ("rank", "sign", "positive", "x_next", "y_next", "x_curve", "components", "matrix")
 
 
-def _ranks(curve, rank, d: int) -> list[int]:
+def _ranks(curve, rank, d: int):
     """Ranks of a curve's crossings; KeyError if one is not a signed id."""
     if rank is None:
         if curve and (min(curve) < 1 or max(curve) > d):
             raise KeyError(curve)
-        return [c - 1 for c in curve]
+        return curve
     return [rank[c] for c in curve]
 
 
 def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
     """Index of diagram data; None on any defect :func:`validate` reports."""
+    d = len(signs)
     values = [v for _, v in signs]
-    if genus < 0 or not x_curves or not y_curves or not set(values) <= {1, -1}:
+    plus = values.count(1)
+    if (genus < 0 or not x_curves or not y_curves or plus + values.count(-1) != d
+            or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d):
         return None
     idx = _CrossingIndex()
-    idx.positive = -1 not in values
-    if [c for c, _ in signs] == list(range(1, len(signs) + 1)):
-        idx.rank, idx.sign = None, array("b", values)
+    idx.positive = plus == d
+    if [c for c, _ in signs] == list(range(1, d + 1)):
+        idx.rank, idx.sign = None, array("b", [1] + values)
     else:
         sign_map = dict(signs)
-        if len(sign_map) != len(signs):
+        if len(sign_map) != d:
             return None
-        idx.rank = {c: r for r, c in enumerate(sorted(sign_map))}
-        idx.sign = array("b", [sign_map[c] for c in idx.rank])
-    d = len(idx.sign)
-    sides = []
-    for curves in (x_curves, y_curves):
-        nxt, which, total = [-1] * d, [-1] * d, 0
-        for ci, curve in enumerate(curves):
-            try:
-                rs = _ranks(curve, idx.rank, d)
-            except KeyError:
-                return None
-            total += len(rs)
-            for r, n in zip(rs, rs[1:] + rs[:1]):
-                nxt[r] = n
-                which[r] = ci
-        if total != d or -1 in which:
-            return None
-        sides.append((array("i", nxt), array("i", which)))
-    (idx.x_next, idx.x_curve), (idx.y_next, y_curve) = sides
+        idx.rank = {c: r for r, c in enumerate(sorted(sign_map), start=1)}
+        idx.sign = array("b", [1] + [sign_map[c] for c in idx.rank])
+    try:
+        x_ranks, y_ranks = ([_ranks(c, idx.rank, d) for c in curves] for curves in (x_curves, y_curves))
+    except KeyError:
+        return None
+    # with d ranks listed in all, each occurs once iff each has a successor
+    x_next, y_next, x_curve = [0] + [-1] * d, [0] + [-1] * d, [0] * (d + 1)
+    for ci, rs in enumerate(x_ranks):
+        for r, n in zip(rs, rs[1:] + rs[:1]):
+            x_next[r] = n
+            x_curve[r] = ci
+    for rs in y_ranks:
+        for r, n in zip(rs, rs[1:] + rs[:1]):
+            y_next[r] = n
+    if -1 in x_next or -1 in y_next:
+        return None
+    idx.x_next, idx.y_next, idx.x_curve = x_next, y_next, array("i", x_curve)
 
     gx = len(x_curves)
     rows = [[0] * gx for _ in y_curves]
@@ -199,11 +213,16 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
             a = parent[a]
         return a
 
-    # union-find over the curves, joining X curve i and Y curve j that cross
-    for (j, i, s), count in Counter(zip(y_curve, idx.x_curve, idx.sign)).items():
-        rows[j][i] += s * count
-        parent[find(i)] = find(gx + j)
-    idx.components = len({find(i) for i in set(idx.x_curve)})
+    # per Y curve, count its X letters (~i for a negative crossing with X
+    # curve i); union-find joins X curve i and Y curve j that cross
+    letter = x_curve if idx.positive else [i if s > 0 else ~i for i, s in zip(x_curve, idx.sign)]
+    for j, rs in enumerate(y_ranks):
+        for i, count in Counter(map(letter.__getitem__, rs)).items():
+            if i < 0:
+                i, count = ~i, -count
+            rows[j][i] += count
+            parent[find(i)] = find(gx + j)
+    idx.components = len({find(i) for i in range(gx) if x_curves[i]})
     idx.matrix = tuple(map(tuple, rows))
     return idx
 
@@ -214,41 +233,47 @@ def is_positive_diagram(dg: Diagram) -> bool:
 
 
 def _face_count(idx: _CrossingIndex) -> int:
-    """Cycle count of the face permutation on darts ``4 * rank + slot``,
-    slots X-out 0, Y-out 1, X-in 2, Y-in 3: a face runs along an edge to
-    the far crossing, then turns to its next slot counterclockwise."""
-    sign = idx.sign
-    n = 4 * len(sign)
-    x_prev, y_prev = [0] * len(sign), [0] * len(sign)
-    for r, (xn, yn) in enumerate(zip(idx.x_next, idx.y_next)):
-        x_prev[xn] = y_prev[yn] = r
-    # the turn after arriving through X-in, X-out, Y-in or Y-out: to slot
-    # 2 + sign, 2 - sign, 1 - sign or 1 + sign
-    at_xi = list(map(add, range(2, n, 4), sign))
-    at_xo = list(map(sub, range(2, n, 4), sign))
-    at_yi = list(map(sub, range(1, n, 4), sign))
-    at_yo = list(map(add, range(1, n, 4), sign))
-    face = [0] * n
-    face[0::4] = map(at_xi.__getitem__, idx.x_next)
-    face[1::4] = map(at_yi.__getitem__, idx.y_next)
-    face[2::4] = map(at_xo.__getitem__, x_prev)
-    face[3::4] = map(at_yo.__getitem__, y_prev)
-    seen = bytearray(n)
-    faces = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        faces += 1
-        dart = start
-        while not seen[dart]:
-            seen[dart] = 1
-            dart = face[dart]
+    """Faces of the forced rotation system, as cycles of one permutation.
+
+    A face alternates X and Y edges.  In an all-positive diagram it runs
+    X forward, Y backward, X backward, Y forward: the faces are the cycles
+    of ``r -> y_next[x_prev[y_prev[x_next[r]]]]``, or of its conjugate by
+    ``x_next``, which maps ``y_next[x_next[w]]`` to ``x_next[y_next[w]]``.
+    Otherwise the squared face permutation runs on the X-darts
+    ``2 * rank + e`` (``e`` 1 on arrival along X), each crossing turning
+    the face by its sign.  The dummy rank 0 adds one face either way.
+    """
+    x_next, y_next = idx.x_next, idx.y_next
+    if idx.positive:
+        step = [0] * len(x_next)
+        for u, w in zip(map(x_next.__getitem__, y_next), map(y_next.__getitem__, x_next)):
+            step[w] = u
+    else:
+        x_prev, y_prev = [0] * len(x_next), [0] * len(y_next)
+        for r, (xn, yn) in enumerate(zip(x_next, y_next)):
+            x_prev[xn] = y_prev[yn] = r
+        sign, step = idx.sign, []
+        for nxt, prv in zip(x_next, x_prev):
+            for e, n in ((0, nxt), (1, prv)):
+                via_out = (e == 1) == (sign[n] > 0)
+                m = y_next[n] if via_out else y_prev[n]
+                step.append(2 * m + (via_out != (sign[m] > 0)))
+    # most faces of a diagram are fixed points here; count them in bulk
+    n = len(step)
+    moved = list(compress(range(n), map(ne, step, range(n))))
+    faces, seen = n - len(moved) - 1, set()
+    for start in moved:
+        if start not in seen:
+            faces += 1
+            while start not in seen:
+                seen.add(start)
+                start = step[start]
     return faces
 
 
 def _forced_genus(idx: _CrossingIndex) -> int:
     """Forced genus summed over the components: ``(2C + d - F) / 2``."""
-    return (2 * idx.components + len(idx.sign) - _face_count(idx)) // 2
+    return (2 * idx.components + len(idx.sign) - 1 - _face_count(idx)) // 2
 
 
 def rotation_genus(dg: Diagram) -> int:
@@ -256,10 +281,11 @@ def rotation_genus(dg: Diagram) -> int:
 
     The 4-valent graph X union Y gets the counterclockwise half-edge order
     (X-out, Y-out, X-in, Y-in) at a +1 crossing and
-    (X-out, Y-in, X-in, Y-out) at a -1 crossing.  The faces are the
-    cycles of that rotation system's face permutation on the ``4d``
-    darts, and the genus is ``(2 - (V - E + F)) / 2`` with ``V = d``
-    crossings and ``E = 2d`` edges.
+    (X-out, Y-in, X-in, Y-out) at a -1 crossing.  Every face alternates
+    X and Y edges, so the faces are counted on the ``d`` crossings of an
+    all-positive diagram and on the ``2d`` X half-edges otherwise (see
+    :func:`_face_count`), and the genus is ``(2 - (V - E + F)) / 2`` with
+    ``V = d`` crossings and ``E = 2d`` edges.
 
     Requires every curve to carry a crossing (:class:`IsolatedCurve`) and
     the graph to be connected (:class:`Disconnected`).
@@ -283,7 +309,7 @@ def diagram_presentation(dg: Diagram) -> Presentation:
     idx = dg._index
     letter = [s * (i + 1) for s, i in zip(idx.sign, idx.x_curve)]
     relators = tuple(
-        tuple(map(letter.__getitem__, _ranks(curve, idx.rank, len(letter))))
+        tuple(map(letter.__getitem__, _ranks(curve, idx.rank, len(letter) - 1)))
         for curve in dg.y_curves
     )
     return Presentation(len(dg.x_curves), relators)
@@ -322,9 +348,9 @@ class PermutationPair:
 
     @classmethod
     def from_json(cls, data: dict) -> "PermutationPair":
-        sx = tuple(int(v) for v in data["sigma_x"])
-        sy = tuple(int(v) for v in data["sigma_y"])
-        degree = int(data.get("degree", len(sx)))
+        sx = tuple(want_ints(data["sigma_x"], "$.sigma_x"))
+        sy = tuple(want_ints(data["sigma_y"], "$.sigma_y"))
+        degree = want(data.get("degree", len(sx)), int, "$.degree")
         return cls(degree, sx, sy)
 
 
@@ -337,8 +363,8 @@ def montesinos_encode(dg: Diagram) -> PermutationPair:
     idx = dg._index
     if not idx.positive:
         raise NotPositive("the permutation encoding needs an all-positive diagram")
-    sigma_x, sigma_y = (tuple(n + 1 for n in nxt) for nxt in (idx.x_next, idx.y_next))
-    return PermutationPair(len(idx.sign), sigma_x, sigma_y)
+    sigma_x, sigma_y = (tuple(nxt[1:]) for nxt in (idx.x_next, idx.y_next))
+    return PermutationPair(len(idx.sign) - 1, sigma_x, sigma_y)
 
 
 def _cycles(sigma: tuple[int, ...]) -> list[tuple[int, ...]]:

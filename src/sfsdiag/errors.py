@@ -18,6 +18,15 @@ def want(value, kind: type, path: str, *keys):
     raise TypeError(f"{path.format(*keys)}: expected {_JSON_TYPES[kind]}, got {got}")
 
 
+def want_ints(value, path: str, *keys) -> list:
+    """``value`` if it is a JSON list of integers, else the ``TypeError`` of
+    :func:`want` for it or for its first entry that is no integer."""
+    if type(value) is not list or not set(map(type, value)) <= {int}:
+        for j, item in enumerate(want(value, list, path, *keys)):
+            want(item, int, path + "[{}]", *keys, j)
+    return value
+
+
 class SfsError(Exception):
     """Base class for every package-specific error."""
 
@@ -68,6 +77,10 @@ class TooManyFibers(DomainError):
 
 class InfeasibleBetaStar(DomainError):
     """No slope adjustment exists (single-fiber corner case)."""
+
+
+class CrossingBudgetExceeded(DomainError):
+    """The requested diagram has more crossings than the builder allocates."""
 
 
 class SynthesisInvariantViolation(SfsError):

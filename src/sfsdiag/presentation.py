@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import want
+from .errors import want, want_ints
 from .exactalg import IntMatrix, SnfResult, snf
 
 
@@ -38,13 +38,9 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
-        relators = []
-        for i, word in enumerate(want(data["relators"], list, "$.relators")):
-            if not set(map(type, want(word, list, "$.relators[{}]", i))) <= {int}:
-                for k, x in enumerate(word):
-                    want(x, int, "$.relators[{}][{}]", i, k)
-            relators.append(tuple(word))
-        return cls(want(data["generators"], int, "$.generators"), tuple(relators))
+        relators = want(data["relators"], list, "$.relators")
+        relators = tuple(tuple(want_ints(w, "$.relators[{}]", i)) for i, w in enumerate(relators))
+        return cls(want(data["generators"], int, "$.generators"), relators)
 
 
 def free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -17,81 +17,57 @@ positive on E, every intersection can be oriented positively:
 * the rectangle boundaries cross only the horizontal strands of the two
   adjacent X curves.
 
-The resulting crossing orders are read off the explicit layout, so the
-combinatorics embeds in the genus r-1 surface; the forced rotation genus
-is checked to equal the declared one.  Correctness is pinned by exact
-oracles: the algebraic intersection matrix must present the same first
-homology as the input invariants.
+The crossing orders follow from the layout by arithmetic on the id range
+(so their count is bounded before allocation) and embed in the genus r-1
+surface; the forced rotation genus is checked to equal the declared one.
+Exact oracles pin the result: the algebraic intersection matrix must
+present the same first homology as the input invariants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import accumulate, repeat
 from math import gcd
 
 from .diagram import Diagram, diagram_homology, intersection_matrix, is_positive_diagram, rotation_genus, validate
-from .errors import BaseGenusUnsupported, SynthesisInvariantViolation
+from .errors import BaseGenusUnsupported, CrossingBudgetExceeded, SynthesisInvariantViolation
 from .seifert import FiberInvariant, SeifertData, denormalize, homology, normalize
+
+
+#: Largest crossing count :func:`synthesize_diagram` will allocate.
+MAX_CROSSINGS = 1_000_000
 
 
 @dataclass(frozen=True)
 class ChainPlan:
     """The chain cell decomposition driving the construction.
 
-    ``d_fibers`` lists the fiber slots placed on the disk path in order
-    (always ``0..r-2``), ``e_fiber`` the slot on the single outer disk
-    (always ``r-1``).  ``squares[q]`` joins ``d_fibers[q]`` to
-    ``d_fibers[q+1]``; the disk graph is that path (a tree), the outer
+    Of the ``r`` fiber slots, ``0..r-2`` sit in input order on the disk
+    path and ``r-1`` on the single outer disk.  Square ``q`` joins disks
+    ``q`` and ``q+1``; the disk graph is that path (a tree), the outer
     graph a wedge of ``r-2`` loops, so every square carries an E-side
-    vertical disk (``b_squares``) and none carries a D-side one
-    (``a_squares`` empty).  ``sign_pattern`` alternates ``+,-,...`` along
-    the path and requires ``+`` on the outer disk, which is exactly what
-    makes every crossing orientable positively.
+    vertical disk and none carries a D-side one.
     """
 
     r: int
-    d_fibers: tuple[int, ...]
-    e_fiber: int
-    squares: tuple[tuple[int, int], ...]
-    sign_pattern: tuple[str, ...]
-    b_squares: tuple[int, ...]
-    a_squares: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.r < 3:
             raise ValueError("chain plans need at least three fiber slots")
-        if self.d_fibers != tuple(range(self.r - 1)) or self.e_fiber != self.r - 1:
-            raise ValueError("chain plans place fibers in input order, last on E")
-        if self.squares != tuple((q, q + 1) for q in range(self.r - 2)):
-            raise ValueError("chain plans join consecutive disks")
-        if len(self.sign_pattern) != self.r:
-            raise ValueError("one sign per fiber slot required")
-        for q in range(self.r - 2):
-            if self.sign_pattern[q] == self.sign_pattern[q + 1]:
-                raise ValueError("adjacent disk slots need opposite signs")
-        if self.sign_pattern[self.r - 1] != "+":
-            raise ValueError("the outer-disk slot must be positive")
-        if self.sign_pattern[0] != "+":
-            raise ValueError("the fiber-strand anchor slot must be positive")
-        if self.b_squares != tuple(range(self.r - 2)) or self.a_squares != ():
-            raise ValueError("every square carries exactly the E-side vertical disk")
+
+    @property
+    def sign_pattern(self) -> tuple[str, ...]:
+        """``+,-,...`` along the path and ``+`` on the outer disk: exactly
+        what makes every crossing orientable positively."""
+        return tuple("+-"[i % 2] for i in range(self.r - 1)) + ("+",)
 
 
 def plan_decomposition(m: int) -> ChainPlan:
     """Deterministic chain plan for ``m`` fibers, padded up to three slots."""
     if m < 0:
         raise ValueError("fiber count must be nonnegative")
-    r = max(m, 3)
-    signs = tuple("+" if i % 2 == 0 else "-" for i in range(r - 1)) + ("+",)
-    return ChainPlan(
-        r=r,
-        d_fibers=tuple(range(r - 1)),
-        e_fiber=r - 1,
-        squares=tuple((q, q + 1) for q in range(r - 2)),
-        sign_pattern=signs,
-        b_squares=tuple(range(r - 2)),
-    )
+    return ChainPlan(max(m, 3))
 
 
 def assign_betas(s: SeifertData, plan: ChainPlan) -> tuple[FiberInvariant, ...]:
@@ -151,25 +127,27 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
     """Assemble the positive diagram for the chain layout.
 
     ``betas`` are the padded non-normalized slopes produced by
-    :func:`assign_betas`.  Crossing families, with ids assigned in this
-    order:
+    :func:`assign_betas`.  Crossing ids are contiguous per family, in
+    this order:
 
-    * fiber strands of X_i against the chain passes of Y_1
-      (``|beta'_i| * alpha_E`` each),
-    * horizontal strands of X_1 against the fiber strands of Y_1
-      (``alpha_1 * beta'_E``),
-    * horizontal strands of X_q and X_{q+1} against rectangle q
-      (``alpha_q + alpha_{q+1}``).
+    * fiber strand ``v`` of X_i against chain pass ``p`` of Y_1 is
+      ``a0[i] + v * alpha_E + p`` (``|beta'_i| * alpha_E`` each),
+    * horizontal strand ``k`` of X_1 against fiber strand ``v`` of Y_1 is
+      ``b0 + k * beta'_E + v`` (``alpha_1 * beta'_E``),
+    * rectangle q meets the horizontal strands of X_q, then of X_{q+1},
+      from ``c0[q]`` on (``alpha_q + alpha_{q+1}``).
 
-    The algebraic intersection matrix this produces is verified against
-    the abelianized filling relations before returning.
+    Every curve is a run of slices of the id range from these offsets, so
+    the crossing count is known before anything is allocated; above
+    :data:`MAX_CROSSINGS` it raises :class:`CrossingBudgetExceeded`.  The
+    algebraic intersection matrix this produces is verified against the
+    abelianized filling relations before returning.
     """
     r = plan.r
     betas = tuple(betas)
     if len(betas) != r:
         raise ValueError(f"expected {r} slopes, got {len(betas)}")
-    for i, f in enumerate(betas):
-        want = plan.sign_pattern[i]
+    for i, (f, want) in enumerate(zip(betas, plan.sign_pattern)):
         if (f.beta > 0) != (want == "+"):
             raise ValueError(f"slope {i} has sign {f.beta} against pattern {want}")
 
@@ -179,59 +157,45 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
     beads = r - 1
     a_e, b_e = alphas[r - 1], bmag[r - 1]
 
-    # crossing ids 1, 2, ..., keyed per family
-    ids = count(1)
-    a_id = {
-        (i, v, p): next(ids)
-        for i in range(beads)
-        for v in range(bmag[i])
-        for p in range(a_e)
-    }
-    b_id = {(k, v): next(ids) for k in range(alphas[0]) for v in range(b_e)}
-    c_id = {}
-    for q in range(r - 2):
-        for k in range(alphas[q]):
-            c_id[(q, q, k)] = next(ids)
-        for k in range(alphas[q + 1]):
-            c_id[(q, q + 1, k)] = next(ids)
+    a0 = list(accumulate([b * a_e for b in bmag[:beads]], initial=1))
+    b0 = a0[beads]
+    c0 = list(accumulate([alphas[q] + alphas[q + 1] for q in range(r - 2)], initial=b0 + alphas[0] * b_e))
+    d = c0[r - 2] - 1
+    if d > MAX_CROSSINGS:
+        raise CrossingBudgetExceeded(f"the diagram needs {d} crossings, above the limit of {MAX_CROSSINGS}")
 
-    def x_horizontal_events(i: int, k: int) -> list[int]:
-        right = [c_id[(i, i, k)]] if i <= r - 3 else []
-        left = [c_id[(i - 1, i, k)]] if i >= 1 else []
-        anchor = [b_id[(k, v)] for v in range(b_e)] if i == 0 else []
-        if hdirs[i] > 0:
-            return right + anchor + left
-        return left + anchor + right
-
+    # slices of one list of ids, so every curve shares its int objects
+    ids = list(range(d + 1))
     x_curves = []
     for i in range(beads):
         seq: list[int] = []
-        for kind, idx in _strand_cycle(alphas[i], bmag[i], hdirs[i]):
-            if kind == "h":
-                seq.extend(x_horizontal_events(i, idx))
-            else:
-                seq.extend(a_id[(i, idx, p)] for p in range(a_e))
+        for kind, k in _strand_cycle(alphas[i], bmag[i], hdirs[i]):
+            if kind == "v":
+                seq.extend(ids[a0[i] + k * a_e:a0[i] + (k + 1) * a_e])
+                continue
+            # rectangle ends on the right and on the left, met in travel order
+            ends = [ids[c0[i] + k]] if i <= r - 3 else [], [ids[c0[i - 1] + alphas[i - 1] + k]] if i >= 1 else []
+            seq.extend(ends[hdirs[i] < 0])
+            if i == 0:
+                seq.extend(ids[b0 + k * b_e:b0 + (k + 1) * b_e])
+            seq.extend(ends[hdirs[i] > 0])
         x_curves.append(tuple(seq))
 
+    # a chain pass meets the fiber strands of X_{r-1}, ..., X_1 in turn,
+    # each from its last strand down: every a_e-th A id, descending
     y_main: list[int] = []
-    for kind, idx in _strand_cycle(a_e, b_e, -1):
-        if kind == "h":
-            for i in range(beads - 1, -1, -1):
-                y_main.extend(a_id[(i, v, idx)] for v in range(bmag[i] - 1, -1, -1))
-        else:
-            y_main.extend(b_id[(k, idx)] for k in range(alphas[0]))
+    for kind, k in _strand_cycle(a_e, b_e, -1):
+        y_main.extend(ids[b0 - a_e + k:k:-a_e] if kind == "h" else ids[b0 + k:c0[0]:b_e])
     y_curves = [tuple(y_main)]
 
     for q in range(r - 2):
-        own = [c_id[(q, q, k)] for k in range(alphas[q])]
-        other = [c_id[(q, q + 1, k)] for k in range(alphas[q + 1])]
+        mid = c0[q] + alphas[q]
         if hdirs[q] > 0:
-            y_curves.append(tuple(own + other[::-1]))
+            y_curves.append((*ids[c0[q]:mid], *ids[c0[q + 1] - 1:mid - 1:-1]))
         else:
-            y_curves.append(tuple(own[::-1] + other))
+            y_curves.append((*ids[mid - 1:c0[q] - 1:-1], *ids[mid:c0[q + 1]]))
 
-    d = len(a_id) + len(b_id) + len(c_id)
-    dg = Diagram(beads, tuple(x_curves), tuple(y_curves), tuple(zip(range(1, d + 1), [1] * d)))
+    dg = Diagram(beads, tuple(x_curves), tuple(y_curves), tuple(zip(ids[1:], repeat(1))))
 
     try:
         got = intersection_matrix(dg)

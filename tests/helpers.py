@@ -5,13 +5,15 @@ Bareiss elimination, Smith data is recomputed from gcds of k-minors or
 by dense elimination with a global pivot rescan, congruences are checked
 by exhaustive scan, and forced rotation genera are traced over
 ``(crossing, slot)`` darts with dict successor maps and a union-find over
-the crossings.
+the crossings; chain diagrams are assembled through per-family id dicts.
 """
 
-from itertools import combinations
+from itertools import combinations, count
 from math import gcd
 
+from sfsdiag.diagram import Diagram
 from sfsdiag.exactalg import IntMatrix, SnfResult
+from sfsdiag.vertical import _strand_cycle
 
 
 def det(rows):
@@ -229,3 +231,76 @@ def dict_genus_sum(dg):
         assert (2 - chi) % 2 == 0
         total += (2 - chi) // 2
     return total
+
+
+def dict_synthesize(plan, betas):
+    """The chain diagram of :func:`sfsdiag.vertical.synthesize_diagram`,
+    with crossing ids handed out one by one and looked up by key."""
+    r = plan.r
+    betas = tuple(betas)
+    if len(betas) != r:
+        raise ValueError(f"expected {r} slopes, got {len(betas)}")
+    for i, f in enumerate(betas):
+        want = plan.sign_pattern[i]
+        if (f.beta > 0) != (want == "+"):
+            raise ValueError(f"slope {i} has sign {f.beta} against pattern {want}")
+
+    alphas = [f.alpha for f in betas]
+    bmag = [abs(f.beta) for f in betas]
+    hdirs = [1 if f.beta > 0 else -1 for f in betas]
+    beads = r - 1
+    a_e, b_e = alphas[r - 1], bmag[r - 1]
+
+    # crossing ids 1, 2, ..., keyed per family
+    ids = count(1)
+    a_id = {
+        (i, v, p): next(ids)
+        for i in range(beads)
+        for v in range(bmag[i])
+        for p in range(a_e)
+    }
+    b_id = {(k, v): next(ids) for k in range(alphas[0]) for v in range(b_e)}
+    c_id = {}
+    for q in range(r - 2):
+        for k in range(alphas[q]):
+            c_id[(q, q, k)] = next(ids)
+        for k in range(alphas[q + 1]):
+            c_id[(q, q + 1, k)] = next(ids)
+
+    def x_horizontal_events(i: int, k: int) -> list[int]:
+        right = [c_id[(i, i, k)]] if i <= r - 3 else []
+        left = [c_id[(i - 1, i, k)]] if i >= 1 else []
+        anchor = [b_id[(k, v)] for v in range(b_e)] if i == 0 else []
+        if hdirs[i] > 0:
+            return right + anchor + left
+        return left + anchor + right
+
+    x_curves = []
+    for i in range(beads):
+        seq: list[int] = []
+        for kind, idx in _strand_cycle(alphas[i], bmag[i], hdirs[i]):
+            if kind == "h":
+                seq.extend(x_horizontal_events(i, idx))
+            else:
+                seq.extend(a_id[(i, idx, p)] for p in range(a_e))
+        x_curves.append(tuple(seq))
+
+    y_main: list[int] = []
+    for kind, idx in _strand_cycle(a_e, b_e, -1):
+        if kind == "h":
+            for i in range(beads - 1, -1, -1):
+                y_main.extend(a_id[(i, v, idx)] for v in range(bmag[i] - 1, -1, -1))
+        else:
+            y_main.extend(b_id[(k, idx)] for k in range(alphas[0]))
+    y_curves = [tuple(y_main)]
+
+    for q in range(r - 2):
+        own = [c_id[(q, q, k)] for k in range(alphas[q])]
+        other = [c_id[(q, q + 1, k)] for k in range(alphas[q + 1])]
+        if hdirs[q] > 0:
+            y_curves.append(tuple(own + other[::-1]))
+        else:
+            y_curves.append(tuple(own[::-1] + other))
+
+    d = len(a_id) + len(b_id) + len(c_id)
+    return Diagram(beads, tuple(x_curves), tuple(y_curves), tuple(zip(range(1, d + 1), [1] * d)))

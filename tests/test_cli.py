@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -231,8 +232,40 @@ def test_output_file(tmp_path, capsys):
      {"base_genus": 0, "mode": "normalized", "fibers": [{"alpha": 3, "beta": 1}], "euler": True},
      "$.euler: expected integer, got boolean"),
     ("positivize", {"generators": 2, "relators": "12"}, "$.relators: expected list, got string"),
+    ("betastar", {"pairs": [[2, 1], [5, 3]], "lambda": 3.9}, "$.lambda: expected integer, got float"),
+    ("cover-lift",
+     {"seifert": {"base_genus": 0, "mode": "non_normalized",
+                  "fibers": [{"alpha": 2, "beta": 1}, {"alpha": 3, "beta": 1}, {"alpha": 5, "beta": 1}]},
+      "cover": {"lambda": True, "partitions": [[1], [1], [1]]}},
+     "$.lambda: expected integer, got boolean"),
+    ("diagram-verify",
+     {"genus": 1.5, "x_curves": [[1.0]], "y_curves": [[True]], "signs": {"1": 1}},
+     "$.genus: expected integer, got float"),
+    ("diagram-verify",
+     {"genus": 1, "x_curves": [[1.0]], "y_curves": [[True]], "signs": {"1": 1}},
+     "$.x_curves[0][0]: expected integer, got float"),
+    ("diagram-decode", {"sigma_x": [1.0], "sigma_y": [True]}, "$.sigma_x[0]: expected integer, got float"),
+    ("diagram-decode", {"sigma_x": [1], "sigma_y": [True]}, "$.sigma_y[0]: expected integer, got boolean"),
 ])
 def test_no_silent_coercion_exit_2(tmp_path, capsys, verb, payload, message):
     code, out, err = run_with_file(tmp_path, capsys, verb, payload)
     assert code == 2 and out == ""
     assert err == f"TypeError: {message}\n"
+
+
+def test_oversized_build_refused_before_allocating(tmp_path, capsys):
+    # {0; 1/4000001, 1/3, 2/5; e=1} needs 12,000,021 crossings
+    payload = {"base_genus": 0, "mode": "normalized", "euler": 1,
+               "fibers": [{"alpha": 4000001, "beta": 1}, {"alpha": 3, "beta": 1},
+                          {"alpha": 5, "beta": 2}]}
+    tracemalloc.start()
+    try:
+        code, out, err = run_with_file(tmp_path, capsys, "diagram-build", payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err == (
+        "CrossingBudgetExceeded: the diagram needs 12000021 crossings, above the limit of 1000000\n"
+    )
+    assert peak < 1_000_000

@@ -232,3 +232,26 @@ def test_dot_emission_mentions_curves():
 def test_json_round_trip():
     dg = lens_style(3)
     assert Diagram.from_json(dg.to_json()) == dg
+
+
+@pytest.mark.parametrize("doc,error,message", [
+    ({"genus": 1, "x_curves": [[1]], "y_curves": [[1]], "signs": {"01": 1}},
+     ValueError, "$.signs: key '01' is not a crossing id"),
+    ({"genus": 1, "x_curves": [[1]], "y_curves": [[1]], "signs": {"1_0": 1}},
+     ValueError, "$.signs: key '1_0' is not a crossing id"),
+    ({"genus": 1, "x_curves": [[1]], "y_curves": [[1]], "signs": {"1": 1.0}},
+     TypeError, "$.signs['1']: expected integer, got float"),
+    ({"genus": 1, "x_curves": [[1], 2], "y_curves": [[1]], "signs": {"1": 1}},
+     TypeError, "$.x_curves[1]: expected list, got integer"),
+    ({"genus": 1, "x_curves": [[1]], "y_curves": [["1"]], "signs": {"1": 1}},
+     TypeError, "$.y_curves[0][0]: expected integer, got string"),
+])
+def test_json_types_are_checked(doc, error, message):
+    with pytest.raises(error) as exc:
+        Diagram.from_json(doc)
+    assert str(exc.value) == message
+
+
+def test_json_reads_negative_ids():
+    dg = Diagram.from_json({"genus": 0, "x_curves": [[-3]], "y_curves": [[-3]], "signs": {"-3": 1}})
+    assert dg.signs == ((-3, 1),)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dict_components, dict_genus_sum
+from helpers import dict_components, dict_face_count, dict_genus_sum
 from sfsdiag.diagram import (
     Diagram,
     PermutationPair,
     _crossing_index,
+    _face_count,
     diagram_presentation,
     intersection_matrix,
     is_positive_diagram,
@@ -134,6 +135,29 @@ def test_built_diagrams_match_dict_tracer(fibers, euler):
     dg = build_positive_vertical(SeifertData.normalized(0, fibers, euler))
     check_against_reference(dg)
     assert rotation_genus(dg) == dg.declared_genus
+
+
+@given(
+    st.lists(st.sampled_from(COPRIME_FIBERS), min_size=0, max_size=6),
+    st.integers(-6, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_positive_and_signed_face_walks_agree(fibers, euler):
+    # the signed walk runs on 2d X-darts and handles +1 crossings too
+    dg = build_positive_vertical(SeifertData.normalized(0, fibers, euler))
+    idx = _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs)
+    assert idx.positive
+    faces = _face_count(idx)
+    idx.positive = False
+    assert _face_count(idx) == faces
+
+
+def test_large_built_diagram_matches_dict_tracer():
+    dg = build_positive_vertical(SeifertData.normalized(0, [(59, 37), (53, 29), (47, 31)], -3))
+    assert dg.crossing_count > 10_000
+    faces = dict_face_count([c for c, _ in dg.signs], dg)
+    assert _face_count(dg._index) == faces
+    assert rotation_genus(dg) == (2 + dg.crossing_count - faces) // 2 == dg.declared_genus
 
 
 def test_index_is_cached_and_leaves_identity_alone():

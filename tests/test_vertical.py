@@ -3,7 +3,11 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import dict_synthesize
+from sfsdiag import vertical
 from sfsdiag.diagram import (
     diagram_homology,
     diagram_presentation,
@@ -11,7 +15,7 @@ from sfsdiag.diagram import (
     rotation_genus,
     validate,
 )
-from sfsdiag.errors import BaseGenusUnsupported, UnsatisfiablePattern
+from sfsdiag.errors import BaseGenusUnsupported, CrossingBudgetExceeded, UnsatisfiablePattern
 from sfsdiag.seifert import SeifertData, homology, normalize
 from sfsdiag.vertical import (
     ChainPlan,
@@ -28,31 +32,34 @@ COPRIME_FIBERS = [(a, b) for a in range(2, 6) for b in range(1, a) if gcd(a, b) 
 class TestPlan:
     def test_minimal_plan(self):
         plan = plan_decomposition(3)
-        assert plan.r == 3
-        assert plan.squares == ((0, 1),)
+        assert plan == ChainPlan(3)
         assert plan.sign_pattern == ("+", "-", "+")
-        assert plan.b_squares == (0,) and plan.a_squares == ()
 
     def test_four_fibers(self):
         plan = plan_decomposition(4)
         assert plan.r == 4
         assert plan.sign_pattern == ("+", "-", "+", "+")
-        assert len(plan.squares) == 2
 
     def test_padding(self):
         assert plan_decomposition(0).r == 3
         assert plan_decomposition(2).r == 3
+        with pytest.raises(ValueError):
+            plan_decomposition(-1)
 
     def test_alternation_enforced(self):
-        with pytest.raises(ValueError):
-            ChainPlan(
-                r=3,
-                d_fibers=(0, 1),
-                e_fiber=2,
-                squares=((0, 1),),
-                sign_pattern=("+", "+", "+"),
-                b_squares=(0,),
-            )
+        # alternating along the disk path, + at both ends: the anchor slot
+        # and the outer disk
+        for m in range(12):
+            r = max(m, 3)
+            pattern = plan_decomposition(m).sign_pattern
+            assert len(pattern) == r
+            assert pattern[0] == pattern[r - 1] == "+"
+            assert all(pattern[q] != pattern[q + 1] for q in range(r - 2))
+
+    @pytest.mark.parametrize("r", [-1, 0, 1, 2])
+    def test_fewer_than_three_slots_rejected(self, r):
+        with pytest.raises(ValueError, match="at least three fiber slots"):
+            ChainPlan(r)
 
 
 class TestAssignBetas:
@@ -128,6 +135,26 @@ class TestSynthesize:
             )
 
 
+@st.composite
+def sphere_spaces(draw):
+    """Sphere-base spaces with up to 8 fibers (fewer than 3 are padded)."""
+    fibers = []
+    for _ in range(draw(st.integers(0, 8))):
+        a = draw(st.integers(2, 60))
+        fibers.append((a, draw(st.sampled_from([b for b in range(1, a) if gcd(a, b) == 1]))))
+    return SeifertData.normalized(0, fibers, draw(st.integers(-5, 5)))
+
+
+@given(sphere_spaces())
+@settings(max_examples=150, deadline=None)
+def test_synthesis_matches_dict_assembly(s):
+    n = normalize(s)
+    plan = plan_decomposition(len(n.fibers))
+    betas = assign_betas(n, plan)
+    got = json.dumps(synthesize_diagram(plan, betas).to_json())
+    assert got == json.dumps(dict_synthesize(plan, betas).to_json())
+
+
 class TestBuild:
     def test_worked_example(self):
         s = SeifertData.non_normalized(0, [(4, 1), (3, -4), (5, 3), (2, -5)])
@@ -186,3 +213,20 @@ class TestBuild:
             assert len(dg.x_curves) == len(dg.y_curves) == dg.declared_genus == r - 1
             assert rotation_genus(dg) == r - 1
             assert diagram_homology(dg).same_group(homology(s))
+
+
+class TestCrossingBudget:
+    def test_predicted_count_is_the_built_count(self, monkeypatch):
+        # the budget sits exactly at the built count: one below refuses
+        rng = random.Random(29)
+        for _ in range(40):
+            m = rng.randint(0, 6)
+            fibers = [rng.choice(COPRIME_FIBERS) for _ in range(m)]
+            s = SeifertData.normalized(0, fibers, rng.randint(-5, 5))
+            d = build_positive_vertical(s).crossing_count
+            with monkeypatch.context() as patch:
+                patch.setattr(vertical, "MAX_CROSSINGS", d - 1)
+                with pytest.raises(CrossingBudgetExceeded, match=f"needs {d} crossings"):
+                    build_positive_vertical(s)
+                patch.setattr(vertical, "MAX_CROSSINGS", d)
+                assert build_positive_vertical(s).crossing_count == d
