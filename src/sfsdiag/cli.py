@@ -6,35 +6,23 @@ stdout (or ``--output``).  Exit codes: 0 success, 2 malformed input,
 stderr start with the error class name so scripts can match on it.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
 
 from . import __version__
-from .covers import CoverSpec, base_orbifold_cover, beta_star, cyclic_cover_spec, lift_seifert
-from .diagram import (
-    Diagram,
-    PermutationPair,
-    is_positive_diagram,
-    montesinos_decode,
-    montesinos_encode,
-    rotation_genus,
-    to_dot,
-    validate,
-)
 from .errors import DomainError, SynthesisInvariantViolation, want, want_ints
-from .presentation import Presentation, positivize
-from .seifert import SeifertData, genus_report, homology, normalize
-from .vertical import build_positive_vertical
+
+# each verb imports the modules it needs, so a process loads only those
 
 
 def _cmd_normalize(payload, args):
+    from .seifert import SeifertData, normalize
     return normalize(SeifertData.from_json(payload)).to_json()
 
 
 def _cmd_homology(payload, args):
+    from .seifert import SeifertData, homology
     result = homology(SeifertData.from_json(payload))
     return {
         "invariant_factors": list(result.invariant_factors),
@@ -43,10 +31,14 @@ def _cmd_homology(payload, args):
 
 
 def _cmd_genus(payload, args):
+    from .seifert import SeifertData, genus_report
     return genus_report(SeifertData.from_json(payload)).to_json()
 
 
 def _cmd_diagram_build(payload, args):
+    from .diagram import to_dot
+    from .seifert import SeifertData
+    from .vertical import build_positive_vertical
     dg = build_positive_vertical(SeifertData.from_json(payload))
     if args.emit == "dot":
         return to_dot(dg)
@@ -54,32 +46,28 @@ def _cmd_diagram_build(payload, args):
 
 
 def _cmd_diagram_verify(payload, args):
+    from .diagram import Diagram, is_positive_diagram, rotation_genus, validate
     dg = Diagram.from_json(payload)
-    problems = validate(dg)
-    out = {
-        "ok": not problems,
-        "errors": [{"code": p.code, "message": p.message} for p in problems],
-        "declared_genus": dg.declared_genus,
-    }
-    if problems:
-        out["is_positive"] = None
-        out["rotation_genus"] = None
-        return out
-    out["is_positive"] = is_positive_diagram(dg)
-    try:
+    out = {"ok": False, "errors": [], "declared_genus": dg.declared_genus,
+           "is_positive": None, "rotation_genus": None}
+    try:  # building the crossing index validates; validate() only lists the defects
+        out["is_positive"] = is_positive_diagram(dg)
         out["rotation_genus"] = rotation_genus(dg)
+        out["ok"] = True
+    except ValueError:
+        out["errors"] = [{"code": p.code, "message": p.message} for p in validate(dg)]
     except DomainError as exc:
-        out["rotation_genus"] = None
         out["errors"].append({"code": type(exc).__name__, "message": str(exc)})
-        out["ok"] = False
     return out
 
 
 def _cmd_diagram_encode(payload, args):
+    from .diagram import Diagram, montesinos_encode
     return montesinos_encode(Diagram.from_json(payload)).to_json()
 
 
 def _cmd_diagram_decode(payload, args):
+    from .diagram import PermutationPair, montesinos_decode, to_dot
     dg = montesinos_decode(PermutationPair.from_json(payload))
     if args.emit == "dot":
         return to_dot(dg)
@@ -87,6 +75,8 @@ def _cmd_diagram_decode(payload, args):
 
 
 def _cmd_cover_lift(payload, args):
+    from .covers import CoverSpec, lift_seifert
+    from .seifert import SeifertData
     lifted = lift_seifert(
         SeifertData.from_json(want(payload["seifert"], dict, "$.seifert")),
         CoverSpec.from_json(want(payload["cover"], dict, "$.cover")),
@@ -95,6 +85,8 @@ def _cmd_cover_lift(payload, args):
 
 
 def _cmd_cover_base(payload, args):
+    from .covers import base_orbifold_cover, cyclic_cover_spec
+    from .seifert import SeifertData
     base, lam = base_orbifold_cover(SeifertData.from_json(payload))
     return {
         "base": base.to_json(),
@@ -104,12 +96,14 @@ def _cmd_cover_base(payload, args):
 
 
 def _cmd_betastar(payload, args):
+    from .covers import beta_star
     pairs = [tuple(want_ints(p, "$.pairs[{}]", i)) for i, p in enumerate(want(payload["pairs"], list, "$.pairs"))]
     stars = beta_star(pairs, want(payload["lambda"], int, "$.lambda"))
     return {"beta_star": list(stars)}
 
 
 def _cmd_positivize(payload, args):
+    from .presentation import Presentation, positivize
     return positivize(Presentation.from_json(payload)).to_json()
 
 

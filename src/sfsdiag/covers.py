@@ -13,7 +13,6 @@ three fibers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
@@ -22,34 +21,38 @@ from .errors import (
     InfeasibleBetaStar,
     ParityError,
     TooManyFibers,
+    Value,
+    WorkBudgetExceeded,
+    init_field,
     want,
     want_ints,
 )
 from .exactalg import crt, floor_sum
 from .seifert import FiberInvariant, SeifertData, normalize
 
+#: Largest trial divisor :func:`beta_star` tries when factoring the sheet count.
+MAX_TRIAL_DIVISOR = 1_000_000
 
-@dataclass(frozen=True)
-class CoverSpec:
+
+class CoverSpec(Value):
     """Boundary behavior of a surface cover: one partition per boundary.
 
     ``partitions[i]`` lists the covering degrees of the circles over
     boundary ``i``; each partition must sum to the sheet count.
     """
 
-    sheets: int
-    partitions: tuple[tuple[int, ...], ...]
+    __slots__ = ("sheets", "partitions")
 
-    def __post_init__(self):
-        if self.sheets < 1:
-            raise ValueError(f"sheet count must be >= 1, got {self.sheets}")
-        for i, part in enumerate(self.partitions):
+    def __init__(self, sheets: int, partitions: tuple[tuple[int, ...], ...]):
+        if sheets < 1:
+            raise ValueError(f"sheet count must be >= 1, got {sheets}")
+        for i, part in enumerate(partitions):
             if not part or any(b < 1 for b in part):
                 raise ValueError(f"partition {i} must consist of positive parts")
-            if sum(part) != self.sheets:
-                raise IncompatibleSpec(
-                    f"partition {i} sums to {sum(part)}, not {self.sheets}"
-                )
+            if sum(part) != sheets:
+                raise IncompatibleSpec(f"partition {i} sums to {sum(part)}, not {sheets}")
+        init_field(self, "sheets", sheets)
+        init_field(self, "partitions", partitions)
 
     def to_json(self) -> dict:
         return {"lambda": self.sheets, "partitions": [list(p) for p in self.partitions]}
@@ -163,10 +166,13 @@ def _adjust_for_prime(pairs, p: int):
 
 
 def _prime_powers(n: int):
-    """``(p, p**k)`` for each prime power ``p**k`` exactly dividing odd ``n``."""
+    """``(p, p**k)`` for each prime power ``p**k`` exactly dividing odd ``n``;
+    :class:`WorkBudgetExceeded` if it needs a divisor above :data:`MAX_TRIAL_DIVISOR`."""
     out = []
     d = 3
     while d * d <= n:
+        if d > MAX_TRIAL_DIVISOR:
+            raise WorkBudgetExceeded(f"factoring {n} needs trial divisors above the limit of {MAX_TRIAL_DIVISOR}")
         if n % d == 0:
             q = 1
             while n % d == 0:
@@ -188,7 +194,8 @@ def beta_star(pairs, lam: int):
     per-prime answers together with the Chinese remainder theorem, and
     repairs the floor sum with one correction by a multiple of
     ``alpha_1 * lam``, which disturbs neither the residues nor the
-    coprimality.
+    coprimality.  A ``lam`` that trial division up to :data:`MAX_TRIAL_DIVISOR`
+    cannot factor raises :class:`WorkBudgetExceeded`.
     """
     pairs = tuple((int(a), int(b)) for a, b in pairs)
     if lam < 1 or lam % 2 == 0:

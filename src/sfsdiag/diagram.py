@@ -22,29 +22,31 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import ne
 from typing import Mapping
 
-from .errors import Disconnected, IsolatedCurve, NotPositive, want, want_ints
+from .errors import Disconnected, IsolatedCurve, NotPositive, Value, init_field, want, want_ints
 from .exactalg import IntMatrix, SnfResult, snf
 from .presentation import Presentation
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Value):
     """Oriented curve systems as cyclic crossing sequences plus signs.
 
     ``signs`` is kept as a tuple of ``(crossing_id, sign)`` pairs sorted by
     id so that equal diagrams compare equal and serialize identically.
     """
 
-    declared_genus: int
-    x_curves: tuple[tuple[int, ...], ...]
-    y_curves: tuple[tuple[int, ...], ...]
-    signs: tuple[tuple[int, int], ...]
+    __slots__ = ("declared_genus", "x_curves", "y_curves", "signs", "__dict__")
+
+    def __init__(self, declared_genus: int, x_curves: tuple[tuple[int, ...], ...],
+                 y_curves: tuple[tuple[int, ...], ...], signs: tuple[tuple[int, int], ...]):
+        init_field(self, "declared_genus", declared_genus)
+        init_field(self, "x_curves", x_curves)
+        init_field(self, "y_curves", y_curves)
+        init_field(self, "signs", signs)
 
     @classmethod
     def build(cls, declared_genus, x_curves, y_curves, signs: Mapping[int, int]) -> "Diagram":
@@ -102,12 +104,14 @@ class Diagram:
         return cls(genus, tuple(map(tuple, x_curves)), tuple(map(tuple, y_curves)), tuple(sorted(zip(ids, signs.values()))))
 
 
-@dataclass(frozen=True)
-class DiagramViolation:
+class DiagramViolation(Value):
     """One structural defect found by :func:`validate`."""
 
-    code: str
-    message: str
+    __slots__ = ("code", "message")
+
+    def __init__(self, code: str, message: str):
+        init_field(self, "code", code)
+        init_field(self, "message", message)
 
 
 def validate(dg: Diagram) -> list[DiagramViolation]:
@@ -326,18 +330,18 @@ def diagram_homology(dg: Diagram) -> SnfResult:
     return snf(intersection_matrix(dg))
 
 
-@dataclass(frozen=True)
-class PermutationPair:
+class PermutationPair(Value):
     """Successor permutations along X and along Y on crossings 1..d."""
 
-    degree: int
-    sigma_x: tuple[int, ...]
-    sigma_y: tuple[int, ...]
+    __slots__ = ("degree", "sigma_x", "sigma_y")
 
-    def __post_init__(self):
-        for name, sigma in (("sigma_x", self.sigma_x), ("sigma_y", self.sigma_y)):
-            if len(sigma) != self.degree or sorted(sigma) != list(range(1, self.degree + 1)):
-                raise ValueError(f"{name} is not a permutation of 1..{self.degree}")
+    def __init__(self, degree: int, sigma_x: tuple[int, ...], sigma_y: tuple[int, ...]):
+        for name, sigma in (("sigma_x", sigma_x), ("sigma_y", sigma_y)):
+            if len(sigma) != degree or sorted(sigma) != list(range(1, degree + 1)):
+                raise ValueError(f"{name} is not a permutation of 1..{degree}")
+        init_field(self, "degree", degree)
+        init_field(self, "sigma_x", sigma_x)
+        init_field(self, "sigma_y", sigma_y)
 
     def to_json(self) -> dict:
         return {

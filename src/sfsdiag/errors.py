@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and the checked JSON reader.
+"""Exception types shared across the package, the checked JSON reader, and
+the frozen base of the value classes.
 
 Class names double as machine-readable error codes: the CLI prints them
 verbatim and maps them to exit statuses, so renaming one is a breaking
 change for scripts.
 """
+
+from operator import attrgetter
 
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "float", str: "string",
                list: "list", dict: "object", type(None): "null"}
@@ -25,6 +28,44 @@ def want_ints(value, path: str, *keys) -> list:
         for j, item in enumerate(want(value, list, path, *keys)):
             want(item, int, path + "[{}]", *keys, j)
     return value
+
+
+#: Field setter for the ``__init__`` of a :class:`Value`, past its frozen ``__setattr__``.
+init_field = object.__setattr__
+
+
+class Value:
+    """Frozen record whose fields are its ``__slots__`` (bar ``__dict__``), set
+    in its own ``__init__`` by :data:`init_field`.  It equals only same-class
+    records with equal fields, hashes and prints by them, pickles and copies
+    through the constructor, and refuses assignment and deletion."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class SfsError(Exception):
@@ -81,6 +122,10 @@ class InfeasibleBetaStar(DomainError):
 
 class CrossingBudgetExceeded(DomainError):
     """The requested diagram has more crossings than the builder allocates."""
+
+
+class WorkBudgetExceeded(DomainError):
+    """The request needs more output or work than the operation allows."""
 
 
 class SynthesisInvariantViolation(SfsError):

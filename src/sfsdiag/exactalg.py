@@ -9,11 +9,10 @@ depends on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import Incompatible
+from .errors import Incompatible, Value, init_field
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -82,22 +81,22 @@ def floor_sum(fractions: Iterable[tuple[int, int]]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """An immutable integer matrix stored as a tuple of row tuples."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged matrix rows")
+        init_field(self, "rows", rows)
+        init_field(self, "cols", cols)
+        init_field(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -109,8 +108,7 @@ class IntMatrix:
         return cls(len(data), cols, data)
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Value):
     """Invariant factors and free rank of an integer matrix cokernel.
 
     ``invariant_factors`` are the nonzero diagonal entries of the Smith
@@ -120,19 +118,20 @@ class SnfResult:
     the same abelian group iff their ``torsion`` and ``free_rank`` agree.
     """
 
-    invariant_factors: tuple[int, ...]
-    free_rank: int
+    __slots__ = ("invariant_factors", "free_rank")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, invariant_factors: tuple[int, ...], free_rank: int):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         prev = None
-        for d in self.invariant_factors:
+        for d in invariant_factors:
             if d <= 0:
                 raise ValueError("invariant factors must be positive")
             if prev is not None and d % prev != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
             prev = d
+        init_field(self, "invariant_factors", invariant_factors)
+        init_field(self, "free_rank", free_rank)
 
     @property
     def torsion(self) -> tuple[int, ...]:

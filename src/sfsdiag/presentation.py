@@ -9,26 +9,27 @@ that rewriting preserves the group (checked here through abelianization).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import want, want_ints
+from .errors import Value, WorkBudgetExceeded, init_field, want, want_ints
 from .exactalg import IntMatrix, SnfResult, snf
 
+#: Most letters :func:`positivize` writes, and most matrix entries :func:`abelianization` allocates.
+MAX_ENTRIES = 1_000_000
 
-@dataclass(frozen=True)
-class Presentation:
+
+class Presentation(Value):
     """A finite presentation: generator count plus relator words."""
 
-    n_generators: int
-    relators: tuple[tuple[int, ...], ...]
+    __slots__ = ("n_generators", "relators")
 
-    def __post_init__(self):
-        if self.n_generators < 0:
+    def __init__(self, n_generators: int, relators: tuple[tuple[int, ...], ...]):
+        if n_generators < 0:
             raise ValueError("generator count must be nonnegative")
-        for word in self.relators:
+        for word in relators:
             for letter in word:
-                if letter == 0 or abs(letter) > self.n_generators:
+                if letter == 0 or abs(letter) > n_generators:
                     raise ValueError(f"letter {letter} out of range")
+        init_field(self, "n_generators", n_generators)
+        init_field(self, "relators", relators)
 
     def to_json(self) -> dict:
         return {
@@ -68,10 +69,15 @@ def positivize(p: Presentation) -> Presentation:
     ``x_{i+1} ... x_n x_{n+1} x_1 ... x_{i-1}``, which equals ``x_i^{-1}``
     once the new relator holds.  The result has ``n+1`` generators,
     ``m+1`` relators, and is freely reduced (an empty relator is legal and
-    retained).
+    retained).  Refuses with :class:`WorkBudgetExceeded`, before writing
+    anything, a result of more than :data:`MAX_ENTRIES` letters.
     """
     n = p.n_generators
     new_gen = n + 1
+    negative = sum(letter < 0 for word in p.relators for letter in word)
+    letters = new_gen + sum(map(len, p.relators)) + (n - 1) * negative
+    if letters > MAX_ENTRIES:
+        raise WorkBudgetExceeded(f"the result needs {letters} letters, above the limit of {MAX_ENTRIES}")
 
     def inverse_word(i: int) -> tuple[int, ...]:
         return tuple(range(i + 1, n + 1)) + (new_gen,) + tuple(range(1, i))
@@ -91,8 +97,12 @@ def positivize(p: Presentation) -> Presentation:
 def abelianization(p: Presentation) -> SnfResult:
     """Invariant factors and free rank of the abelianized group.
 
-    Rows of the exponent-sum matrix are relators, columns generators.
+    Rows of the exponent-sum matrix are relators, columns generators; one
+    of more than :data:`MAX_ENTRIES` entries raises :class:`WorkBudgetExceeded`.
     """
+    cells = len(p.relators) * p.n_generators
+    if cells > MAX_ENTRIES:
+        raise WorkBudgetExceeded(f"the exponent matrix needs {cells} entries, above the limit of {MAX_ENTRIES}")
     rows = []
     for word in p.relators:
         row = [0] * p.n_generators

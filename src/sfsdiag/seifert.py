@@ -17,33 +17,28 @@ and a lens-space range handled by convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .errors import InvalidInvariant, UnsatisfiablePattern, want
+from .errors import InvalidInvariant, UnsatisfiablePattern, Value, init_field, want
 from .exactalg import IntMatrix, SnfResult, floor_sum, least_positive_residue, snf
 from .presentation import Presentation
 
 
-@dataclass(frozen=True)
-class FiberInvariant:
+class FiberInvariant(Value):
     """One exceptional-fiber slope ``beta/alpha`` with coprime entries."""
 
-    alpha: int
-    beta: int
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        if self.alpha < 1:
-            raise InvalidInvariant(f"alpha must be >= 1, got {self.alpha}")
-        if gcd(self.alpha, self.beta) != 1:
-            raise InvalidInvariant(
-                f"fiber ({self.alpha}, {self.beta}) is not coprime"
-            )
+    def __init__(self, alpha: int, beta: int):
+        if alpha < 1:
+            raise InvalidInvariant(f"alpha must be >= 1, got {alpha}")
+        if gcd(alpha, beta) != 1:
+            raise InvalidInvariant(f"fiber ({alpha}, {beta}) is not coprime")
+        init_field(self, "alpha", alpha)
+        init_field(self, "beta", beta)
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(Value):
     """A Seifert fibered space over an orientable base.
 
     ``euler`` present means normalized mode (every fiber then needs
@@ -52,19 +47,18 @@ class SeifertData:
     the slopes.
     """
 
-    base_genus: int
-    fibers: tuple[FiberInvariant, ...]
-    euler: int | None = None
+    __slots__ = ("base_genus", "fibers", "euler")
 
-    def __post_init__(self):
-        if self.base_genus < 0:
-            raise InvalidInvariant(f"base genus must be >= 0, got {self.base_genus}")
-        if self.euler is not None:
-            for f in self.fibers:
+    def __init__(self, base_genus: int, fibers: tuple[FiberInvariant, ...], euler: int | None = None):
+        if base_genus < 0:
+            raise InvalidInvariant(f"base genus must be >= 0, got {base_genus}")
+        if euler is not None:
+            for f in fibers:
                 if f.alpha <= 1 or not (0 < f.beta < f.alpha):
-                    raise InvalidInvariant(
-                        f"fiber ({f.alpha}, {f.beta}) is not in normalized range"
-                    )
+                    raise InvalidInvariant(f"fiber ({f.alpha}, {f.beta}) is not in normalized range")
+        init_field(self, "base_genus", base_genus)
+        init_field(self, "fibers", fibers)
+        init_field(self, "euler", euler)
 
     @property
     def is_normalized(self) -> bool:
@@ -134,6 +128,8 @@ def rational_euler(s: SeifertData) -> Fraction:
     independent of the chosen coordinates and multiplies by the covering
     degree under the fiber-preserving covers built in :mod:`covers`.
     """
+    from fractions import Fraction
+
     if s.is_normalized:
         return s.euler - sum((Fraction(f.beta, f.alpha) for f in s.fibers), Fraction(0))
     return -sum((Fraction(f.beta, f.alpha) for f in s.fibers), Fraction(0))
@@ -275,8 +271,7 @@ def vertical_genus_bound(s: SeifertData) -> int:
     return max(2 * g + 1, 2 * g + m - 1)
 
 
-@dataclass(frozen=True)
-class HorizontalFamily:
+class HorizontalFamily(Value):
     """Membership data for the sporadic horizontal-splitting families.
 
     ``family`` is one of ``"1.1"``, ``"1.2"``, ``"2.1"``, ``"2.2"``,
@@ -284,10 +279,13 @@ class HorizontalFamily:
     (absent for family 1.1, which instead records the fiber count).
     """
 
-    family: str
-    n: int
-    sign: int | None = None
-    fiber_count: int | None = None
+    __slots__ = ("family", "n", "sign", "fiber_count")
+
+    def __init__(self, family: str, n: int, sign: int | None = None, fiber_count: int | None = None):
+        init_field(self, "family", family)
+        init_field(self, "n", n)
+        init_field(self, "sign", sign)
+        init_field(self, "fiber_count", fiber_count)
 
 
 def _remove_fibers(multiset: list[tuple[int, int]], fixed) -> tuple[int, int] | None:
@@ -375,27 +373,28 @@ _POSITIVE_TRIPLES = (
 _OPEN_TRIPLE = ((2, 1), (3, 1), (7, 1))
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(Value):
     """Heegaard genus and positive-Heegaard-genus classification."""
 
-    hg: int
-    phg_lo: int
-    phg_hi: int
-    exact: bool
-    case_tag: str
-    horizontal_family: HorizontalFamily | None = None
-    notes: str = ""
+    __slots__ = ("hg", "phg_lo", "phg_hi", "exact", "case_tag", "horizontal_family", "notes")
 
-    def __post_init__(self):
-        if self.case_tag not in _CASE_TAGS:
-            raise ValueError(f"unknown case tag {self.case_tag!r}")
-        if self.phg_lo > self.phg_hi:
+    def __init__(self, hg: int, phg_lo: int, phg_hi: int, exact: bool, case_tag: str,
+                 horizontal_family: HorizontalFamily | None = None, notes: str = ""):
+        if case_tag not in _CASE_TAGS:
+            raise ValueError(f"unknown case tag {case_tag!r}")
+        if phg_lo > phg_hi:
             raise ValueError("phg interval is empty")
-        if self.exact != (self.phg_lo == self.phg_hi):
+        if exact != (phg_lo == phg_hi):
             raise ValueError("exactness flag disagrees with the interval")
-        if self.hg > self.phg_lo:
+        if hg > phg_lo:
             raise ValueError("hg exceeds the phg lower bound")
+        init_field(self, "hg", hg)
+        init_field(self, "phg_lo", phg_lo)
+        init_field(self, "phg_hi", phg_hi)
+        init_field(self, "exact", exact)
+        init_field(self, "case_tag", case_tag)
+        init_field(self, "horizontal_family", horizontal_family)
+        init_field(self, "notes", notes)
 
     def to_json(self) -> dict:
         out = {

@@ -26,12 +26,11 @@ present the same first homology as the input invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import gcd
 
 from .diagram import Diagram, diagram_homology, intersection_matrix, is_positive_diagram, rotation_genus, validate
-from .errors import BaseGenusUnsupported, CrossingBudgetExceeded, SynthesisInvariantViolation
+from .errors import BaseGenusUnsupported, CrossingBudgetExceeded, SynthesisInvariantViolation, Value, init_field
 from .seifert import FiberInvariant, SeifertData, denormalize, homology, normalize
 
 
@@ -39,8 +38,7 @@ from .seifert import FiberInvariant, SeifertData, denormalize, homology, normali
 MAX_CROSSINGS = 1_000_000
 
 
-@dataclass(frozen=True)
-class ChainPlan:
+class ChainPlan(Value):
     """The chain cell decomposition driving the construction.
 
     Of the ``r`` fiber slots, ``0..r-2`` sit in input order on the disk
@@ -50,11 +48,12 @@ class ChainPlan:
     vertical disk and none carries a D-side one.
     """
 
-    r: int
+    __slots__ = ("r",)
 
-    def __post_init__(self):
-        if self.r < 3:
+    def __init__(self, r: int):
+        if r < 3:
             raise ValueError("chain plans need at least three fiber slots")
+        init_field(self, "r", r)
 
     @property
     def sign_pattern(self) -> tuple[str, ...]:

@@ -1,10 +1,11 @@
 import io
 import json
+import time
 import tracemalloc
 
 import pytest
 
-from sfsdiag import __version__
+from sfsdiag import __version__, diagram
 from sfsdiag.cli import main
 
 
@@ -269,3 +270,36 @@ def test_oversized_build_refused_before_allocating(tmp_path, capsys):
         "CrossingBudgetExceeded: the diagram needs 12000021 crossings, above the limit of 1000000\n"
     )
     assert peak < 1_000_000
+
+
+def test_diagram_verify_skips_validate_on_a_valid_diagram(tmp_path, capsys, monkeypatch):
+    code, out, _ = run_with_file(tmp_path, capsys, "diagram-build", FIGURE_INPUT)
+    assert code == 0
+    calls = []
+    real = diagram.validate
+    monkeypatch.setattr(diagram, "validate", lambda dg: calls.append(dg) or real(dg))
+    code, out, _ = run_with_file(tmp_path, capsys, "diagram-verify", json.loads(out))
+    assert code == 0 and json.loads(out)["ok"]
+    assert calls == []
+    bad = {"genus": 1, "x_curves": [[1, 1]], "y_curves": [[1]], "signs": {"1": 1}}
+    code, out, _ = run_with_file(tmp_path, capsys, "diagram-verify", bad)
+    assert code == 0 and calls
+    assert json.loads(out)["errors"] == [{"code": "DuplicateOnX", "message": "crossing 1 appears 2 times"}]
+
+
+PRIME_31 = 1000000000000000000000000000057
+
+
+@pytest.mark.parametrize("verb,payload,error", [
+    ("positivize", {"generators": 100000000, "relators": [[1]]},
+     "WorkBudgetExceeded: the result needs 100000002 letters, above the limit of 1000000\n"),
+    ("betastar", {"pairs": [[PRIME_31, 1], [5, 3]], "lambda": PRIME_31},
+     f"WorkBudgetExceeded: factoring {PRIME_31} needs trial divisors above the limit of 1000000\n"),
+    ("cover-base", {"base_genus": (PRIME_31 - 1) // 2, "mode": "normalized", "fibers": [], "euler": 0},
+     f"WorkBudgetExceeded: factoring {PRIME_31} needs trial divisors above the limit of 1000000\n"),
+])
+def test_oversized_request_refused_quickly(tmp_path, capsys, verb, payload, error):
+    start = time.perf_counter()
+    code, out, err = run_with_file(tmp_path, capsys, verb, payload)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and err == error

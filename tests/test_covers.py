@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from sfsdiag import covers
 from sfsdiag.covers import (
     CoverSpec,
     base_orbifold_cover,
@@ -18,6 +19,7 @@ from sfsdiag.errors import (
     InfeasibleBetaStar,
     ParityError,
     TooManyFibers,
+    WorkBudgetExceeded,
 )
 from sfsdiag.exactalg import floor_sum
 from sfsdiag.seifert import SeifertData, normalize, rational_euler
@@ -142,6 +144,21 @@ class TestBetaStar:
     def test_rejects_even_sheets(self):
         with pytest.raises(ValueError):
             beta_star([(2, 1)], 4)
+
+    @pytest.mark.parametrize("lam,stars", [(3, (7, -17, -4)), (9, (7, -17, -4)), (15, (-17, 13, 38))])
+    def test_goldens(self, lam, stars):
+        assert beta_star([(2, 3), (5, -12), (7, 3)], lam) == stars
+
+    @pytest.mark.parametrize("lam,divisor", [(49, 7), (143, 11), (3 * 127, 11), (1155, 7)])
+    def test_trial_division_limit(self, monkeypatch, lam, divisor):
+        # refused while a cofactor that may be composite outlasts the limit
+        pairs = [(2, 1), (5, 3), (7, 2)]
+        monkeypatch.setattr(covers, "MAX_TRIAL_DIVISOR", divisor - 1)
+        with pytest.raises(WorkBudgetExceeded, match="needs trial divisors above the limit"):
+            beta_star(pairs, lam)
+        monkeypatch.setattr(covers, "MAX_TRIAL_DIVISOR", divisor)
+        stars = beta_star(pairs, lam)
+        assert all(gcd(star, lam) == 1 for star in stars)
 
     def test_randomized_conditions(self):
         rng = random.Random(37)

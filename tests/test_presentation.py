@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfsdiag import presentation
+from sfsdiag.errors import WorkBudgetExceeded
 from sfsdiag.presentation import (
     Presentation,
     abelianization,
@@ -83,6 +85,30 @@ class TestPositivize:
         q = positivize(p)
         assert is_positive(q)
         assert abelianization(q).same_group(abelianization(p))
+
+
+class TestWorkBudget:
+    def test_positivize_refuses_one_above_the_limit(self, monkeypatch):
+        # n+1 letters for the new relator, n for each inverse letter, 1 otherwise
+        rng = random.Random(41)
+        for _ in range(40):
+            p = random_presentation(rng)
+            n = p.n_generators
+            letters = n + 1 + sum(1 if x > 0 else n for word in p.relators for x in word)
+            with monkeypatch.context() as patch:
+                patch.setattr(presentation, "MAX_ENTRIES", letters - 1)
+                with pytest.raises(WorkBudgetExceeded, match=f"needs {letters} letters"):
+                    positivize(p)
+                patch.setattr(presentation, "MAX_ENTRIES", letters)
+                assert is_positive(positivize(p))
+
+    def test_abelianization_refuses_one_above_the_limit(self, monkeypatch):
+        p = Presentation(3, ((1, -2), (3,), (2, 2)))
+        monkeypatch.setattr(presentation, "MAX_ENTRIES", 8)
+        with pytest.raises(WorkBudgetExceeded, match="needs 9 entries"):
+            abelianization(p)
+        monkeypatch.setattr(presentation, "MAX_ENTRIES", 9)
+        assert abelianization(p).free_rank == 0
 
 
 class TestAbelianization:

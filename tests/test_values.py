@@ -1,0 +1,215 @@
+"""The frozen value classes and the lazy package surface."""
+
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+import sfsdiag
+from sfsdiag import (
+    ChainPlan,
+    CoverSpec,
+    Diagram,
+    FiberInvariant,
+    GenusReport,
+    HorizontalFamily,
+    IntMatrix,
+    PermutationPair,
+    Presentation,
+    SeifertData,
+    SnfResult,
+    rotation_genus,
+)
+from sfsdiag.diagram import DiagramViolation
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# one factory per class, each with the repr the classes had as frozen dataclasses
+CASES = [
+    (lambda: CoverSpec(3, ((3,), (1, 2))), "CoverSpec(sheets=3, partitions=((3,), (1, 2)))"),
+    (lambda: Diagram(1, ((1,),), ((1,),), ((1, 1),)),
+     "Diagram(declared_genus=1, x_curves=((1,),), y_curves=((1,),), signs=((1, 1),))"),
+    (lambda: DiagramViolation("BadSign", "crossing 1 has sign 2"),
+     "DiagramViolation(code='BadSign', message='crossing 1 has sign 2')"),
+    (lambda: PermutationPair(2, (2, 1), (1, 2)), "PermutationPair(degree=2, sigma_x=(2, 1), sigma_y=(1, 2))"),
+    (lambda: IntMatrix(1, 2, ((1, -2),)), "IntMatrix(rows=1, cols=2, entries=((1, -2),))"),
+    (lambda: SnfResult((1, 6), 0), "SnfResult(invariant_factors=(1, 6), free_rank=0)"),
+    (lambda: Presentation(2, ((1, -2), ())), "Presentation(n_generators=2, relators=((1, -2), ()))"),
+    (lambda: FiberInvariant(5, -3), "FiberInvariant(alpha=5, beta=-3)"),
+    (lambda: SeifertData(0, (FiberInvariant(2, 1), FiberInvariant(3, 1)), 1),
+     "SeifertData(base_genus=0, fibers=(FiberInvariant(alpha=2, beta=1), FiberInvariant(alpha=3, beta=1)),"
+     " euler=1)"),
+    (lambda: SeifertData(1, ()), "SeifertData(base_genus=1, fibers=(), euler=None)"),
+    (lambda: HorizontalFamily("2.1", 1, 1), "HorizontalFamily(family='2.1', n=1, sign=1, fiber_count=None)"),
+    (lambda: HorizontalFamily("1.1", n=2, fiber_count=4),
+     "HorizontalFamily(family='1.1', n=2, sign=None, fiber_count=4)"),
+    (lambda: GenusReport(2, 2, 2, True, "Generic_g0"),
+     "GenusReport(hg=2, phg_lo=2, phg_hi=2, exact=True, case_tag='Generic_g0', horizontal_family=None,"
+     " notes='')"),
+    (lambda: GenusReport(2, 2, 2, True, "ThmB_family", HorizontalFamily("2.1", 1, 1), "note"),
+     "GenusReport(hg=2, phg_lo=2, phg_hi=2, exact=True, case_tag='ThmB_family',"
+     " horizontal_family=HorizontalFamily(family='2.1', n=1, sign=1, fiber_count=None), notes='note')"),
+    (lambda: ChainPlan(4), "ChainPlan(r=4)"),
+]
+IDS = [golden.split("(")[0] for _, golden in CASES]
+
+# constructor parameters in order, with their defaults
+SIGNATURES = {
+    CoverSpec: {"sheets": None, "partitions": None},
+    Diagram: {"declared_genus": None, "x_curves": None, "y_curves": None, "signs": None},
+    DiagramViolation: {"code": None, "message": None},
+    PermutationPair: {"degree": None, "sigma_x": None, "sigma_y": None},
+    IntMatrix: {"rows": None, "cols": None, "entries": None},
+    SnfResult: {"invariant_factors": None, "free_rank": None},
+    Presentation: {"n_generators": None, "relators": None},
+    FiberInvariant: {"alpha": None, "beta": None},
+    SeifertData: {"base_genus": None, "fibers": None, "euler": None},
+    HorizontalFamily: {"family": None, "n": None, "sign": None, "fiber_count": None},
+    GenusReport: {"hg": None, "phg_lo": None, "phg_hi": None, "exact": None, "case_tag": None,
+                  "horizontal_family": None, "notes": ""},
+    ChainPlan: {"r": None},
+}
+
+
+def fields(value) -> dict:
+    return {name: getattr(value, name) for name in SIGNATURES[type(value)]}
+
+
+@pytest.mark.parametrize("make,golden", CASES, ids=IDS)
+class TestValueClasses:
+    def test_repr_is_the_dataclass_repr(self, make, golden):
+        assert repr(make()) == golden
+
+    def test_equal_and_hash_equal_when_built_apart(self, make, golden):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_never_equal_to_a_tuple(self, make, golden):
+        a = make()
+        values = tuple(fields(a).values())
+        assert a != values and values != a
+
+    def test_keyword_construction(self, make, golden):
+        a = make()
+        assert type(a)(**fields(a)) == a
+
+    def test_frozen(self, make, golden):
+        a = make()
+        for name, value in fields(a).items():
+            with pytest.raises(AttributeError):
+                setattr(a, name, value)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert repr(a) == golden
+
+    def test_pickle_and_copy_round_trip(self, make, golden):
+        a = make()
+        for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert type(twin) is type(a) and twin == a and repr(twin) == golden
+
+
+def test_equality_is_by_class_and_fields():
+    assert FiberInvariant(2, 1) != (2, 1)
+    assert FiberInvariant(2, 1) != DiagramViolation(2, 1)
+    assert FiberInvariant(5, 2) != FiberInvariant(5, 3)
+    assert SeifertData(0, (), 1) != SeifertData(0, (), None)
+    assert HorizontalFamily("2.1", 1, 1) != HorizontalFamily("2.2", 1, 1)
+
+
+def test_constructor_parameters_and_defaults():
+    for cls, params in SIGNATURES.items():
+        code = cls.__init__.__code__
+        names = code.co_varnames[1:code.co_argcount]
+        assert list(names) == list(params), cls
+        defaults = cls.__init__.__defaults__ or ()
+        assert list(params.values())[len(params) - len(defaults):] == list(defaults), cls
+    assert SeifertData(1, ()).euler is None
+    assert GenusReport(1, 1, 1, True, "Generic_g0").notes == ""
+
+
+def test_a_diagram_pickles_after_its_index_is_cached():
+    dg = Diagram(1, ((1,),), ((1,),), ((1, 1),))
+    assert rotation_genus(dg) == 1
+    twin = pickle.loads(pickle.dumps(dg))
+    assert twin == dg and rotation_genus(twin) == 1
+    assert copy.deepcopy(dg) == dg
+
+
+def test_checks_still_run_in_the_constructor():
+    from sfsdiag.errors import InvalidInvariant
+
+    with pytest.raises(InvalidInvariant):
+        FiberInvariant(4, 2)
+    with pytest.raises(ValueError):
+        ChainPlan(2)
+    with pytest.raises(ValueError, match="exactness flag"):
+        GenusReport(1, 1, 2, True, "Generic_g0")
+
+
+class TestPackage:
+    def test_every_exported_name_resolves(self):
+        assert len(sfsdiag.__all__) == 47
+        for name in sfsdiag.__all__:
+            assert getattr(sfsdiag, name) is not None
+        namespace = {}
+        exec("from sfsdiag import *", namespace)
+        assert set(sfsdiag.__all__) <= set(namespace)
+        assert set(sfsdiag.__all__) <= set(dir(sfsdiag))
+
+    def test_exports_are_the_module_objects(self):
+        from sfsdiag import diagram, seifert
+
+        assert sfsdiag.Diagram is diagram.Diagram
+        assert sfsdiag.normalize is seifert.normalize
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            sfsdiag.no_such_name
+        assert not hasattr(sfsdiag, "Value")
+        with pytest.raises(ImportError):
+            exec("from sfsdiag import no_such_name", {})
+
+
+def new_modules(body: str, stdin: str = "") -> set:
+    """Modules a fresh interpreter loads while running ``body``."""
+    code = ("import sys\nbefore = set(sys.modules)\n" + body
+            + "\nsys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+class TestImportBudget:
+    def test_package_import_loads_no_submodule(self):
+        loaded = new_modules("import sfsdiag")
+        assert "sfsdiag" in loaded
+        assert {m for m in loaded if m.startswith("sfsdiag.")} == set()
+
+    def test_cli_import_skips_dataclasses_and_fractions(self):
+        loaded = new_modules("import sfsdiag.cli")
+        assert "sfsdiag.cli" in loaded
+        assert not {"dataclasses", "fractions"} & loaded
+
+    @pytest.mark.parametrize("verb,payload,needed,unneeded", [
+        ("positivize", {"generators": 2, "relators": [[1, -2]]}, {"presentation"},
+         {"seifert", "diagram", "covers", "vertical"}),
+        ("diagram-build", {"base_genus": 0, "mode": "normalized", "euler": 1,
+                           "fibers": [{"alpha": 2, "beta": 1}, {"alpha": 3, "beta": 1}, {"alpha": 5, "beta": 2}]},
+         {"seifert", "diagram", "vertical"}, {"covers"}),
+        ("cover-base", {"base_genus": 1, "mode": "normalized", "fibers": [], "euler": 1},
+         {"seifert", "covers"}, {"diagram", "vertical"}),
+    ])
+    def test_a_verb_loads_only_its_modules(self, verb, payload, needed, unneeded):
+        loaded = new_modules(f"from sfsdiag.cli import main\nassert main([{verb!r}]) == 0", json.dumps(payload))
+        assert {"sfsdiag." + m for m in needed} <= loaded
+        assert not ({"sfsdiag." + m for m in unneeded} | {"dataclasses", "fractions"}) & loaded
