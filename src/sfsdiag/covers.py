@@ -28,7 +28,7 @@ from .errors import (
     want_ints,
 )
 from .exactalg import crt, floor_sum
-from .seifert import FiberInvariant, SeifertData, normalize
+from .seifert import FiberInvariant, SeifertData, denormalize, normalize
 
 #: Largest trial divisor :func:`beta_star` tries when factoring the sheet count.
 MAX_TRIAL_DIVISOR = 1_000_000
@@ -63,9 +63,9 @@ class CoverSpec(Value):
         return cls(sheets, tuple(tuple(want_ints(p, "$.partitions[{}]", i)) for i, p in enumerate(parts)))
 
 
-def cyclic_cover_spec(sheets: int, boundaries: int = 3) -> CoverSpec:
-    """The cover keeping each boundary preimage connected (one part each)."""
-    return CoverSpec(sheets, ((sheets,),) * boundaries)
+def cyclic_cover_spec(sheets: int) -> CoverSpec:
+    """The cover keeping each of three boundary preimages connected."""
+    return CoverSpec(sheets, ((sheets,),) * 3)
 
 
 def lifted_diagram_genus(g: int, sheets: int) -> int:
@@ -109,7 +109,7 @@ def lift_seifert(s: SeifertData, spec: CoverSpec) -> SeifertData:
     circles = sum(len(part) for part in spec.partitions)
     if (r * lam - circles) % 2 != 0:
         raise ParityError("boundary circle count has the wrong parity")
-    genus = lam * (s.base_genus - 1) + 1 + (r * lam - circles) // 2
+    genus = lifted_diagram_genus(s.base_genus, lam) + (r * lam - circles) // 2
     if genus < 0:
         raise IncompatibleSpec("covering data yields a negative genus")
     fibers = tuple(
@@ -189,15 +189,15 @@ def beta_star(pairs, lam: int):
     """Numerators congruent to the given ones, coprime to ``lam``, with
     the same floor sum.
 
-    ``lam`` must be odd; each ``(alpha, beta)`` pair must be coprime with
-    ``alpha >= 1``.  Works one odd prime power at a time, stitches the
+    ``lam`` must be odd; each ``(alpha, beta)`` pair must be ints, coprime,
+    with ``alpha >= 1``.  Works one odd prime power at a time, stitches the
     per-prime answers together with the Chinese remainder theorem, and
     repairs the floor sum with one correction by a multiple of
     ``alpha_1 * lam``, which disturbs neither the residues nor the
     coprimality.  A ``lam`` that trial division up to :data:`MAX_TRIAL_DIVISOR`
     cannot factor raises :class:`WorkBudgetExceeded`.
     """
-    pairs = tuple((int(a), int(b)) for a, b in pairs)
+    pairs = tuple((a, b) for a, b in pairs)
     if lam < 1 or lam % 2 == 0:
         raise ValueError(f"sheet count must be odd and positive, got {lam}")
     for a, b in pairs:
@@ -236,13 +236,13 @@ def base_orbifold_cover(s: SeifertData) -> tuple[SeifertData, int]:
     """Present ``s`` as a ``(2g+1)``-sheeted cover of a sphere base with
     three exceptional fibers.
 
-    Requires base genus ``g >= 1`` and at most three fibers.  The space is
-    first written with exactly three non-normalized slots (padding by
-    ``alpha = 1``, the Euler number absorbed into the first padded slot,
-    or into slot one when there is no padding); the numerators are then
-    adjusted to be coprime to ``lambda = 2g+1`` and divided into the
-    sphere-base slopes ``beta*_i / (lambda * alpha_i)``.  Lifting the
-    result through :func:`cyclic_cover_spec` recovers ``s`` exactly.
+    Requires base genus ``g >= 1`` and ``m <= 3`` fibers.  :func:`denormalize`
+    first writes the space in three free slots, padding by ``alpha = 1``
+    and absorbing the Euler number into slot ``m mod 3`` (the first padded
+    slot, or slot one without padding); the numerators are then adjusted
+    to be coprime to ``lambda = 2g+1`` and divided into the sphere-base
+    slopes ``beta*_i / (lambda * alpha_i)``.  Lifting the result through
+    :func:`cyclic_cover_spec` recovers ``s`` exactly.
     """
     n = normalize(s)
     g, m = n.base_genus, len(n.fibers)
@@ -252,13 +252,7 @@ def base_orbifold_cover(s: SeifertData) -> tuple[SeifertData, int]:
         raise TooManyFibers(f"at most three exceptional fibers supported, got {m}")
     lam = 2 * g + 1
 
-    slots = [(f.alpha, f.beta) for f in n.fibers]
-    if m < 3:
-        slots.append((1, -n.euler))
-        slots.extend((1, 0) for _ in range(3 - len(slots)))
-    else:
-        a0, b0 = slots[0]
-        slots[0] = (a0, b0 - n.euler * a0)
+    slots = [(f.alpha, f.beta) for f in denormalize(n, ("free",) * 3, absorber_index=m % 3).fibers]
 
     stars = beta_star(slots, lam)
     base = SeifertData(

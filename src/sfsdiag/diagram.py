@@ -9,7 +9,7 @@ the rotation system the signs force at each crossing.
 
 Every query reads one crossing index, built lazily once per diagram.
 Building it is the structural validation: a defective diagram raises the
-first violation that :func:`validate` reports.
+first violation of :func:`validate`, whose exhaustive pass runs once per diagram.
 
 Positive diagrams admit the classical encoding by a pair of permutations
 of the crossings: flow along X (respectively Y) from one crossing to the
@@ -25,7 +25,6 @@ from collections import Counter
 from functools import cached_property
 from itertools import compress
 from operator import ne
-from typing import Mapping
 
 from .errors import Disconnected, IsolatedCurve, NotPositive, Value, init_field, want, want_ints
 from .exactalg import IntMatrix, SnfResult, snf
@@ -48,15 +47,6 @@ class Diagram(Value):
         init_field(self, "y_curves", y_curves)
         init_field(self, "signs", signs)
 
-    @classmethod
-    def build(cls, declared_genus, x_curves, y_curves, signs: Mapping[int, int]) -> "Diagram":
-        return cls(
-            declared_genus,
-            tuple(tuple(c) for c in x_curves),
-            tuple(tuple(c) for c in y_curves),
-            tuple(sorted((int(k), int(v)) for k, v in signs.items())),
-        )
-
     @property
     def sign_map(self) -> dict[int, int]:
         return dict(self.signs)
@@ -70,9 +60,14 @@ class Diagram(Value):
         """The crossing index; raises ``ValueError`` on a defective diagram."""
         index = _crossing_index(self.declared_genus, self.x_curves, self.y_curves, self.signs)
         if index is None:
-            first = validate(self)[0]
+            first = self._violations[0]
             raise ValueError(f"invalid diagram: {first.code}: {first.message}")
         return index
+
+    @cached_property
+    def _violations(self) -> tuple["DiagramViolation", ...]:
+        """Every structural defect, from one exhaustive pass."""
+        return tuple(_find_violations(self))
 
     def to_json(self) -> dict:
         return {
@@ -119,8 +114,13 @@ def validate(dg: Diagram) -> list[DiagramViolation]:
 
     Every crossing id must occur exactly once across the X curves and once
     across the Y curves, and the signs must name each of those ids exactly
-    once, with values +-1.
+    once, with values +-1.  Each diagram caches the result of one pass.
     """
+    return list(dg._violations)
+
+
+def _find_violations(dg: Diagram) -> list[DiagramViolation]:
+    """The exhaustive pass behind :func:`validate`."""
     out: list[DiagramViolation] = []
     if dg.declared_genus < 0:
         out.append(DiagramViolation("NegativeGenus", "declared genus is negative"))

@@ -147,12 +147,13 @@ def denormalize(
 
     ``sign_pattern`` has one entry per output slot, each ``"+"``, ``"-"``
     or ``"free"``; patterns longer than the fiber count are padded with
-    ``alpha = 1`` slots.  Slopes keep their residues mod alpha, signed
-    slots get the minimal representative of the required sign, and the
-    floor-sum deficit against ``-e`` is then repaired: spread as evenly as
-    possible over the slots that can absorb it (matching sign or free,
-    later slots taking the larger share), or placed entirely on
-    ``absorber_index`` when given.  The output normalizes back to ``s``.
+    ``alpha = 1`` slots.  Slopes keep their residue ``b`` mod alpha (0 on
+    padding) and start at ``b - alpha`` on ``"-"``, at ``b`` on ``"free"``
+    and at ``b``, or ``alpha`` if ``b`` is 0, on ``"+"``.  The floor-sum
+    deficit against ``-e`` is then repaired: spread as evenly as possible
+    over the slots that can absorb it (matching sign or free, later slots
+    taking the larger share), or placed entirely on ``absorber_index``
+    when given.  The output normalizes back to ``s``.
 
     Raises :class:`UnsatisfiablePattern` when no slot can absorb the
     deficit in the needed direction.
@@ -171,19 +172,12 @@ def denormalize(
         raise ValueError(f"absorber index {absorber_index} out of range")
 
     alphas = [f.alpha for f in s.fibers] + [1] * (r - m)
-    reps: list[int] = []
+    reps = [f.beta for f in s.fibers] + [0] * (r - m)
     for i, kind in enumerate(pattern):
-        if i < m:
-            base = s.fibers[i].beta  # already the least positive residue
-        else:
-            base = 1  # residue class of 0 mod 1
-        if kind == "+":
-            reps.append(base)
-        elif kind == "-":
-            rep = base - alphas[i]
-            reps.append(rep if rep != 0 else -alphas[i])
-        else:
-            reps.append(base if i < m else 0)
+        if kind == "-":
+            reps[i] -= alphas[i]
+        elif kind == "+" and reps[i] == 0:
+            reps[i] = alphas[i]
 
     deficit = (-s.euler) - floor_sum(zip(reps, alphas))
     if deficit != 0:

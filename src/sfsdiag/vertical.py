@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import accumulate, repeat
 from math import gcd
 
-from .diagram import Diagram, diagram_homology, intersection_matrix, is_positive_diagram, rotation_genus, validate
+from .diagram import Diagram, diagram_homology, intersection_matrix, is_positive_diagram, rotation_genus
 from .errors import BaseGenusUnsupported, CrossingBudgetExceeded, SynthesisInvariantViolation, Value, init_field
 from .seifert import FiberInvariant, SeifertData, denormalize, homology, normalize
 
@@ -70,17 +70,16 @@ def plan_decomposition(m: int) -> ChainPlan:
 
 
 def assign_betas(s: SeifertData, plan: ChainPlan) -> tuple[FiberInvariant, ...]:
-    """Non-normalized slopes matching the plan's sign pattern.
+    """Non-normalized slopes of normalized ``s`` in the plan's sign pattern.
 
     Keeps every numerator in its residue class, realizes the required
     signs, and preserves the floor sum, so the padded data still describes
     the input space.  A chain pattern always has a positive and a negative
     slot, so any floor-sum deficit is absorbable and this never fails.
     """
-    n = normalize(s)
-    if len(n.fibers) > plan.r:
+    if len(s.fibers) > plan.r:
         raise ValueError("plan has fewer slots than the space has fibers")
-    return denormalize(n, plan.sign_pattern).fibers
+    return denormalize(s, plan.sign_pattern).fibers
 
 
 def _strand_cycle(a: int, b: int, hdir: int) -> list[tuple[str, int]]:
@@ -92,34 +91,17 @@ def _strand_cycle(a: int, b: int, hdir: int) -> list[tuple[str, int]]:
     direction (+1 rightward, -1 leftward) and vertical strands always
     travel upward.  The switch connects the strands the way the cut-open
     (a, b) torus line does, which is the unique crossing-free filling of
-    the switch box; coprimality makes the result a single cycle.
+    the switch box.  That line is the rotation ``s -> s + b mod a+b`` of
+    strand ``s``: level ``s`` if ``s < a``, else slot ``a+b-1-s`` (``s-a``
+    when travelling leftward); coprimality makes the orbit of 0 one cycle.
     """
     if a < 1 or b < 1:
         raise ValueError("strand counts must be positive")
     if gcd(a, b) != 1:
         raise ValueError("strand counts must be coprime")
-    turn = min(a, b)
-
-    def succ(strand: tuple[str, int]) -> tuple[str, int]:
-        kind, idx = strand
-        if kind == "h":
-            if idx >= a - turn:
-                vhat = a - 1 - idx
-                return ("v", vhat if hdir > 0 else b - 1 - vhat)
-            return ("h", idx + b)
-        vhat = idx if hdir > 0 else b - 1 - idx
-        if vhat >= b - turn:
-            return ("h", b - 1 - vhat)
-        out = vhat + a
-        return ("v", out if hdir > 0 else b - 1 - out)
-
-    cycle = [("h", 0)]
-    cur = succ(cycle[0])
-    while cur != cycle[0]:
-        cycle.append(cur)
-        cur = succ(cur)
-    assert len(cycle) == a + b, "switch did not close into a single curve"
-    return cycle
+    n = a + b
+    steps = (k * b % n for k in range(n))
+    return [("h", s) if s < a else ("v", n - 1 - s if hdir > 0 else s - a) for s in steps]
 
 
 def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
@@ -198,8 +180,8 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
 
     try:
         got = intersection_matrix(dg)
-    except ValueError:
-        raise SynthesisInvariantViolation(f"structural defect: {validate(dg)[0]}") from None
+    except ValueError as exc:
+        raise SynthesisInvariantViolation(f"structural defect: {exc}") from None
     target = [[bmag[i] * a_e for i in range(beads)]] + [[0] * beads for _ in range(r - 2)]
     target[0][0] += alphas[0] * b_e
     for q in range(r - 2):

@@ -5,15 +5,30 @@ Bareiss elimination, Smith data is recomputed from gcds of k-minors or
 by dense elimination with a global pivot rescan, congruences are checked
 by exhaustive scan, and forced rotation genera are traced over
 ``(crossing, slot)`` darts with dict successor maps and a union-find over
-the crossings; chain diagrams are assembled through per-family id dicts.
+the crossings; chain diagrams are assembled through per-family id dicts,
+with each torus curve's strand order found by walking its switch.  The
+case-by-case slot representatives of ``denormalize`` and the hand-written
+three slots of ``base_orbifold_cover`` stay here to compare against.
 """
 
 from itertools import combinations, count
 from math import gcd
 
+from sfsdiag.covers import beta_star
 from sfsdiag.diagram import Diagram
-from sfsdiag.exactalg import IntMatrix, SnfResult
-from sfsdiag.vertical import _strand_cycle
+from sfsdiag.errors import BaseGenusUnsupported, TooManyFibers, UnsatisfiablePattern
+from sfsdiag.exactalg import IntMatrix, SnfResult, floor_sum
+from sfsdiag.seifert import FiberInvariant, SeifertData, normalize
+
+
+def build_diagram(declared_genus, x_curves, y_curves, signs) -> Diagram:
+    """A :class:`Diagram` from curve lists and a crossing -> sign mapping."""
+    return Diagram(
+        declared_genus,
+        tuple(tuple(c) for c in x_curves),
+        tuple(tuple(c) for c in y_curves),
+        tuple(sorted((int(k), int(v)) for k, v in signs.items())),
+    )
 
 
 def det(rows):
@@ -233,6 +248,39 @@ def dict_genus_sum(dg):
     return total
 
 
+def walk_strand_cycle(a: int, b: int, hdir: int) -> list[tuple[str, int]]:
+    """Strand order of an (a, b) torus curve found by walking the switch
+    from strand to strand, as :func:`sfsdiag.vertical._strand_cycle`
+    describes it: levels ``0..a-1`` travelling in direction ``hdir``,
+    slots ``0..b-1`` travelling upward, ``min(a, b)`` strands turning."""
+    if a < 1 or b < 1:
+        raise ValueError("strand counts must be positive")
+    if gcd(a, b) != 1:
+        raise ValueError("strand counts must be coprime")
+    turn = min(a, b)
+
+    def succ(strand: tuple[str, int]) -> tuple[str, int]:
+        kind, idx = strand
+        if kind == "h":
+            if idx >= a - turn:
+                vhat = a - 1 - idx
+                return ("v", vhat if hdir > 0 else b - 1 - vhat)
+            return ("h", idx + b)
+        vhat = idx if hdir > 0 else b - 1 - idx
+        if vhat >= b - turn:
+            return ("h", b - 1 - vhat)
+        out = vhat + a
+        return ("v", out if hdir > 0 else b - 1 - out)
+
+    cycle = [("h", 0)]
+    cur = succ(cycle[0])
+    while cur != cycle[0]:
+        cycle.append(cur)
+        cur = succ(cur)
+    assert len(cycle) == a + b, "switch did not close into a single curve"
+    return cycle
+
+
 def dict_synthesize(plan, betas):
     """The chain diagram of :func:`sfsdiag.vertical.synthesize_diagram`,
     with crossing ids handed out one by one and looked up by key."""
@@ -278,7 +326,7 @@ def dict_synthesize(plan, betas):
     x_curves = []
     for i in range(beads):
         seq: list[int] = []
-        for kind, idx in _strand_cycle(alphas[i], bmag[i], hdirs[i]):
+        for kind, idx in walk_strand_cycle(alphas[i], bmag[i], hdirs[i]):
             if kind == "h":
                 seq.extend(x_horizontal_events(i, idx))
             else:
@@ -286,7 +334,7 @@ def dict_synthesize(plan, betas):
         x_curves.append(tuple(seq))
 
     y_main: list[int] = []
-    for kind, idx in _strand_cycle(a_e, b_e, -1):
+    for kind, idx in walk_strand_cycle(a_e, b_e, -1):
         if kind == "h":
             for i in range(beads - 1, -1, -1):
                 y_main.extend(a_id[(i, v, idx)] for v in range(bmag[i] - 1, -1, -1))
@@ -304,3 +352,81 @@ def dict_synthesize(plan, betas):
 
     d = len(a_id) + len(b_id) + len(c_id)
     return Diagram(beads, tuple(x_curves), tuple(y_curves), tuple(zip(range(1, d + 1), [1] * d)))
+
+
+def outcome(call, *args, **kwargs):
+    """The result of a call, or its error's type and message."""
+    try:
+        return call(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def denormalize_by_cases(s, sign_pattern, absorber_index=None):
+    """:func:`sfsdiag.seifert.denormalize` with each slot's starting
+    representative chosen case by case: real fibers start from their
+    residue and padding ``alpha = 1`` slots from residue 1, a ``-`` slot
+    is moved off 0, and a free padding slot is set to 0."""
+    if not s.is_normalized:
+        raise ValueError("denormalize expects normalized input")
+    pattern = tuple(sign_pattern)
+    for kind in pattern:
+        if kind not in ("+", "-", "free"):
+            raise ValueError(f"unknown pattern entry {kind!r}")
+    m = len(s.fibers)
+    r = len(pattern)
+    if r < m:
+        raise ValueError(f"pattern length {r} is shorter than fiber count {m}")
+    if absorber_index is not None and not (0 <= absorber_index < r):
+        raise ValueError(f"absorber index {absorber_index} out of range")
+
+    alphas = [f.alpha for f in s.fibers] + [1] * (r - m)
+    reps = []
+    for i, kind in enumerate(pattern):
+        base = s.fibers[i].beta if i < m else 1
+        if kind == "+":
+            reps.append(base)
+        elif kind == "-":
+            rep = base - alphas[i]
+            reps.append(rep if rep != 0 else -alphas[i])
+        else:
+            reps.append(base if i < m else 0)
+
+    deficit = (-s.euler) - floor_sum(zip(reps, alphas))
+    if deficit != 0:
+        if absorber_index is not None:
+            kind = pattern[absorber_index]
+            if not (kind == "free" or (kind == "+") == (deficit > 0)):
+                raise UnsatisfiablePattern(f"slot {absorber_index} ({kind}) cannot absorb deficit {deficit}")
+            reps[absorber_index] += deficit * alphas[absorber_index]
+        else:
+            want = "+" if deficit > 0 else "-"
+            slots = [i for i in range(r) if pattern[i] in (want, "free")]
+            if not slots:
+                raise UnsatisfiablePattern(f"no slot can absorb floor-sum deficit {deficit}")
+            q, rem = divmod(deficit, len(slots))
+            for idx, i in enumerate(slots):
+                reps[i] += (q + 1 if idx < rem else q) * alphas[i]
+    return SeifertData(s.base_genus, tuple(FiberInvariant(a, b) for a, b in zip(alphas, reps)), None)
+
+
+def base_orbifold_cover_by_cases(s):
+    """:func:`sfsdiag.covers.base_orbifold_cover` with its three slots
+    written out by hand: the Euler number goes to the first padded slot,
+    or into slot one when three fibers leave no padding."""
+    n = normalize(s)
+    g, m = n.base_genus, len(n.fibers)
+    if g < 1:
+        raise BaseGenusUnsupported(f"cover construction needs base genus >= 1, got {g}")
+    if m > 3:
+        raise TooManyFibers(f"at most three exceptional fibers supported, got {m}")
+    lam = 2 * g + 1
+    slots = [(f.alpha, f.beta) for f in n.fibers]
+    if m < 3:
+        slots.append((1, -n.euler))
+        slots.extend((1, 0) for _ in range(3 - len(slots)))
+    else:
+        a0, b0 = slots[0]
+        slots[0] = (a0, b0 - n.euler * a0)
+    stars = beta_star(slots, lam)
+    return SeifertData(0, tuple(FiberInvariant(lam * a, star) for (a, _), star in zip(slots, stars)), None), lam

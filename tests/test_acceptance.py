@@ -21,7 +21,6 @@ from sfsdiag.covers import (
     positive_genus_bound,
 )
 from sfsdiag.diagram import (
-    Diagram,
     PermutationPair,
     diagram_homology,
     is_positive_diagram,
@@ -33,6 +32,8 @@ from sfsdiag.exactalg import floor_sum
 from sfsdiag.presentation import Presentation, abelianization, is_positive, positivize
 from sfsdiag.seifert import SeifertData, genus_report, homology, normalize
 from sfsdiag.vertical import build_positive_vertical
+
+from helpers import build_diagram
 
 COPRIME_FIBERS = [(a, b) for a in range(2, 6) for b in range(1, a) if gcd(a, b) == 1]
 
@@ -242,7 +243,7 @@ def test_criterion_8_montesinos_codec():
             rng.shuffle(sy)
             dg = montesinos_decode(PermutationPair(d, tuple(sx), tuple(sy)))
             shift = rng.randint(1, 99)
-            disguised = Diagram.build(
+            disguised = build_diagram(
                 dg.declared_genus,
                 [tuple(c + shift for c in curve) for curve in dg.x_curves],
                 [tuple(c + shift for c in curve) for curve in dg.y_curves],

@@ -5,8 +5,10 @@ import tracemalloc
 
 import pytest
 
-from sfsdiag import __version__, diagram
+from sfsdiag import __version__, diagram, vertical
 from sfsdiag.cli import main
+from sfsdiag.diagram import Diagram
+from sfsdiag.exactalg import SnfResult
 
 
 def test_reads_stdin_by_default(capsys, monkeypatch):
@@ -285,6 +287,38 @@ def test_diagram_verify_skips_validate_on_a_valid_diagram(tmp_path, capsys, monk
     code, out, _ = run_with_file(tmp_path, capsys, "diagram-verify", bad)
     assert code == 0 and calls
     assert json.loads(out)["errors"] == [{"code": "DuplicateOnX", "message": "crossing 1 appears 2 times"}]
+
+
+def test_diagram_verify_runs_the_exhaustive_pass_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = diagram._find_violations
+    monkeypatch.setattr(diagram, "_find_violations", lambda dg: calls.append(dg) or real(dg))
+    bad = {"genus": 1, "x_curves": [[1, 1]], "y_curves": [[1]], "signs": {"1": 1}}
+    code, out, _ = run_with_file(tmp_path, capsys, "diagram-verify", bad)
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["errors"] == [{"code": "DuplicateOnX", "message": "crossing 1 appears 2 times"}]
+
+
+# one broken builder oracle per case, on the worked example (53 crossings)
+BROKEN_ORACLES = [
+    ("Diagram", lambda g, xs, ys, signs: Diagram(g, xs, ys, signs[:-1]),
+     "structural defect: invalid diagram: MissingSign: crossing 53 has no sign"),
+    ("Diagram", lambda g, xs, ys, signs: Diagram(g, xs, ys, ((1, -1), *signs[1:])),
+     "intersection matrix mismatch"),
+    ("is_positive_diagram", lambda dg: False, "built diagram has a negative crossing"),
+    ("Diagram", lambda g, xs, ys, signs: Diagram(g + 1, xs, ys, signs),
+     "curve counts disagree with the plan genus"),
+    ("rotation_genus", lambda dg: dg.declared_genus + 1, "forced rotation genus differs from the plan genus"),
+    ("homology", lambda s: SnfResult((2,), 0), "diagram homology disagrees with the invariants"),
+]
+
+
+@pytest.mark.parametrize("name,broken,message", BROKEN_ORACLES)
+def test_failed_builder_oracle_exit_4(tmp_path, capsys, monkeypatch, name, broken, message):
+    monkeypatch.setattr(vertical, name, broken)
+    code, out, err = run_with_file(tmp_path, capsys, "diagram-build", FIGURE_INPUT)
+    assert code == 4 and out == ""
+    assert err == f"SynthesisInvariantViolation: {message}\n"
 
 
 PRIME_31 = 1000000000000000000000000000057

@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfsdiag import covers
 from sfsdiag.covers import (
@@ -23,6 +25,8 @@ from sfsdiag.errors import (
 )
 from sfsdiag.exactalg import floor_sum
 from sfsdiag.seifert import SeifertData, normalize, rational_euler
+
+from helpers import base_orbifold_cover_by_cases, outcome
 
 COPRIME_FIBERS = [(a, b) for a in range(2, 6) for b in range(1, a) if gcd(a, b) == 1]
 
@@ -145,6 +149,12 @@ class TestBetaStar:
         with pytest.raises(ValueError):
             beta_star([(2, 1)], 4)
 
+    @pytest.mark.parametrize("pairs", [[(2.9, 1), (5, 3)], [(2, "1"), (5, 3)]])
+    def test_entries_are_not_converted(self, pairs):
+        # int() would read each as (2, 1) and answer (-1, 8)
+        with pytest.raises(TypeError):
+            beta_star(pairs, 3)
+
     @pytest.mark.parametrize("lam,stars", [(3, (7, -17, -4)), (9, (7, -17, -4)), (15, (-17, 13, 38))])
     def test_goldens(self, lam, stars):
         assert beta_star([(2, 3), (5, -12), (7, 3)], lam) == stars
@@ -217,6 +227,24 @@ class TestBaseOrbifoldCover:
                 assert rational_euler(lifted) == lam * rational_euler(base)
                 cases += 1
         assert cases == 75
+
+
+@st.composite
+def cover_inputs(draw):
+    """Spaces of base genus 0-4 with 0-5 fibers, normalized or not (with
+    ``alpha = 1`` slots), so every branch and both errors are reached."""
+    fibers = [draw(st.sampled_from(COPRIME_FIBERS)) for _ in range(draw(st.integers(0, 5)))]
+    g = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        return SeifertData.normalized(g, fibers, draw(st.integers(-12, 12)))
+    slopes = [(a, b + a * draw(st.integers(-3, 3))) for a, b in fibers]
+    return SeifertData.non_normalized(g, slopes + [(1, draw(st.integers(-6, 6)))] * draw(st.integers(0, 2)))
+
+
+@given(cover_inputs())
+@settings(max_examples=300, deadline=None)
+def test_base_orbifold_cover_matches_hand_written_slots(s):
+    assert outcome(base_orbifold_cover, s) == outcome(base_orbifold_cover_by_cases, s)
 
 
 class TestPositiveGenusBound:

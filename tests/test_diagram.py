@@ -18,42 +18,44 @@ from sfsdiag.diagram import (
 )
 from sfsdiag.errors import Disconnected, IsolatedCurve, NotPositive
 
+from helpers import build_diagram
+
 
 def one_crossing():
-    return Diagram.build(1, [[1]], [[1]], {1: 1})
+    return build_diagram(1, [[1]], [[1]], {1: 1})
 
 
 def lens_style(p):
     """One X and one Y curve meeting p times coherently."""
     ids = list(range(1, p + 1))
-    return Diagram.build(1, [ids], [ids], {c: 1 for c in ids})
+    return build_diagram(1, [ids], [ids], {c: 1 for c in ids})
 
 
 class TestValidate:
     def test_empty_diagram_ok(self):
-        dg = Diagram.build(0, [[]], [[]], {})
+        dg = build_diagram(0, [[]], [[]], {})
         assert validate(dg) == []
 
     def test_duplicate_on_x(self):
-        dg = Diagram.build(1, [[1], [1]], [[1]], {1: 1})
+        dg = build_diagram(1, [[1], [1]], [[1]], {1: 1})
         assert any(v.code == "DuplicateOnX" for v in validate(dg))
 
     def test_missing_sign(self):
-        dg = Diagram.build(1, [[1, 2]], [[1], [2]], {1: 1})
+        dg = build_diagram(1, [[1, 2]], [[1], [2]], {1: 1})
         assert any(v.code == "MissingSign" for v in validate(dg))
 
     def test_extra_sign_and_missing_from_y(self):
-        dg = Diagram.build(1, [[1]], [[]], {1: 1, 2: -1})
+        dg = build_diagram(1, [[1]], [[]], {1: 1, 2: -1})
         codes = {v.code for v in validate(dg)}
         assert "MissingFromY" in codes
         assert "ExtraSign" in codes
 
     def test_bad_sign_value(self):
-        dg = Diagram.build(1, [[1]], [[1]], {1: 2})
+        dg = build_diagram(1, [[1]], [[1]], {1: 2})
         assert any(v.code == "BadSign" for v in validate(dg))
 
     def test_duplicate_sign(self):
-        # a sign tuple naming crossing 1 twice; Diagram.build cannot make it
+        # a sign tuple naming crossing 1 twice; build_diagram cannot make it
         dg = Diagram(1, ((1,),), ((1,),), ((1, 1), (1, -1)))
         assert [(v.code, v.message) for v in validate(dg)] == [
             ("DuplicateSign", "crossing 1 appears 2 times")
@@ -65,11 +67,11 @@ class TestPositivity:
         assert is_positive_diagram(lens_style(2))
 
     def test_one_negative(self):
-        dg = Diagram.build(1, [[1, 2]], [[1, 2]], {1: 1, 2: -1})
+        dg = build_diagram(1, [[1, 2]], [[1, 2]], {1: 1, 2: -1})
         assert not is_positive_diagram(dg)
 
     def test_vacuous(self):
-        assert is_positive_diagram(Diagram.build(0, [[]], [[]], {}))
+        assert is_positive_diagram(build_diagram(0, [[]], [[]], {}))
 
 
 class TestRotationGenus:
@@ -86,20 +88,20 @@ class TestRotationGenus:
         assert rotation_genus(dg) == 1
 
     def test_disconnected(self):
-        dg = Diagram.build(1, [[1], [2]], [[1], [2]], {1: 1, 2: 1})
+        dg = build_diagram(1, [[1], [2]], [[1], [2]], {1: 1, 2: 1})
         with pytest.raises(Disconnected):
             rotation_genus(dg)
 
     def test_isolated_curve(self):
-        dg = Diagram.build(1, [[1], []], [[1]], {1: 1})
+        dg = build_diagram(1, [[1], []], [[1]], {1: 1})
         with pytest.raises(IsolatedCurve):
             rotation_genus(dg)
 
     def test_mixed_signs_shift_faces(self):
         # coherent double crossing needs the torus; the +- pair is the
         # bigon configuration on the sphere (V=2, E=4, F=4)
-        plus = Diagram.build(1, [[1, 2]], [[1, 2]], {1: 1, 2: 1})
-        mixed = Diagram.build(0, [[1, 2]], [[1, 2]], {1: 1, 2: -1})
+        plus = build_diagram(1, [[1, 2]], [[1, 2]], {1: 1, 2: 1})
+        mixed = build_diagram(0, [[1, 2]], [[1, 2]], {1: 1, 2: -1})
         assert rotation_genus(plus) == 1
         assert rotation_genus(mixed) == 0
 
@@ -109,7 +111,7 @@ class TestPresentationFromDiagram:
         assert diagram_presentation(one_crossing()).relators == ((1,),)
 
     def test_cancelling_pair_kept_unreduced(self):
-        dg = Diagram.build(1, [[1, 2]], [[1, 2]], {1: 1, 2: -1})
+        dg = build_diagram(1, [[1, 2]], [[1, 2]], {1: 1, 2: -1})
         p = diagram_presentation(dg)
         assert p.relators == ((1, -1),)
 
@@ -126,7 +128,7 @@ class TestPresentationFromDiagram:
     def test_homology_invariant_under_rotation_and_relabeling(self):
         dg = montesinos_decode(PermutationPair(4, (2, 1, 4, 3), (3, 4, 1, 2)))
         base = diagram_homology(dg)
-        rotated = Diagram.build(
+        rotated = build_diagram(
             dg.declared_genus,
             [curve[1:] + curve[:1] for curve in dg.x_curves],
             dg.y_curves,
@@ -134,7 +136,7 @@ class TestPresentationFromDiagram:
         )
         assert diagram_homology(rotated).same_group(base)
         relabel = {c: c + 10 for c, _ in dg.signs}
-        mapped = Diagram.build(
+        mapped = build_diagram(
             dg.declared_genus,
             [[relabel[c] for c in curve] for curve in dg.x_curves],
             [[relabel[c] for c in curve] for curve in dg.y_curves],
@@ -157,13 +159,13 @@ class TestMontesinosCodec:
         assert pair == PermutationPair(1, (1,), (1,))
 
     def test_two_cycle(self):
-        dg = Diagram.build(1, [[1, 2]], [[2, 1]], {1: 1, 2: 1})
+        dg = build_diagram(1, [[1, 2]], [[2, 1]], {1: 1, 2: 1})
         pair = montesinos_encode(dg)
         assert pair.sigma_x == (2, 1)
         assert pair.sigma_y == (2, 1)
 
     def test_rejects_negative(self):
-        dg = Diagram.build(1, [[1]], [[1]], {1: -1})
+        dg = build_diagram(1, [[1]], [[1]], {1: -1})
         with pytest.raises(NotPositive):
             montesinos_encode(dg)
 
@@ -195,7 +197,7 @@ class TestMontesinosCodec:
             dg = montesinos_decode(random_pair(rng, d))
             # disguise the diagram: relabel ids and rotate the curves
             shift = rng.randint(1, 50)
-            disguised = Diagram.build(
+            disguised = build_diagram(
                 dg.declared_genus,
                 [rotate(tuple(c + shift for c in curve), rng) for curve in dg.x_curves],
                 [rotate(tuple(c + shift for c in curve), rng) for curve in dg.y_curves],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dict_components, dict_face_count, dict_genus_sum
+from helpers import build_diagram, dict_components, dict_face_count, dict_genus_sum
 from sfsdiag.diagram import (
     Diagram,
     PermutationPair,
@@ -61,7 +61,7 @@ def signed_pair_diagrams(draw):
     sx = draw(block_permutation(sizes))
     sy = draw(block_permutation(sizes))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
-    return Diagram.build(0, cycles(sx), cycles(sy), dict(enumerate(signs, start=1)))
+    return build_diagram(0, cycles(sx), cycles(sy), dict(enumerate(signs, start=1)))
 
 
 def reference_relators(dg):
@@ -97,7 +97,7 @@ def check_against_reference(dg):
 @settings(max_examples=150, deadline=None)
 def test_permutation_pairs_match_dict_tracer(dg):
     check_against_reference(dg)
-    positive = Diagram.build(0, dg.x_curves, dg.y_curves, {c: 1 for c, _ in dg.signs})
+    positive = build_diagram(0, dg.x_curves, dg.y_curves, {c: 1 for c, _ in dg.signs})
     pair = montesinos_encode(positive)
     decoded = montesinos_decode(pair)
     assert decoded.declared_genus == dict_genus_sum(positive)
@@ -112,7 +112,7 @@ def test_noncontiguous_ids_match_dict_tracer(dg, data):
         st.lists(st.integers(-1000, 1000), min_size=len(ids), max_size=len(ids), unique=True)
     )
     relabel = dict(zip(ids, new_ids))
-    mapped = Diagram.build(
+    mapped = build_diagram(
         0,
         [[relabel[c] for c in curve] for curve in dg.x_curves],
         [[relabel[c] for c in curve] for curve in dg.y_curves],
@@ -162,7 +162,7 @@ def test_large_built_diagram_matches_dict_tracer():
 
 def test_index_is_cached_and_leaves_identity_alone():
     dg = montesinos_decode(PermutationPair(3, (2, 3, 1), (3, 1, 2)))
-    twin = Diagram.build(dg.declared_genus, dg.x_curves, dg.y_curves, dg.sign_map)
+    twin = build_diagram(dg.declared_genus, dg.x_curves, dg.y_curves, dg.sign_map)
     assert dg._index is dg._index
     assert dg == twin and hash(dg) == hash(twin)
     assert dg.to_json() == twin.to_json()
@@ -171,17 +171,17 @@ def test_index_is_cached_and_leaves_identity_alone():
 # every invalid diagram of test_diagram.py, plus a repeated sign id that
 # agrees in sign, with today's exact message
 INVALID = [
-    (Diagram.build(1, [[1], [1]], [[1]], {1: 1}),
+    (build_diagram(1, [[1], [1]], [[1]], {1: 1}),
      "invalid diagram: DuplicateOnX: crossing 1 appears 2 times"),
-    (Diagram.build(1, [[1, 2]], [[1], [2]], {1: 1}),
+    (build_diagram(1, [[1, 2]], [[1], [2]], {1: 1}),
      "invalid diagram: MissingSign: crossing 2 has no sign"),
-    (Diagram.build(1, [[1]], [[]], {1: 1, 2: -1}),
+    (build_diagram(1, [[1]], [[]], {1: 1, 2: -1}),
      "invalid diagram: MissingFromY: crossing 1 is only on an X curve"),
-    (Diagram.build(1, [[1]], [[1]], {1: 2}),
+    (build_diagram(1, [[1]], [[1]], {1: 2}),
      "invalid diagram: BadSign: crossing 1 has sign 2"),
-    (Diagram.build(-1, [[1]], [[1]], {1: 1}),
+    (build_diagram(-1, [[1]], [[1]], {1: 1}),
      "invalid diagram: NegativeGenus: declared genus is negative"),
-    (Diagram.build(1, [], [[1]], {1: 1}),
+    (build_diagram(1, [], [[1]], {1: 1}),
      "invalid diagram: EmptySide: no X curves"),
     (Diagram(1, ((1,),), ((1,),), ((1, 1), (1, -1))),
      "invalid diagram: DuplicateSign: crossing 1 appears 2 times"),
@@ -206,7 +206,7 @@ def test_error_parity(dg, message, query):
 )
 @settings(max_examples=300, deadline=None)
 def test_index_rejects_exactly_what_validate_reports(genus, xs, ys, signs):
-    dg = Diagram.build(genus, xs, ys, signs)
+    dg = build_diagram(genus, xs, ys, signs)
     problems = validate(dg)
     index = _crossing_index(genus, dg.x_curves, dg.y_curves, dg.signs)
     assert (index is None) == bool(problems)

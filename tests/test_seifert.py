@@ -3,6 +3,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfsdiag.errors import InvalidInvariant, UnsatisfiablePattern
 from sfsdiag.presentation import abelianization
@@ -20,9 +22,10 @@ from sfsdiag.seifert import (
     vertical_genus_bound,
 )
 
-from helpers import det
+from helpers import denormalize_by_cases, det, outcome
 
 COPRIME_FIBERS = [(a, b) for a in range(2, 6) for b in range(1, a) if gcd(a, b) == 1]
+WIDE_COPRIME_FIBERS = [(a, b) for a in range(2, 10) for b in range(1, a) if gcd(a, b) == 1]
 
 
 def random_normalized(rng, max_genus=2, max_fibers=5, max_euler=5):
@@ -161,6 +164,32 @@ class TestDenormalize:
                     assert f.beta > 0
                 elif kind == "-":
                     assert f.beta < 0
+
+
+@st.composite
+def denormalize_calls(draw):
+    """Spaces with 0-6 fibers (sometimes not normalized), patterns of every
+    slot kind from one short of the fiber count to three padding slots
+    beyond it (sometimes with an unknown kind), and absorbers in and out
+    of range."""
+    m = draw(st.integers(0, 6))
+    fibers = [draw(st.sampled_from(WIDE_COPRIME_FIBERS)) for _ in range(m)]
+    if draw(st.integers(0, 9)):
+        s = SeifertData.normalized(draw(st.integers(0, 2)), fibers, draw(st.integers(-12, 12)))
+    else:
+        s = SeifertData.non_normalized(0, fibers)
+    kinds = st.sampled_from(("+", "-", "free") * 6 + ("up",))
+    pattern = draw(st.lists(kinds, min_size=max(m - 1, 0), max_size=m + 3))
+    absorber = draw(st.one_of(st.none(), st.integers(-1, len(pattern))))
+    return s, tuple(pattern), absorber
+
+
+@given(denormalize_calls())
+@settings(max_examples=600, deadline=None)
+def test_denormalize_matches_case_by_case_representatives(call):
+    s, pattern, absorber = call
+    got = outcome(denormalize, s, pattern, absorber_index=absorber)
+    assert got == outcome(denormalize_by_cases, s, pattern, absorber_index=absorber)
 
 
 class TestPresentationAndHomology:

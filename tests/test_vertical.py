@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dict_synthesize
+from helpers import dict_synthesize, walk_strand_cycle
 from sfsdiag import vertical
 from sfsdiag.diagram import (
     diagram_homology,
@@ -113,6 +113,21 @@ class TestStrandCycle:
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
             _strand_cycle(2, 4, 1)
+
+
+def test_strand_rotation_matches_the_switch_walk():
+    for a in range(1, 201):
+        for b in range(1, 201):
+            if gcd(a, b) == 1:
+                for hdir in (1, -1):
+                    assert _strand_cycle(a, b, hdir) == walk_strand_cycle(a, b, hdir), (a, b, hdir)
+    for a, b in [(0, 1), (3, 0), (2, 4)]:
+        errors = []
+        for strands in (_strand_cycle, walk_strand_cycle):
+            with pytest.raises(ValueError) as exc:
+                strands(a, b, 1)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
 
 class TestSynthesize:
