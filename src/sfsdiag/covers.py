@@ -198,6 +198,8 @@ def beta_star(pairs, lam: int):
     cannot factor raises :class:`WorkBudgetExceeded`.
     """
     pairs = tuple((a, b) for a, b in pairs)
+    if type(lam) is not int or not {type(x) for pair in pairs for x in pair} <= {int}:
+        raise TypeError(f"sheet count and pair entries must be ints, got {lam!r} and {pairs}")
     if lam < 1 or lam % 2 == 0:
         raise ValueError(f"sheet count must be odd and positive, got {lam}")
     for a, b in pairs:

@@ -395,8 +395,12 @@ def montesinos_decode(p: PermutationPair) -> Diagram:
     x_curves = tuple(_cycles(p.sigma_x))
     y_curves = tuple(_cycles(p.sigma_y))
     signs = tuple((c, 1) for c in range(1, p.degree + 1))
-    genus = _forced_genus(_crossing_index(0, x_curves, y_curves, signs)) if p.degree else 0
-    return Diagram(genus, x_curves, y_curves, signs)
+    if not p.degree:
+        return Diagram(0, x_curves, y_curves, signs)
+    index = _crossing_index(0, x_curves, y_curves, signs)
+    dg = Diagram(_forced_genus(index), x_curves, y_curves, signs)
+    dg.__dict__["_index"] = index  # fills the cache of Diagram._index; no entry of it reads the genus
+    return dg
 
 
 def to_dot(dg: Diagram) -> str:

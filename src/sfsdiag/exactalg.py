@@ -9,8 +9,8 @@ depends on.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from math import gcd
-from typing import Iterable, Sequence
 
 from .errors import Incompatible, Value, init_field
 

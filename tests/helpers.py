@@ -9,8 +9,11 @@ the crossings; chain diagrams are assembled through per-family id dicts,
 with each torus curve's strand order found by walking its switch.  The
 case-by-case slot representatives of ``denormalize`` and the hand-written
 three slots of ``base_orbifold_cover`` stay here to compare against.
+``VERB_PAYLOADS`` holds one valid request per CLI verb, and ``SRC`` the
+source tree for tests that start a fresh interpreter.
 """
 
+import os
 from itertools import combinations, count
 from math import gcd
 
@@ -430,3 +433,28 @@ def base_orbifold_cover_by_cases(s):
         slots[0] = (a0, b0 - n.euler * a0)
     stars = beta_star(slots, lam)
     return SeifertData(0, tuple(FiberInvariant(lam * a, star) for (a, _), star in zip(slots, stars)), None), lam
+
+
+_SPACE = {"base_genus": 0, "mode": "normalized", "euler": 1,
+         "fibers": [{"alpha": 2, "beta": 1}, {"alpha": 3, "beta": 1}, {"alpha": 5, "beta": 2}]}
+_DIAGRAM = {"genus": 1, "x_curves": [[1, 2]], "y_curves": [[2, 1]], "signs": {"1": 1, "2": -1}}
+# the source tree, for tests that start a fresh interpreter
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# one valid payload per CLI verb
+VERB_PAYLOADS = {
+    "normalize": _SPACE,
+    "homology": _SPACE,
+    "genus": _SPACE,
+    "diagram-build": _SPACE,
+    "diagram-verify": _DIAGRAM,
+    "diagram-encode": dict(_DIAGRAM, signs={"1": 1, "2": 1}),
+    "diagram-decode": {"sigma_x": [2, 3, 1], "sigma_y": [3, 1, 2]},
+    "cover-lift": {"seifert": {"base_genus": 0, "mode": "non_normalized",
+                               "fibers": [{"alpha": 6, "beta": -1}, {"alpha": 9, "beta": 1},
+                                          {"alpha": 15, "beta": 2}]},
+                   "cover": {"lambda": 3, "partitions": [[3], [3], [3]]}},
+    "cover-base": dict(_SPACE, base_genus=1),
+    "betastar": {"pairs": [[2, 1], [5, 3]], "lambda": 3},
+    "positivize": {"generators": 2, "relators": [[1, -2, 1], [2, 2]]},
+}

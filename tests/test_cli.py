@@ -1,14 +1,19 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import pytest
 
 from sfsdiag import __version__, diagram, vertical
-from sfsdiag.cli import main
+from sfsdiag.cli import _VERBS, main
 from sfsdiag.diagram import Diagram
 from sfsdiag.exactalg import SnfResult
+
+from helpers import SRC
 
 
 def test_reads_stdin_by_default(capsys, monkeypatch):
@@ -337,3 +342,89 @@ def test_oversized_request_refused_quickly(tmp_path, capsys, verb, payload, erro
     code, out, err = run_with_file(tmp_path, capsys, verb, payload)
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == "" and err == error
+
+
+def run_argv(argv, capsys, monkeypatch, stdin='{"sigma_x":[1],"sigma_y":[1]}'):
+    """(exit status, stdout, stderr) of ``main(argv)``, a ``SystemExit`` included."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv,reason", [
+    ([], "missing verb"),
+    (["bogus"], "unknown verb 'bogus'"),
+    (["--input", "x", "normalize"], "unknown verb '--input'"),
+    (["normalize", "--in", "x"], "unknown option '--in' for normalize"),
+    (["normalize", "--inp=x"], "unknown option '--inp=x' for normalize"),
+    (["normalize", "--bogus"], "unknown option '--bogus' for normalize"),
+    (["normalize", "--version"], "unknown option '--version' for normalize"),
+    (["normalize", "stray"], "unknown argument 'stray' for normalize"),
+    (["normalize", "--emit", "dot"], "unknown option '--emit' for normalize"),
+    (["normalize", "--input"], "option --input needs a value"),
+    (["diagram-decode", "--emit"], "option --emit needs a value"),
+    (["diagram-build", "--output", "-", "--output"], "option --output needs a value"),
+    (["diagram-build", "--emit", "xml"], "--emit takes json or dot, not 'xml'"),
+    (["diagram-decode", "--emit="], "--emit takes json or dot, not ''"),
+])
+def test_usage_error_exit_2(capsys, monkeypatch, argv, reason):
+    code, out, err = run_argv(argv, capsys, monkeypatch)
+    assert code == 2 and out == ""
+    assert err == f"UsageError: {reason}; see sfsdiag --help\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["diagram-build", "--help"], ["normalize", "--input", "x", "-h"]])
+def test_help_lists_every_verb(capsys, monkeypatch, argv):
+    code, out, err = run_argv(argv, capsys, monkeypatch)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: sfsdiag VERB [--input PATH] [--output PATH] [--emit {json,dot}]\n")
+    listed = [line.split()[0] for line in out.split("verbs:\n")[1].split("\n\n")[0].splitlines()]
+    assert listed == list(_VERBS)
+    for flag in ("--input PATH", "--output PATH", "--emit {json,dot}"):
+        assert f"\n  {flag} " in out
+
+
+def test_equals_form_and_last_value_win(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(FIGURE_INPUT), encoding="utf-8")
+    spaced = run_argv(["diagram-build", "--input", str(src)], capsys, monkeypatch)
+    assert spaced[0] == 0
+    assert run_argv(["diagram-build", f"--input={src}"], capsys, monkeypatch) == spaced
+    assert run_argv(["diagram-build", "--input", "nope", "--input", str(src)], capsys, monkeypatch) == spaced
+    assert run_argv(["diagram-build", "--emit=dot", "--input", str(src), "--emit", "json"],
+                    capsys, monkeypatch) == spaced
+    dot = run_argv(["diagram-build", f"--input={src}", "--emit=dot"], capsys, monkeypatch)
+    assert dot[0] == 0 and dot[1].startswith("graph diagram {")
+    dst = tmp_path / "out.json"
+    assert run_argv(["diagram-build", f"--input={src}", f"--output={dst}"], capsys, monkeypatch) == (0, "", "")
+    assert dst.read_text(encoding="utf-8") == spaced[1]
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch):
+    code, out, err = run_argv(["diagram-decode", "--output", str(tmp_path / "no" / "out.json")], capsys, monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("FileNotFoundError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload,code,stderr", [
+    (FIGURE_INPUT, 0, ""),
+    ({"base_genus": 0, "mode": "normalized", "fibers": [{"alpha": 2, "beta": 3}], "euler": 0}, 3,
+     "InvalidInvariant: "),
+])
+def test_input_file_is_closed(tmp_path, payload, code, stderr):
+    # -X dev reports a file left open as a ResourceWarning on stderr
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "sfsdiag.cli", "normalize",
+         "--input", str(path)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == code
+    if code:
+        assert proc.stdout == "" and proc.stderr.startswith(stderr) and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == "" and json.loads(proc.stdout)["euler"] == 5

@@ -1,6 +1,7 @@
-"""Fuzz of the CLI boundary: any JSON value sent to any verb ends in a
-documented exit code (0, 2 or 3), with no traceback and with nothing on
-stdout after an error.
+"""Fuzz of the CLI boundary: any JSON value sent to any verb, with or
+without extra command-line tokens, ends in a documented exit code (0, 2
+or 3, or ``SystemExit(2)`` for a malformed command line), with no
+traceback and with nothing on stdout after an error.
 
 Payloads are either arbitrary JSON values or a valid payload of the verb
 with one node replaced by an arbitrary JSON value, so that the fuzz also
@@ -17,28 +18,17 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import VERB_PAYLOADS as TEMPLATES
 from sfsdiag.cli import _DIAGRAM_VERBS, _VERBS, main
 
-SPACE = {"base_genus": 0, "mode": "normalized", "euler": 1,
-         "fibers": [{"alpha": 2, "beta": 1}, {"alpha": 3, "beta": 1}, {"alpha": 5, "beta": 2}]}
-DIAGRAM = {"genus": 1, "x_curves": [[1, 2]], "y_curves": [[2, 1]], "signs": {"1": 1, "2": -1}}
-TEMPLATES = {
-    "normalize": SPACE,
-    "homology": SPACE,
-    "genus": SPACE,
-    "diagram-build": SPACE,
-    "diagram-verify": DIAGRAM,
-    "diagram-encode": dict(DIAGRAM, signs={"1": 1, "2": 1}),
-    "diagram-decode": {"sigma_x": [2, 3, 1], "sigma_y": [3, 1, 2]},
-    "cover-lift": {"seifert": {"base_genus": 0, "mode": "non_normalized",
-                               "fibers": [{"alpha": 6, "beta": -1}, {"alpha": 9, "beta": 1},
-                                          {"alpha": 15, "beta": 2}]},
-                   "cover": {"lambda": 3, "partitions": [[3], [3], [3]]}},
-    "cover-base": dict(SPACE, base_genus=1),
-    "betastar": {"pairs": [[2, 1], [5, 3]], "lambda": 3},
-    "positivize": {"generators": 2, "relators": [[1, -2, 1], [2, 2]]},
-}
 assert set(TEMPLATES) == set(_VERBS)
+
+# extra argv tokens: flags known or not, ``=`` forms, values and stray words;
+# no bare ``--output``, which would write its value as a file here
+tokens = st.sampled_from([
+    "--input", "--input=-", "--input=", "--in", "--output=-", "--output=", "--emit", "--emit=dot",
+    "--emit=json", "--emit=xml", "--version", "--bogus", "-x", "-", "=", "json", "dot", "stray",
+]) | st.text(max_size=3).filter(lambda t: t != "-h")
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-10**4, 10**4) | st.floats() | st.text(max_size=6),
@@ -71,20 +61,26 @@ def requests(draw):
         payload = draw(json_values)
     else:
         payload = replaced(template, draw(st.sampled_from(list(paths(template)))), draw(json_values))
-    emit = draw(st.sampled_from(["json", "dot"])) if verb in _DIAGRAM_VERBS else None
-    return verb, payload, emit
+    argv = [verb] + (["--emit", draw(st.sampled_from(["json", "dot"]))] if verb in _DIAGRAM_VERBS else [])
+    if draw(st.booleans()):
+        argv[1:] = draw(st.permutations(argv[1:] + draw(st.lists(tokens, min_size=1, max_size=3))))
+    return argv, payload
 
 
 @given(requests())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_every_verb_ends_in_a_documented_exit_code(request):
-    verb, payload, emit = request
+    argv, payload = request
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(json.dumps(payload))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([verb] + (["--emit", emit] if emit else []))
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("UsageError: ") and err.getvalue().count("\n") == 1
+        return
     finally:
         sys.stdin = stdin
     assert code in (0, 2, 3), err.getvalue()

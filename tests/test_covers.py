@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from math import gcd
 
 import pytest
@@ -26,7 +29,7 @@ from sfsdiag.errors import (
 from sfsdiag.exactalg import floor_sum
 from sfsdiag.seifert import SeifertData, normalize, rational_euler
 
-from helpers import base_orbifold_cover_by_cases, outcome
+from helpers import SRC, base_orbifold_cover_by_cases, outcome
 
 COPRIME_FIBERS = [(a, b) for a in range(2, 6) for b in range(1, a) if gcd(a, b) == 1]
 
@@ -154,6 +157,22 @@ class TestBetaStar:
         # int() would read each as (2, 1) and answer (-1, 8)
         with pytest.raises(TypeError):
             beta_star(pairs, 3)
+
+    @pytest.mark.parametrize("pairs,lam", [
+        ([(2, 1), (5, 3)], 3.0), ([(2, True), (5, 3)], 3), ([(2, 1), (5, 3)], True), ([(2, 1), (5.0, 3)], 3),
+    ])
+    def test_bools_and_floats_are_refused(self, pairs, lam):
+        # each was read as beta_star([(2, 1), (5, 3)], 3) == (-1, 8), a float lam even under -O
+        with pytest.raises(TypeError, match="must be ints"):
+            beta_star(pairs, lam)
+
+    def test_float_sheet_count_refused_under_optimize(self):
+        code = ("from sfsdiag.covers import beta_star\n"
+                "try:\n    print(beta_star([(2, 1), (5, 3)], 3.0))\n"
+                "except TypeError as exc:\n    print('TypeError', exc)")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0 and proc.stdout.startswith("TypeError sheet count"), proc.stderr
 
     @pytest.mark.parametrize("lam,stars", [(3, (7, -17, -4)), (9, (7, -17, -4)), (15, (-17, 13, 38))])
     def test_goldens(self, lam, stars):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import build_diagram, dict_components, dict_face_count, dict_genus_sum
+from sfsdiag import diagram
 from sfsdiag.diagram import (
     Diagram,
     PermutationPair,
@@ -102,6 +103,18 @@ def test_permutation_pairs_match_dict_tracer(dg):
     decoded = montesinos_decode(pair)
     assert decoded.declared_genus == dict_genus_sum(positive)
     assert montesinos_encode(decoded) == pair
+
+
+def test_decode_builds_one_crossing_index(monkeypatch):
+    calls = []
+    monkeypatch.setattr(diagram, "_crossing_index", lambda *args: calls.append(args) or _crossing_index(*args))
+    pair = PermutationPair(4, (2, 3, 4, 1), (3, 1, 4, 2))
+    dg = montesinos_decode(pair)
+    assert montesinos_encode(dg) == pair and rotation_genus(dg) == dg.declared_genus
+    assert len(calls) == 1
+    # the kept index equals the one the decoded diagram would build itself
+    fresh = _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs)
+    assert {s: getattr(fresh, s) for s in fresh.__slots__} == {s: getattr(dg._index, s) for s in fresh.__slots__}
 
 
 @given(signed_pair_diagrams(), st.data())

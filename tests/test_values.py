@@ -26,7 +26,7 @@ from sfsdiag import (
 )
 from sfsdiag.diagram import DiagramViolation
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from helpers import SRC, VERB_PAYLOADS
 
 # one factory per class, each with the repr the classes had as frozen dataclasses
 CASES = [
@@ -178,15 +178,18 @@ class TestPackage:
             exec("from sfsdiag import no_such_name", {})
 
 
-def new_modules(body: str, stdin: str = "") -> set:
-    """Modules a fresh interpreter loads while running ``body``."""
+def new_modules(body: str, stdin: str = "", flags: tuple = ()) -> set:
+    """Modules a fresh interpreter, started with ``flags``, loads while running ``body``."""
     code = ("import sys\nbefore = set(sys.modules)\n" + body
             + "\nsys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n")
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code], input=stdin, capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
+
+
+CLI_UNNEEDED = {"argparse", "gettext", "locale"}
 
 
 class TestImportBudget:
@@ -198,7 +201,17 @@ class TestImportBudget:
     def test_cli_import_skips_dataclasses_and_fractions(self):
         loaded = new_modules("import sfsdiag.cli")
         assert "sfsdiag.cli" in loaded
-        assert not {"dataclasses", "fractions"} & loaded
+        assert not ({"dataclasses", "fractions"} | CLI_UNNEEDED) & loaded
+
+    # -S keeps site from loading typing, so the check sees what sfsdiag loads
+    @pytest.mark.parametrize("flags,unneeded", [((), CLI_UNNEEDED), (("-S",), CLI_UNNEEDED | {"typing"})],
+                             ids=["site", "no-site"])
+    @pytest.mark.parametrize("verb", sorted(VERB_PAYLOADS))
+    def test_a_verb_process_skips_argparse_and_typing(self, verb, flags, unneeded):
+        loaded = new_modules(f"from sfsdiag.cli import main\nassert main([{verb!r}]) == 0",
+                             json.dumps(VERB_PAYLOADS[verb]), flags)
+        assert "sfsdiag.cli" in loaded
+        assert not unneeded & loaded
 
     @pytest.mark.parametrize("verb,payload,needed,unneeded", [
         ("positivize", {"generators": 2, "relators": [[1, -2]]}, {"presentation"},
