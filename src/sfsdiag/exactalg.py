@@ -10,9 +10,10 @@ depends on.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import compress
 from math import gcd
 
-from .errors import Incompatible, Value, init_field
+from .errors import Incompatible, Value, init_field, want, want_ints
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -82,7 +83,7 @@ def floor_sum(fractions: Iterable[tuple[int, int]]) -> int:
 
 
 class IntMatrix(Value):
-    """An immutable integer matrix stored as a tuple of row tuples."""
+    """An ``int`` matrix as row tuples; ``from_rows`` and :func:`snf` refuse other entries."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -100,7 +101,7 @@ class IntMatrix(Value):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(want_ints(list(row), "rows[{}]", i)) for i, row in enumerate(rows))
         if cols is None:
             if not data:
                 raise ValueError("cols is required for an empty matrix")
@@ -157,28 +158,32 @@ def snf(m: IntMatrix) -> SnfResult:
 
     Rows are ``{col: value}`` dicts of nonzeros, beside a column -> row-set
     map.  Each pivot is the least ``|v|`` entry, ties to the shorter column,
-    of the active row with the fewest nonzeros.  Local Euclid passes: row
+    of the first row with the fewest nonzeros.  Local Euclid passes: row
     operations clear the pivot column walking only the pivot row, column
-    operations reduce the pivot row modulo the pivot and touch no other row,
-    and remainders move the pivot to the least of them, ties to the shorter
-    row or column, so a long row is rarely added into short ones.  A pivot
-    alone in its row and column retires into the ascending divisibility
-    chain of invariant factors, merged from the top by gcd/lcm exchanges
-    that stop once a 1 passes down; a pivot of 1 goes straight to the bottom.
+    operations reduce the pivot row modulo the pivot and touch no other row.
+    Remainders, all below the pivot, move it to the shortest row after a row
+    pass or the shortest column after a column pass, ties to the least.  A
+    pivot alone in its row and column joins the ascending divisibility chain
+    by gcd/lcm exchanges from the top that skip runs of equal factors and
+    stop once a 1 passes down; a pivot of 1 goes straight to the bottom.
     """
     rows, cols = {}, {}
     for i, entries in enumerate(m.entries):
-        if row := {j: v for j, v in enumerate(entries) if v}:
+        if row := dict(compress(enumerate(entries), entries)):
             rows[i] = row
-            for j in row:
+            for j, v in row.items():
+                if type(v) is not int:
+                    want(v, int, "entries[{}][{}]", i, j)
                 if j in cols:
                     cols[j].add(i)
                 else:
                     cols[j] = {i}
     chain = []
     while rows:
-        r = min(zip(map(len, rows.values()), rows))[1]
-        row = rows[r]
+        n = min(map(len, rows.values()))
+        for r, row in rows.items():
+            if len(row) == n:
+                break
         best = None
         for j, v in row.items():
             if best is None or (abs(v), len(cols[j])) < best:
@@ -201,8 +206,8 @@ def snf(m: IntMatrix) -> SnfResult:
                             del other[j]
                             cols[j].discard(i)
                 if c in other:
-                    if best is None or (abs(other[c]), len(other)) < best:
-                        best, move = (abs(other[c]), len(other)), i
+                    if best is None or (len(other), abs(other[c])) < best:
+                        best, move = (len(other), abs(other[c])), i
                 elif not other:
                     del rows[i]
             if best is not None:
@@ -213,8 +218,8 @@ def snf(m: IntMatrix) -> SnfResult:
                     continue
                 if w := row[j] % p:
                     row[j] = w
-                    if best is None or (abs(w), len(cols[j])) < best:
-                        best, move = (abs(w), len(cols[j])), j
+                    if best is None or (len(cols[j]), abs(w)) < best:
+                        best, move = (len(cols[j]), abs(w)), j
                 else:
                     del row[j]
                     cols[j].discard(r)
@@ -224,8 +229,10 @@ def snf(m: IntMatrix) -> SnfResult:
         d, i = abs(p), len(chain)
         while d != 1 and i:
             i -= 1
-            g = gcd(chain[i], d)
-            chain[i], d = chain[i] // g * d, g
+            g = gcd(x := chain[i], d)
+            chain[i], d = x // g * d, g
+            while i and chain[i - 1] == x:
+                i -= 1
         chain.insert(0, d)
         del rows[r], cols[c]
     return SnfResult(tuple(chain), m.cols - len(chain))

@@ -243,19 +243,20 @@ def homology(s: SeifertData) -> SnfResult:
 
     The relation matrix has rows ``alpha_i x_i + beta_i t`` and
     ``x_1 + ... + x_m + e t`` over generators ``a_*, b_*, x_*, t``; the
-    ``a_j, b_j`` columns are untouched and contribute free rank ``2g``.
-    Normalizes internally, so any coordinate form of the same space gives
-    the same result.
+    ``a_j, b_j`` columns are untouched and contribute free rank ``2g``, so
+    only the ``x_*, t`` columns are built and any base genus costs the same.
+    Rows sorted by ``(alpha_i, beta_i)`` let equal fibers cancel in one step;
+    any fiber order or coordinate form of the space gives the same result.
     """
     n = normalize(s)
-    g, m = n.base_genus, len(n.fibers)
-    cols = 2 * g + m + 1
-    rows = [[0] * cols for _ in range(m + 1)]
-    for i, f in enumerate(n.fibers):
-        rows[i][2 * g + i], rows[i][-1] = f.alpha, f.beta
-        rows[m][2 * g + i] = 1
+    m = len(n.fibers)
+    rows = [[0] * (m + 1) for _ in range(m + 1)]
+    for i, (alpha, beta) in enumerate(sorted((f.alpha, f.beta) for f in n.fibers)):
+        rows[i][i], rows[i][-1] = alpha, beta
+        rows[m][i] = 1
     rows[m][-1] = n.euler
-    return snf(IntMatrix(m + 1, cols, tuple(map(tuple, rows))))
+    r = snf(IntMatrix(m + 1, m + 1, tuple(map(tuple, rows))))
+    return SnfResult(r.invariant_factors, r.free_rank + 2 * n.base_genus)
 
 
 def vertical_genus_bound(s: SeifertData) -> int:

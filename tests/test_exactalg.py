@@ -114,6 +114,32 @@ class TestSnf:
         # determinant 6, entry gcd 1
         assert snf(m) == SnfResult((1, 6), 0)
 
+    @pytest.mark.parametrize("rows,message", [
+        ([[2.7, 0], [0, "4"]], "rows[0][0]: expected integer, got float"),
+        ([[2, 0], [0, "4"]], "rows[1][1]: expected integer, got string"),
+        ([[1, True]], "rows[0][1]: expected integer, got boolean"),
+        ([[0, False]], "rows[0][1]: expected integer, got boolean"),
+        ([[1, 2], (3, 4.0)], "rows[1][1]: expected integer, got float"),
+    ])
+    def test_from_rows_refuses_entries_that_are_not_ints(self, rows, message):
+        with pytest.raises(TypeError) as info:
+            IntMatrix.from_rows(rows)
+        assert str(info.value) == message
+
+    def test_from_rows_keeps_int_entries(self):
+        m = IntMatrix.from_rows([(1, -2), [10**40, 0]])
+        assert m.entries == ((1, -2), (10**40, 0)) and m.cols == 2
+
+    @pytest.mark.parametrize("entries,message", [
+        (((2.5,),), "entries[0][0]: expected integer, got float"),
+        (((1, 0), (0, True)), "entries[1][1]: expected integer, got boolean"),
+        (((1, 0), (0.0, "4")), "entries[1][1]: expected integer, got string"),
+    ])
+    def test_snf_refuses_nonzero_entries_that_are_not_ints(self, entries, message):
+        with pytest.raises(TypeError) as info:
+            snf(IntMatrix(len(entries), len(entries[0]), entries))
+        assert str(info.value) == message
+
     def test_zero_rows(self):
         m = IntMatrix(0, 3, ())
         assert snf(m) == SnfResult((), 3)

@@ -231,6 +231,14 @@ class TestPresentationAndHomology:
         assert h.free_rank == 4
         assert h.torsion == ()
 
+    def test_base_genus_adds_free_rank_only(self):
+        # the a_j, b_j columns are zero: a base genus of 10**30 costs what genus 0 does
+        fibers = [(2, 1), (3, 1), (5, 2)]
+        for g in (1, 3, 10**30):
+            h, h0 = homology(SeifertData.normalized(g, fibers, 1)), homology(SeifertData.normalized(0, fibers, 1))
+            assert h.invariant_factors == h0.invariant_factors
+            assert h.free_rank == h0.free_rank + 2 * g
+
     def test_matches_presentation_abelianization(self):
         rng = random.Random(6)
         for _ in range(60):

@@ -1,18 +1,19 @@
 """Differential tests of the sparse ``snf`` against ``dense_snf``, the
 dense elimination with a global pivot rescan kept in ``helpers``: random
 matrices of every small shape and fill, and the two structured matrices
-every verified build reduces (the filling relations and the diagram's
-intersection matrix)."""
+every verified build reduces (the filling relations, at small and large
+alpha and in any fiber order, and the diagram's intersection matrix)."""
 
 import random
-from math import gcd
+import time
+from math import gcd, prod
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfsdiag.diagram import intersection_matrix
 from sfsdiag.exactalg import IntMatrix, snf
-from sfsdiag.seifert import SeifertData, homology
+from sfsdiag.seifert import SeifertData, homology, rational_euler
 from sfsdiag.vertical import assign_betas, plan_decomposition, synthesize_diagram
 
 from helpers import dense_snf
@@ -76,6 +77,52 @@ def test_filling_relations_at_four_hundred_fibers():
     s = random_space(400, 3, 400)
     matrix = relation_matrix(s)
     assert snf(matrix) == dense_snf(matrix) == homology(s)
+
+
+@st.composite
+def large_alpha_spaces(draw):
+    """Spaces of up to 40 fibers with alpha up to 200, often repeating a fiber."""
+    pool = draw(st.lists(st.integers(2, 200), min_size=1, max_size=6))
+    fibers = []
+    for _ in range(draw(st.integers(0, 40))):
+        alpha = draw(st.sampled_from(pool) | st.integers(2, 200))
+        beta = draw(st.integers(1, alpha - 1).filter(lambda b: gcd(alpha, b) == 1))
+        fibers.append((alpha, beta))
+    return SeifertData.normalized(draw(st.integers(0, 2)), fibers, draw(st.integers(-3, 3)))
+
+
+@given(large_alpha_spaces(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_filling_relations_at_large_alpha_match_dense_in_any_fiber_order(s, data):
+    shuffled = SeifertData(s.base_genus, tuple(data.draw(st.permutations(s.fibers))), s.euler)
+    expected = dense_snf(relation_matrix(s))
+    assert snf(relation_matrix(s)) == snf(relation_matrix(shuffled)) == expected
+    assert homology(s) == homology(shuffled) == expected
+
+
+def large_alpha_family(m: int) -> SeifertData:
+    """``alpha_i = 100 + 37i mod 101`` and ``beta_i = 1 + 11i mod (alpha_i - 1)``,
+    raised to the next value coprime to ``alpha_i``, with euler 1: large,
+    nearly all distinct fibers, on which a poor choice of pivot moves fills
+    the matrix."""
+    fibers = []
+    for i in range(m):
+        alpha = 100 + (37 * i) % 101
+        beta = 1 + (11 * i) % (alpha - 1)
+        while gcd(alpha, beta) != 1:
+            beta += 1
+        fibers.append((alpha, beta))
+    return SeifertData.normalized(0, fibers, 1)
+
+
+def test_two_hundred_distinct_large_fibers():
+    s = large_alpha_family(200)
+    start = time.perf_counter()
+    h = homology(s)
+    elapsed = time.perf_counter() - start
+    assert h.order() == abs(rational_euler(s)) * prod(f.alpha for f in s.fibers)
+    # about 0.2 s; a pivot rule that fills the matrix takes 8 s or more here
+    assert elapsed < 5.0, f"homology took {elapsed:.2f} s"
 
 
 @given(st.integers(0, 140), st.integers(0, 2**32))
