@@ -12,8 +12,8 @@ _EXPORTS = {
                "lifted_diagram_genus", "positive_genus_bound"),
     "diagram": ("Diagram", "PermutationPair", "diagram_homology", "diagram_presentation", "is_positive_diagram",
                 "montesinos_decode", "montesinos_encode", "rotation_genus", "to_dot", "validate"),
-    "exactalg": ("IntMatrix", "SnfResult", "crt", "ext_gcd", "floor_sum", "least_positive_residue", "snf"),
-    "presentation": ("Presentation", "abelianization", "free_reduce", "is_positive", "positivize"),
+    "exactalg": ("IntMatrix", "SnfResult", "snf"),
+    "presentation": ("Presentation", "abelianization", "is_positive", "positivize"),
     "seifert": ("FiberInvariant", "GenusReport", "HorizontalFamily", "SeifertData", "denormalize", "genus_report",
                 "homology", "horizontal_family", "normalize", "rational_euler", "sfs_presentation",
                 "vertical_genus_bound"),

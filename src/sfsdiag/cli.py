@@ -163,7 +163,10 @@ def _read_payload(path: str) -> dict:
     else:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nesting is too deep") from None
     if not isinstance(payload, dict):
         raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
     return payload

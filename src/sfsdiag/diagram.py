@@ -27,7 +27,7 @@ from itertools import compress
 from operator import ne
 
 from .errors import Disconnected, IsolatedCurve, NotPositive, Value, init_field, want, want_ints
-from .exactalg import IntMatrix, SnfResult, snf
+from .exactalg import IntMatrix, SnfResult, _snf
 from .presentation import Presentation
 
 
@@ -157,8 +157,8 @@ class _CrossingIndex:
     """The crossings of a valid diagram ranked ``1..d`` by id (``rank`` maps
     id to rank, or is None for ids ``1..d``); per rank the next rank along X
     and Y as lists, the sign and the X curve as arrays, rank 0 a positive
-    dummy whose curves close on themselves; the component count and the
-    Y-by-X intersection matrix."""
+    dummy whose curves close on themselves; the component count and, per Y
+    curve, its nonzero intersection numbers by X curve (the matrix rows)."""
 
     __slots__ = ("rank", "sign", "positive", "x_next", "y_next", "x_curve", "components", "matrix")
 
@@ -208,7 +208,7 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
     idx.x_next, idx.y_next, idx.x_curve = x_next, y_next, array("i", x_curve)
 
     gx = len(x_curves)
-    rows = [[0] * gx for _ in y_curves]
+    rows = []
     parent = list(range(gx + len(y_curves)))
 
     def find(a):
@@ -218,16 +218,16 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
         return a
 
     # per Y curve, count its X letters (~i for a negative crossing with X
-    # curve i); union-find joins X curve i and Y curve j that cross
+    # curve i, so max(i, ~i) is the curve): the matrix row of a positive
+    # diagram; union-find joins X curve i and Y curve j that cross
     letter = x_curve if idx.positive else [i if s > 0 else ~i for i, s in zip(x_curve, idx.sign)]
     for j, rs in enumerate(y_ranks):
-        for i, count in Counter(map(letter.__getitem__, rs)).items():
-            if i < 0:
-                i, count = ~i, -count
-            rows[j][i] += count
-            parent[find(i)] = find(gx + j)
+        row = Counter(map(letter.__getitem__, rs))
+        for i in row:
+            parent[find(max(i, ~i))] = find(gx + j)
+        rows.append(row if idx.positive else {i: v for i in {max(i, ~i) for i in row} if (v := row[i] - row[~i])})
     idx.components = len({find(i) for i in range(gx) if x_curves[i]})
-    idx.matrix = tuple(map(tuple, rows))
+    idx.matrix = rows
     return idx
 
 
@@ -322,12 +322,13 @@ def diagram_presentation(dg: Diagram) -> Presentation:
 def intersection_matrix(dg: Diagram) -> IntMatrix:
     """Algebraic intersection matrix: entry ``(j, i)`` sums the signs of
     the crossings of Y curve ``j`` with X curve ``i``."""
-    return IntMatrix(len(dg.y_curves), len(dg.x_curves), dg._index.matrix)
+    gx = len(dg.x_curves)
+    return IntMatrix(len(dg.y_curves), gx, tuple(tuple(row.get(i, 0) for i in range(gx)) for row in dg._index.matrix))
 
 
 def diagram_homology(dg: Diagram) -> SnfResult:
-    """Smith data of the algebraic intersection matrix (Y rows, X columns)."""
-    return snf(intersection_matrix(dg))
+    """Smith data of the algebraic intersection matrix (Y rows, X columns), from its nonzeros."""
+    return _snf(dg._index.matrix, len(dg.x_curves))
 
 
 class PermutationPair(Value):

@@ -1,5 +1,5 @@
-"""Exact integer primitives: extended gcd, congruence solving, least
-positive residues, floor sums, and Smith normal form.
+"""Exact integer primitives: congruence solving, least positive residues,
+floor sums, and Smith normal form.
 
 Everything works with arbitrary-precision Python integers; nothing in the
 package has an overflow contract.  Floors are always toward minus infinity
@@ -11,29 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import compress
-from math import gcd
+from math import gcd, prod
 
 from .errors import Incompatible, Value, init_field, want, want_ints
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return ``(g, x, y)`` with ``g = gcd(|a|, |b|) >= 0`` and ``a*x + b*y = g``.
-
-    The degenerate pair ``(0, 0)`` returns ``(0, 0, 0)``.
-    """
-    if a == 0 and b == 0:
-        return (0, 0, 0)
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return (-old_r, -old_s, -old_t)
-    return (old_r, old_s, old_t)
 
 
 def crt(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -47,16 +27,14 @@ def crt(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
     for r_i, m_i in pairs:
         if m_i < 1:
             raise ValueError(f"modulus must be >= 1, got {m_i}")
-        g, u, _ = ext_gcd(mod, m_i)
+        g = gcd(mod, m_i)
         if (r_i - res) % g != 0:
             raise Incompatible(
                 f"residues {res} (mod {mod}) and {r_i} (mod {m_i}) conflict"
             )
-        lcm = mod // g * m_i
-        # res + mod*k = r_i (mod m_i), so k = (r_i-res)/g * inv(mod/g) (mod m_i/g)
-        k = ((r_i - res) // g * u) % (m_i // g)
-        res = (res + mod * k) % lcm
-        mod = lcm
+        # res + mod*k = r_i (mod m_i) for k = (r_i-res)/g * inv(mod/g) mod m_i/g, below the lcm
+        k = (r_i - res) // g * pow(mod // g, -1, m_i // g) % (m_i // g)
+        res, mod = res + mod * k, mod // g * m_i
     return res, mod
 
 
@@ -145,16 +123,18 @@ class SnfResult(Value):
 
     def order(self) -> int | None:
         """Group order when finite, else None."""
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return None if self.free_rank else prod(self.invariant_factors)
 
 
 def snf(m: IntMatrix) -> SnfResult:
-    """Smith normal form data of an integer matrix, by sparse elimination.
+    """Smith normal form data of an integer matrix, by sparse elimination (:func:`_snf`)."""
+    return _snf((compress(enumerate(entries), entries) for entries in m.entries), m.cols)
+
+
+def _snf(nonzeros, ncols: int) -> SnfResult:
+    """:func:`snf` of the ``ncols``-column matrix whose row ``i`` holds the
+    nonzero entries ``nonzeros[i]``: a ``{col: value}`` mapping, which is
+    copied, or ``(col, value)`` pairs; a zero value is not allowed.
 
     Rows are ``{col: value}`` dicts of nonzeros, beside a column -> row-set
     map.  Each pivot is the least ``|v|`` entry, ties to the shorter column,
@@ -168,8 +148,8 @@ def snf(m: IntMatrix) -> SnfResult:
     stop once a 1 passes down; a pivot of 1 goes straight to the bottom.
     """
     rows, cols = {}, {}
-    for i, entries in enumerate(m.entries):
-        if row := dict(compress(enumerate(entries), entries)):
+    for i, row in enumerate(nonzeros):
+        if row := dict(row):
             rows[i] = row
             for j, v in row.items():
                 if type(v) is not int:
@@ -235,4 +215,4 @@ def snf(m: IntMatrix) -> SnfResult:
                 i -= 1
         chain.insert(0, d)
         del rows[r], cols[c]
-    return SnfResult(tuple(chain), m.cols - len(chain))
+    return SnfResult(tuple(chain), ncols - len(chain))

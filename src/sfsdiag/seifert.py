@@ -17,10 +17,11 @@ and a lens-space range handled by convention.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 
 from .errors import InvalidInvariant, UnsatisfiablePattern, Value, init_field, want
-from .exactalg import IntMatrix, SnfResult, floor_sum, least_positive_residue, snf
+from .exactalg import SnfResult, _snf, floor_sum, least_positive_residue
 from .presentation import Presentation
 
 
@@ -124,18 +125,13 @@ def normalize(s: SeifertData) -> SeifertData:
 def rational_euler(s: SeifertData) -> Fraction:
     """The rational Euler number ``e - sum(beta_i/alpha_i)``.
 
-    In non-normalized coordinates this is ``-sum(beta'_i/alpha_i)``; it is
-    independent of the chosen coordinates and multiplies by the covering
+    In non-normalized coordinates ``e`` is 0, giving ``-sum(beta'_i/alpha_i)``;
+    it is independent of the chosen coordinates and multiplies by the covering
     degree under the fiber-preserving covers built in :mod:`covers`.
     """
     from fractions import Fraction
 
-    if s.is_normalized:
-        return s.euler - sum((Fraction(f.beta, f.alpha) for f in s.fibers), Fraction(0))
-    return -sum((Fraction(f.beta, f.alpha) for f in s.fibers), Fraction(0))
-
-
-_PATTERN_KINDS = ("+", "-", "free")
+    return (s.euler or 0) - sum((Fraction(f.beta, f.alpha) for f in s.fibers), Fraction(0))
 
 
 def denormalize(
@@ -151,9 +147,10 @@ def denormalize(
     padding) and start at ``b - alpha`` on ``"-"``, at ``b`` on ``"free"``
     and at ``b``, or ``alpha`` if ``b`` is 0, on ``"+"``.  The floor-sum
     deficit against ``-e`` is then repaired: spread as evenly as possible
-    over the slots that can absorb it (matching sign or free, later slots
-    taking the larger share), or placed entirely on ``absorber_index``
-    when given.  The output normalizes back to ``s``.
+    over the slots that can absorb it (matching sign or free; the first
+    ``deficit mod k`` of ``k`` slots take one more), which is only
+    ``absorber_index`` when given, a one-slot spread.  The output
+    normalizes back to ``s``.
 
     Raises :class:`UnsatisfiablePattern` when no slot can absorb the
     deficit in the needed direction.
@@ -162,7 +159,7 @@ def denormalize(
         raise ValueError("denormalize expects normalized input")
     pattern = tuple(sign_pattern)
     for kind in pattern:
-        if kind not in _PATTERN_KINDS:
+        if kind not in ("+", "-", "free"):
             raise ValueError(f"unknown pattern entry {kind!r}")
     m = len(s.fibers)
     r = len(pattern)
@@ -181,24 +178,16 @@ def denormalize(
 
     deficit = (-s.euler) - floor_sum(zip(reps, alphas))
     if deficit != 0:
-        if absorber_index is not None:
-            kind = pattern[absorber_index]
-            ok = kind == "free" or (kind == "+") == (deficit > 0)
-            if not ok:
-                raise UnsatisfiablePattern(
-                    f"slot {absorber_index} ({kind}) cannot absorb deficit {deficit}"
-                )
-            reps[absorber_index] += deficit * alphas[absorber_index]
-        else:
-            want = "+" if deficit > 0 else "-"
-            slots = [i for i in range(r) if pattern[i] in (want, "free")]
-            if not slots:
-                raise UnsatisfiablePattern(
-                    f"no slot can absorb floor-sum deficit {deficit}"
-                )
-            q, rem = divmod(deficit, len(slots))
-            for idx, i in enumerate(slots):
-                reps[i] += (q + 1 if idx < rem else q) * alphas[i]
+        kinds = ("+" if deficit > 0 else "-", "free")
+        slots = [i for i in (range(r) if absorber_index is None else [absorber_index]) if pattern[i] in kinds]
+        if not slots:
+            raise UnsatisfiablePattern(
+                f"no slot can absorb floor-sum deficit {deficit}" if absorber_index is None
+                else f"slot {absorber_index} ({pattern[absorber_index]}) cannot absorb deficit {deficit}"
+            )
+        q, rem = divmod(deficit, len(slots))
+        for idx, i in enumerate(slots):
+            reps[i] += (q + 1 if idx < rem else q) * alphas[i]
 
     return SeifertData(
         s.base_genus,
@@ -245,17 +234,17 @@ def homology(s: SeifertData) -> SnfResult:
     ``x_1 + ... + x_m + e t`` over generators ``a_*, b_*, x_*, t``; the
     ``a_j, b_j`` columns are untouched and contribute free rank ``2g``, so
     only the ``x_*, t`` columns are built and any base genus costs the same.
+    The matrix is held as its at most ``3m + 1`` nonzeros: memory linear in ``m``.
     Rows sorted by ``(alpha_i, beta_i)`` let equal fibers cancel in one step;
     any fiber order or coordinate form of the space gives the same result.
     """
     n = normalize(s)
     m = len(n.fibers)
-    rows = [[0] * (m + 1) for _ in range(m + 1)]
-    for i, (alpha, beta) in enumerate(sorted((f.alpha, f.beta) for f in n.fibers)):
-        rows[i][i], rows[i][-1] = alpha, beta
-        rows[m][i] = 1
-    rows[m][-1] = n.euler
-    r = snf(IntMatrix(m + 1, m + 1, tuple(map(tuple, rows))))
+    rows = [{i: alpha, m: beta} for i, (alpha, beta) in enumerate(sorted((f.alpha, f.beta) for f in n.fibers))]
+    rows.append(dict.fromkeys(range(m), 1))
+    if n.euler:
+        rows[m][m] = n.euler
+    r = _snf(rows, m + 1)
     return SnfResult(r.invariant_factors, r.free_rank + 2 * n.base_genus)
 
 
@@ -283,17 +272,6 @@ class HorizontalFamily(Value):
         init_field(self, "fiber_count", fiber_count)
 
 
-def _remove_fibers(multiset: list[tuple[int, int]], fixed) -> tuple[int, int] | None:
-    """Remove the fixed fibers from a 3-element multiset, returning the rest."""
-    pool = list(multiset)
-    for f in fixed:
-        if f not in pool:
-            return None
-        pool.remove(f)
-    assert len(pool) == 1
-    return pool[0]
-
-
 def horizontal_family(s: SeifertData) -> HorizontalFamily | None:
     """Detect membership in the families admitting low horizontal splittings.
 
@@ -311,13 +289,10 @@ def horizontal_family(s: SeifertData) -> HorizontalFamily | None:
     g, m, e = n.base_genus, len(n.fibers), n.euler
     fibers = sorted((f.alpha, f.beta) for f in n.fibers)
 
-    if g == 0 and m >= 4 and m % 2 == 0 and e == m // 2:
-        halves = fibers.count((2, 1))
-        if halves == m - 1:
-            rest = [f for f in fibers if f != (2, 1)] or [(2, 1)]
-            a, b = rest[0]
-            if a == 2 * b + 1 and b >= 1:
-                return HorizontalFamily("1.1", n=b, fiber_count=m)
+    if g == 0 and m >= 4 and m % 2 == 0 and e == m // 2 and fibers.count((2, 1)) == m - 1:
+        a, b = next(f for f in fibers if f != (2, 1))
+        if a == 2 * b + 1 and b >= 1:
+            return HorizontalFamily("1.1", n=b, fiber_count=m)
 
     if g > 0:
         if m == 0 and e in (1, -1):
@@ -336,11 +311,11 @@ def horizontal_family(s: SeifertData) -> HorizontalFamily | None:
             ("2.2", [(2, 1), (4, 1)], 4),
             ("2.3", [(3, 1), (3, 1)], 3),
         )
+        have = Counter(fibers)
         for family, fixed, coeff in shapes:
-            rest = _remove_fibers(fibers, fixed)
-            if rest is None:
+            if not Counter(fixed) <= have:
                 continue
-            a, b = rest
+            [(a, b)] = have - Counter(fixed)
             if b >= 1 and a == coeff * b + 1:
                 return HorizontalFamily(family, n=b, sign=1)
             if b >= 1 and a == coeff * b - 1:
@@ -412,7 +387,7 @@ class GenusReport(Value):
 
 
 def _tb_status(fibers) -> str:
-    key = tuple(sorted(fibers))
+    key = tuple(sorted((f.alpha, f.beta) for f in fibers))
     if key in _POSITIVE_TRIPLES:
         return "positive"
     if key == _OPEN_TRIPLE:
@@ -463,11 +438,10 @@ def genus_report(s: SeifertData) -> GenusReport:
                 notes="open: whether the horizontal splitting admits a positive diagram is unresolved for m >= 6 with n = 1",
             )
         if fam is not None:
-            fibers = [(f.alpha, f.beta) for f in n.fibers]
             return GenusReport(
                 m - 1, m - 1, m - 1, True, "ThmB_family",
                 horizontal_family=fam,
-                notes=f"horizontal splitting realizes the vertical genus; its positive-diagram status: {_tb_status(fibers)}",
+                notes=f"horizontal splitting realizes the vertical genus; its positive-diagram status: {_tb_status(n.fibers)}",
             )
         return GenusReport(m - 1, m - 1, m - 1, True, "Generic_g0")
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import accumulate, repeat
 from math import gcd
 
-from .diagram import Diagram, diagram_homology, intersection_matrix, is_positive_diagram, rotation_genus
+from .diagram import Diagram, diagram_homology, is_positive_diagram, rotation_genus
 from .errors import BaseGenusUnsupported, CrossingBudgetExceeded, SynthesisInvariantViolation, Value, init_field
 from .seifert import FiberInvariant, SeifertData, denormalize, homology, normalize
 
@@ -77,8 +77,6 @@ def assign_betas(s: SeifertData, plan: ChainPlan) -> tuple[FiberInvariant, ...]:
     the input space.  A chain pattern always has a positive and a negative
     slot, so any floor-sum deficit is absorbable and this never fails.
     """
-    if len(s.fibers) > plan.r:
-        raise ValueError("plan has fewer slots than the space has fibers")
     return denormalize(s, plan.sign_pattern).fibers
 
 
@@ -179,15 +177,14 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
     dg = Diagram(beads, tuple(x_curves), tuple(y_curves), tuple(zip(ids[1:], repeat(1))))
 
     try:
-        got = intersection_matrix(dg)
+        got = dg._index.matrix
     except ValueError as exc:
         raise SynthesisInvariantViolation(f"structural defect: {exc}") from None
-    target = [[bmag[i] * a_e for i in range(beads)]] + [[0] * beads for _ in range(r - 2)]
-    target[0][0] += alphas[0] * b_e
-    for q in range(r - 2):
-        target[1 + q][q] = alphas[q]
-        target[1 + q][q + 1] = alphas[q + 1]
-    if got.entries != tuple(map(tuple, target)):
+    # nonzeros of the intersection matrix, Y_1 then one row per rectangle
+    target = [{i: b * a_e for i, b in enumerate(bmag[:beads]) if b}]
+    target[0][0] = target[0].get(0, 0) + alphas[0] * b_e
+    target += ({q: alphas[q], q + 1: alphas[q + 1]} for q in range(r - 2))
+    if got != target:
         raise SynthesisInvariantViolation("intersection matrix mismatch")
     return dg
 

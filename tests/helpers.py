@@ -153,11 +153,13 @@ def dense_snf(m: IntMatrix) -> SnfResult:
 
 
 def crt_by_scan(pairs):
-    """Solve a congruence system by scanning 0..lcm-1; None if unsolvable."""
+    """Solve a congruence system by scanning 0..lcm-1, stepping through the
+    residue class of the largest modulus; None if unsolvable."""
     lcm = 1
     for _, m in pairs:
         lcm = lcm // gcd(lcm, m) * m
-    for x in range(lcm):
+    r0, m0 = max(pairs, key=lambda pair: pair[1], default=(0, 1))
+    for x in range(r0 % m0, lcm, m0):
         if all((x - r) % m == 0 for r, m in pairs):
             return x, lcm
     return None
@@ -458,3 +460,31 @@ VERB_PAYLOADS = {
     "betastar": {"pairs": [[2, 1], [5, 3]], "lambda": 3},
     "positivize": {"generators": 2, "relators": [[1, -2, 1], [2, 2]]},
 }
+
+
+def remove_fibers(multiset, fixed):
+    """Remove the fixed fibers from a 3-element multiset, returning the rest."""
+    pool = list(multiset)
+    for f in fixed:
+        if f not in pool:
+            return None
+        pool.remove(f)
+    assert len(pool) == 1
+    return pool[0]
+
+
+def tied_family_by_removal(fibers):
+    """``(family, n, sign)`` of the tied horizontal family 2.1-2.3 of the
+    ``g = 0, e = 1`` space with three normalized ``fibers``, or None, found
+    by removing each family's fixed fibers from the list one at a time."""
+    for family, fixed, coeff in (("2.1", [(2, 1), (3, 1)], 6), ("2.2", [(2, 1), (4, 1)], 4),
+                                 ("2.3", [(3, 1), (3, 1)], 3)):
+        rest = remove_fibers(sorted(fibers), fixed)
+        if rest is None:
+            continue
+        a, b = rest
+        if b >= 1 and a == coeff * b + 1:
+            return family, b, 1
+        if b >= 1 and a == coeff * b - 1:
+            return family, b, -1
+    return None

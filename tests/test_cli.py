@@ -188,6 +188,46 @@ def test_non_object_payload_exit_2(tmp_path, capsys):
     assert err == "TypeError: expected a JSON object, got list\n"
 
 
+DEEP = 1100
+
+
+@pytest.mark.parametrize("verb", list(_VERBS))
+@pytest.mark.parametrize("text", [
+    "[" * DEEP + "]" * DEEP,
+    '{"a":' * DEEP + "1" + "}" * DEEP,
+    '{"fibers":' + "[" * DEEP + "]" * DEEP + "}",
+], ids=["array", "object", "fibers"])
+def test_deep_nesting_exit_2(tmp_path, capsys, verb, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code = main([verb, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "ValueError: JSON nesting is too deep\n"
+
+
+# a child process's own peak RSS (KiB on Linux) after one request on stdin
+PEAK_RSS_CHILD = """
+import io, resource, sys
+from sfsdiag.cli import main
+sys.stdout = io.StringIO()
+code = main([sys.argv[1]])
+sys.stderr.write(f"{code} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}")
+"""
+
+
+@pytest.mark.parametrize("verb", ["homology", "diagram-build"])
+def test_many_fibers_in_bounded_memory(verb):
+    # 4,000 fibers 1/2: the relation and intersection matrices are kept as
+    # their nonzeros; filled in densely they peak above 250 MiB
+    payload = {"base_genus": 0, "mode": "normalized", "fibers": [{"alpha": 2, "beta": 1}] * 4000, "euler": 2000}
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD, verb], input=json.dumps(payload),
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    code, peak_kib = proc.stderr.split()
+    assert code == "0"
+    assert int(peak_kib) < 64 * 1024
+
+
 def test_diagram_signs_list_exit_2(tmp_path, capsys):
     payload = {"genus": 1, "x_curves": [[1]], "y_curves": [[1]], "signs": [1]}
     code, out, err = run_with_file(tmp_path, capsys, "diagram-verify", payload)

@@ -9,35 +9,12 @@ from sfsdiag.exactalg import (
     IntMatrix,
     SnfResult,
     crt,
-    ext_gcd,
     floor_sum,
     least_positive_residue,
     snf,
 )
 
 from helpers import crt_by_scan, det, smith_via_minors
-
-
-class TestExtGcd:
-    def test_degenerate_pair(self):
-        assert ext_gcd(0, 0) == (0, 0, 0)
-
-    def test_worked_pair(self):
-        # 6*1 + 4*(-1) = 2, checked by hand
-        assert ext_gcd(6, 4) == (2, 1, -1)
-
-    def test_negative_input(self):
-        g, x, y = ext_gcd(-5, 3)
-        assert g == 1
-        assert -5 * x + 3 * y == 1
-
-    @given(st.integers(min_value=-(2**63), max_value=2**63), st.integers(min_value=-(2**63), max_value=2**63))
-    def test_bezout_identity(self, a, b):
-        g, x, y = ext_gcd(a, b)
-        assert g >= 0
-        assert a * x + b * y == g
-        if g:
-            assert a % g == 0 and b % g == 0
 
 
 class TestCrt:

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -22,7 +23,7 @@ from sfsdiag.seifert import (
     vertical_genus_bound,
 )
 
-from helpers import denormalize_by_cases, det, outcome
+from helpers import denormalize_by_cases, det, outcome, tied_family_by_removal
 
 COPRIME_FIBERS = [(a, b) for a in range(2, 6) for b in range(1, a) if gcd(a, b) == 1]
 WIDE_COPRIME_FIBERS = [(a, b) for a in range(2, 10) for b in range(1, a) if gcd(a, b) == 1]
@@ -320,6 +321,15 @@ class TestBoundsAndFamilies:
 
     def test_family_needs_positive_genus_for_1_2(self):
         assert horizontal_family(SeifertData.normalized(0, [], 1)) is None
+
+    def test_tied_families_match_removal_on_every_small_triple(self):
+        # every multiset of three normalized fibers with alpha <= 13 over the
+        # sphere with e = 1, against removal from a list one fiber at a time
+        fibers = [(a, b) for a in range(2, 14) for b in range(1, a) if gcd(a, b) == 1]
+        for triple in combinations_with_replacement(fibers, 3):
+            fam = horizontal_family(SeifertData.normalized(0, triple, 1))
+            got = None if fam is None else (fam.family, fam.n, fam.sign)
+            assert got == tied_family_by_removal(triple), triple
 
 
 class TestGenusReport:

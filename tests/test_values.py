@@ -156,7 +156,7 @@ def test_checks_still_run_in_the_constructor():
 
 class TestPackage:
     def test_every_exported_name_resolves(self):
-        assert len(sfsdiag.__all__) == 47
+        assert len(sfsdiag.__all__) == 42
         for name in sfsdiag.__all__:
             assert getattr(sfsdiag, name) is not None
         namespace = {}
@@ -169,6 +169,15 @@ class TestPackage:
 
         assert sfsdiag.Diagram is diagram.Diagram
         assert sfsdiag.normalize is seifert.normalize
+
+    def test_internal_helpers_import_from_their_modules_only(self):
+        from sfsdiag import exactalg, presentation
+
+        for module, name in [(exactalg, "crt"), (exactalg, "floor_sum"),
+                             (exactalg, "least_positive_residue"), (presentation, "free_reduce")]:
+            assert name not in sfsdiag.__all__
+            assert callable(getattr(module, name))
+        assert not hasattr(exactalg, "ext_gcd")
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
