@@ -23,7 +23,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from operator import ne
 
 from .errors import Disconnected, IsolatedCurve, NotPositive, Value, init_field, want, want_ints
@@ -31,11 +31,43 @@ from .exactalg import IntMatrix, SnfResult, _snf
 from .presentation import Presentation
 
 
+class PositiveSigns(Value):
+    """The signs ``((1, 1), ..., (d, 1))`` of an all-positive diagram on ids
+    ``1..d``, kept as ``d``: it equals, hashes, prints, iterates and slices
+    as that tuple, and the crossing index reads it without a pass."""
+
+    __slots__ = ("d",)
+
+    def __init__(self, d: int):
+        init_field(self, "d", d)
+
+    def __len__(self):
+        return self.d
+
+    def __iter__(self):
+        return zip(range(1, self.d + 1), repeat(1))
+
+    def __getitem__(self, key):
+        return tuple(self)[key]
+
+    def __eq__(self, other):
+        if isinstance(other, tuple):
+            return len(other) == self.d and tuple(self) == other
+        return super().__eq__(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 class Diagram(Value):
     """Oriented curve systems as cyclic crossing sequences plus signs.
 
-    ``signs`` is kept as a tuple of ``(crossing_id, sign)`` pairs sorted by
-    id so that equal diagrams compare equal and serialize identically.
+    ``signs`` is a tuple of ``(crossing_id, sign)`` pairs sorted by id, or a
+    :class:`PositiveSigns` run that equals, hashes and prints as one, so
+    that equal diagrams compare equal and serialize identically.
     """
 
     __slots__ = ("declared_genus", "x_curves", "y_curves", "signs", "__dict__")
@@ -86,17 +118,22 @@ class Diagram(Value):
         signs = data["signs"]
         if not isinstance(signs, dict):
             raise TypeError(f"signs: expected an object mapping crossing id to sign, got {type(signs).__name__}")
-        try:
-            ids = list(map(int, signs))
-        except ValueError:
-            ids = []
+        # keys "1".."d" in order stay a range, with no parse and no run kept for other ids
+        ids = range(1, len(signs) + 1)
+        if list(signs) != list(map(str, ids)):
+            try:
+                ids = list(map(int, signs))
+            except ValueError:
+                ids = []
         # canonical decimal keys only: int() alone also takes " 1", "+1" and "1_0"
-        if list(map(str, ids)) != list(signs) or not set(map(type, signs.values())) <= {int}:
+        if (type(ids) is list and list(map(str, ids)) != list(signs)) or not set(map(type, signs.values())) <= {int}:
             for k, v in signs.items():
                 if not (k.removeprefix("-").isdecimal() and str(int(k)) == k):
                     raise ValueError(f"$.signs: key {k!r} is not a crossing id")
                 want(v, int, "$.signs[{!r}]", k)
-        return cls(genus, tuple(map(tuple, x_curves)), tuple(map(tuple, y_curves)), tuple(sorted(zip(ids, signs.values()))))
+        values = signs.values()
+        signs = PositiveSigns(len(ids)) if type(ids) is range and set(values) <= {1} else tuple(sorted(zip(ids, values)))
+        return cls(genus, tuple(map(tuple, x_curves)), tuple(map(tuple, y_curves)), signs)
 
 
 class DiagramViolation(Value):
@@ -156,7 +193,7 @@ def _find_violations(dg: Diagram) -> list[DiagramViolation]:
 class _CrossingIndex:
     """The crossings of a valid diagram ranked ``1..d`` by id (``rank`` maps
     id to rank, or is None for ids ``1..d``); per rank the next rank along X
-    and Y as lists, the sign and the X curve as arrays, rank 0 a positive
+    and Y and the X curve as lists, the sign as an array, rank 0 a positive
     dummy whose curves close on themselves; the component count and, per Y
     curve, its nonzero intersection numbers by X curve (the matrix rows)."""
 
@@ -175,21 +212,24 @@ def _ranks(curve, rank, d: int):
 def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
     """Index of diagram data; None on any defect :func:`validate` reports."""
     d = len(signs)
-    values = [v for _, v in signs]
-    plus = values.count(1)
-    if (genus < 0 or not x_curves or not y_curves or plus + values.count(-1) != d
-            or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d):
+    if genus < 0 or not x_curves or not y_curves or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d:
         return None
     idx = _CrossingIndex()
-    idx.positive = plus == d
-    if [c for c, _ in signs] == list(range(1, d + 1)):
-        idx.rank, idx.sign = None, array("b", [1] + values)
-    else:
-        sign_map = dict(signs)
-        if len(sign_map) != d:
+    idx.positive, idx.rank = True, None
+    # a run of positive signs on 1..d is trusted; its curves are checked below
+    if type(signs) is not PositiveSigns:
+        values = [v for _, v in signs]
+        plus = values.count(1)
+        if plus + values.count(-1) != d:
             return None
-        idx.rank = {c: r for r, c in enumerate(sorted(sign_map), start=1)}
-        idx.sign = array("b", [1] + [sign_map[c] for c in idx.rank])
+        idx.positive = plus == d
+        if [c for c, _ in signs] != list(range(1, d + 1)):
+            sign_map = dict(signs)
+            if len(sign_map) != d:
+                return None
+            idx.rank = {c: r for r, c in enumerate(sorted(sign_map), start=1)}
+            values = [sign_map[c] for c in idx.rank]
+    idx.sign = array("b", [1]) * (d + 1) if idx.positive else array("b", [1] + values)
     try:
         x_ranks, y_ranks = ([_ranks(c, idx.rank, d) for c in curves] for curves in (x_curves, y_curves))
     except KeyError:
@@ -205,7 +245,7 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
             y_next[r] = n
     if -1 in x_next or -1 in y_next:
         return None
-    idx.x_next, idx.y_next, idx.x_curve = x_next, y_next, array("i", x_curve)
+    idx.x_next, idx.y_next, idx.x_curve = x_next, y_next, x_curve
 
     gx = len(x_curves)
     rows = []
@@ -242,36 +282,35 @@ def _face_count(idx: _CrossingIndex) -> int:
     A face alternates X and Y edges.  In an all-positive diagram it runs
     X forward, Y backward, X backward, Y forward: the faces are the cycles
     of ``r -> y_next[x_prev[y_prev[x_next[r]]]]``, or of its conjugate by
-    ``x_next``, which maps ``y_next[x_next[w]]`` to ``x_next[y_next[w]]``.
+    ``x_next``, which maps ``y_next[x_next[w]]`` to ``x_next[y_next[w]]``
+    and fixes the commuting squares, where ``x_next`` and ``y_next`` commute.
     Otherwise the squared face permutation runs on the X-darts
     ``2 * rank + e`` (``e`` 1 on arrival along X), each crossing turning
     the face by its sign.  The dummy rank 0 adds one face either way.
     """
     x_next, y_next = idx.x_next, idx.y_next
     if idx.positive:
-        step = [0] * len(x_next)
-        for u, w in zip(map(x_next.__getitem__, y_next), map(y_next.__getitem__, x_next)):
-            step[w] = u
+        src, dst = list(map(y_next.__getitem__, x_next)), list(map(x_next.__getitem__, y_next))
     else:
         x_prev, y_prev = [0] * len(x_next), [0] * len(y_next)
         for r, (xn, yn) in enumerate(zip(x_next, y_next)):
             x_prev[xn] = y_prev[yn] = r
-        sign, step = idx.sign, []
+        sign, dst = idx.sign, []
         for nxt, prv in zip(x_next, x_prev):
             for e, n in ((0, nxt), (1, prv)):
                 via_out = (e == 1) == (sign[n] > 0)
                 m = y_next[n] if via_out else y_prev[n]
-                step.append(2 * m + (via_out != (sign[m] > 0)))
-    # most faces of a diagram are fixed points here; count them in bulk
-    n = len(step)
-    moved = list(compress(range(n), map(ne, step, range(n))))
-    faces, seen = n - len(moved) - 1, set()
-    for start in moved:
-        if start not in seen:
-            faces += 1
-            while start not in seen:
-                seen.add(start)
-                start = step[start]
+                dst.append(2 * m + (via_out != (sign[m] > 0)))
+        src = range(len(dst))
+    # most faces of a diagram are fixed points here; count them in bulk and
+    # pop the cycles of the moved points
+    step = dict(compress(zip(src, dst), map(ne, src, dst)))
+    faces = len(dst) - len(step) - 1
+    while step:
+        start, w = step.popitem()
+        faces += 1
+        while w != start:
+            w = step.pop(w)
     return faces
 
 
@@ -395,7 +434,7 @@ def montesinos_decode(p: PermutationPair) -> Diagram:
     """
     x_curves = tuple(_cycles(p.sigma_x))
     y_curves = tuple(_cycles(p.sigma_y))
-    signs = tuple((c, 1) for c in range(1, p.degree + 1))
+    signs = PositiveSigns(p.degree)
     if not p.degree:
         return Diagram(0, x_curves, y_curves, signs)
     index = _crossing_index(0, x_curves, y_curves, signs)

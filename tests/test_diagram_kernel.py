@@ -12,7 +12,9 @@ from sfsdiag import diagram
 from sfsdiag.diagram import (
     Diagram,
     PermutationPair,
+    PositiveSigns,
     _crossing_index,
+    _CrossingIndex,
     _face_count,
     diagram_presentation,
     intersection_matrix,
@@ -156,13 +158,56 @@ def test_built_diagrams_match_dict_tracer(fibers, euler):
 )
 @settings(max_examples=40, deadline=None)
 def test_positive_and_signed_face_walks_agree(fibers, euler):
+    check_face_walks_agree(build_positive_vertical(SeifertData.normalized(0, fibers, euler)))
+
+
+def check_face_walks_agree(dg):
     # the signed walk runs on 2d X-darts and handles +1 crossings too
-    dg = build_positive_vertical(SeifertData.normalized(0, fibers, euler))
     idx = _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs)
     assert idx.positive
     faces = _face_count(idx)
     idx.positive = False
     assert _face_count(idx) == faces
+
+
+@st.composite
+def decoded_pairs(draw):
+    """Positive diagrams decoded from random permutation pairs of degree 1..60."""
+    d = draw(st.integers(1, 60))
+    sx, sy = (tuple(draw(st.permutations(range(1, d + 1)))) for _ in "xy")
+    return montesinos_decode(PermutationPair(d, sx, sy))
+
+
+@given(decoded_pairs())
+@settings(max_examples=60, deadline=None)
+def test_positive_and_signed_face_walks_agree_on_decoded_pairs(dg):
+    # unlike in builds, most ranks of a random pair move under the face step
+    check_face_walks_agree(dg)
+    assert _face_count(dg._index) == dict_face_count([c for c, _ in dg.signs], dg)
+
+
+def check_index_parity(dg):
+    """Every slot of the index read off a run equals the one the tuple path builds."""
+    assert type(dg.signs) is PositiveSigns
+    d = dg.crossing_count
+    run = _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, PositiveSigns(d))
+    tup = _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, tuple(PositiveSigns(d)))
+    assert {s: getattr(run, s) for s in _CrossingIndex.__slots__} == {s: getattr(tup, s) for s in _CrossingIndex.__slots__}
+
+
+@given(
+    st.lists(st.sampled_from(COPRIME_FIBERS), min_size=0, max_size=6),
+    st.integers(-6, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_index_of_a_built_run_matches_the_tuple_path(fibers, euler):
+    check_index_parity(build_positive_vertical(SeifertData.normalized(0, fibers, euler)))
+
+
+@given(decoded_pairs())
+@settings(max_examples=60, deadline=None)
+def test_index_of_a_decoded_run_matches_the_tuple_path(dg):
+    check_index_parity(dg)
 
 
 def test_large_built_diagram_matches_dict_tracer():
@@ -200,7 +245,23 @@ INVALID = [
      "invalid diagram: DuplicateSign: crossing 1 appears 2 times"),
     (Diagram(1, ((2, 5),), ((5, 2),), ((2, 1), (2, 1), (5, 1))),
      "invalid diagram: DuplicateSign: crossing 2 appears 2 times"),
+    # a run of positive signs is trusted, its curves are not
+    (Diagram(1, ((1, 1),), ((1, 2),), PositiveSigns(2)),
+     "invalid diagram: DuplicateOnX: crossing 1 appears 2 times"),
+    (Diagram(1, ((1, 3),), ((3, 1),), PositiveSigns(2)),
+     "invalid diagram: MissingSign: crossing 3 has no sign"),
+    (Diagram(1, ((0, 1),), ((1, 0),), PositiveSigns(2)),
+     "invalid diagram: MissingSign: crossing 0 has no sign"),
+    (Diagram(1, ((1,),), ((1, 2),), PositiveSigns(2)),
+     "invalid diagram: MissingFromX: crossing 2 is only on a Y curve"),
 ]
+
+
+@pytest.mark.parametrize("dg,message", INVALID)
+def test_error_is_the_first_violation(dg, message):
+    first = validate(dg)[0]
+    assert message == f"invalid diagram: {first.code}: {first.message}"
+    assert _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs) is None
 
 
 @pytest.mark.parametrize("dg,message", INVALID)

@@ -22,9 +22,10 @@ from sfsdiag import (
     Presentation,
     SeifertData,
     SnfResult,
+    build_positive_vertical,
     rotation_genus,
 )
-from sfsdiag.diagram import DiagramViolation
+from sfsdiag.diagram import DiagramViolation, PositiveSigns
 
 from helpers import SRC, VERB_PAYLOADS
 
@@ -141,6 +142,81 @@ def test_a_diagram_pickles_after_its_index_is_cached():
     twin = pickle.loads(pickle.dumps(dg))
     assert twin == dg and rotation_genus(twin) == 1
     assert copy.deepcopy(dg) == dg
+
+
+@pytest.fixture(scope="module")
+def large_built():
+    dg = build_positive_vertical(SeifertData.normalized(0, [(59, 37), (53, 29), (47, 31)], -3))
+    assert dg.crossing_count > 10_000 and type(dg.signs) is PositiveSigns
+    return dg
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 5, 53, "built"])
+def test_a_positive_run_acts_as_the_tuple_it_stands_for(d, request):
+    run = request.getfixturevalue("large_built").signs if d == "built" else PositiveSigns(d)
+    d = len(run)
+    twin = tuple((c, 1) for c in range(1, d + 1))
+    assert run == twin and twin == run and not run != twin and not twin != run
+    assert hash(run) == hash(twin) and repr(run) == repr(twin) == str(run)
+    assert len(run) == len(twin) and list(run) == list(twin) and tuple(run) == twin
+    for i in {0, 1, d // 2, d - 1, -1, -d} & set(range(-d, d)):
+        assert run[i] == twin[i]
+    for i in (d, -d - 1):
+        with pytest.raises(IndexError):
+            run[i]
+    for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1), slice(2, d // 2, 3)):
+        assert type(run[cut]) is tuple and run[cut] == twin[cut]
+    with pytest.raises(AttributeError):
+        run.d = d + 1
+    copies = [pickle.loads(pickle.dumps(run, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in (*copies, copy.copy(run), copy.deepcopy(run)):
+        assert type(copied) is PositiveSigns and copied == run and copied == twin
+        assert hash(copied) == hash(twin) and repr(copied) == repr(twin)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 53])
+def test_a_positive_run_differs_from_other_signs(d):
+    run, twin = PositiveSigns(d), tuple(PositiveSigns(d))
+    for other in (PositiveSigns(d - 1), PositiveSigns(d + 1), twin[:-1], twin + ((d + 1, 1),),
+                  ((0, 1), *twin[1:]), list(twin), [*map(list, twin)], d, None):
+        assert run != other and other != run and not run == other
+    for i in range(d):
+        flipped = (*twin[:i], (i + 1, -1), *twin[i + 1:])
+        assert run != flipped and flipped != run
+
+
+def test_a_built_diagram_equals_its_tuple_signs_twin(large_built):
+    dg = large_built
+    decoded = Diagram.from_json(dg.to_json())
+    assert type(decoded.signs) is PositiveSigns
+    for twin in (Diagram(dg.declared_genus, dg.x_curves, dg.y_curves, tuple(dg.signs)), decoded):
+        assert twin == dg and dg == twin and not twin != dg
+        assert hash(twin) == hash(dg) and repr(twin) == repr(dg)
+        assert twin.to_json() == dg.to_json()
+    assert decoded.sign_map == dict.fromkeys(range(1, dg.crossing_count + 1), 1)
+
+
+@pytest.mark.parametrize("signs,positive", [
+    ({}, True), ({"1": 1}, True), ({"1": 1, "2": 1, "3": 1}, True),
+    ({"2": 1, "1": 1}, False), ({"1": 1, "2": -1}, False), ({"0": 1}, False), ({"1": 1, "3": 1}, False),
+    ({"-1": 1}, False), ({"1": 2}, False),
+])
+def test_the_reader_keeps_a_run_for_positive_signs_on_one_to_d(signs, positive):
+    dg = Diagram.from_json({"genus": 0, "x_curves": [[1]], "y_curves": [[1]], "signs": signs})
+    assert (type(dg.signs) is PositiveSigns) == positive
+    assert dg.signs == tuple(sorted((int(k), v) for k, v in signs.items()))
+
+
+@pytest.mark.parametrize("signs,message", [
+    ({"1": True}, "$.signs['1']: expected integer, got boolean"),
+    ({"1": 1.0}, "$.signs['1']: expected integer, got float"),
+    ({"1": 1, "2": True}, "$.signs['2']: expected integer, got boolean"),
+    ({"1": 1, "2": "1"}, "$.signs['2']: expected integer, got string"),
+])
+def test_the_reader_checks_sign_types_before_the_run(signs, message):
+    with pytest.raises(TypeError) as exc:
+        Diagram.from_json({"genus": 0, "x_curves": [[1]], "y_curves": [[1]], "signs": signs})
+    assert str(exc.value) == message
 
 
 def test_checks_still_run_in_the_constructor():
