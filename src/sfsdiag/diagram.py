@@ -48,7 +48,8 @@ class PositiveSigns(Value):
         return zip(range(1, self.d + 1), repeat(1))
 
     def __getitem__(self, key):
-        return tuple(self)[key]
+        ids = range(1, self.d + 1)[key]
+        return tuple(zip(ids, repeat(1))) if type(key) is slice else (ids, 1)
 
     def __eq__(self, other):
         if isinstance(other, tuple):
@@ -118,22 +119,17 @@ class Diagram(Value):
         signs = data["signs"]
         if not isinstance(signs, dict):
             raise TypeError(f"signs: expected an object mapping crossing id to sign, got {type(signs).__name__}")
-        # keys "1".."d" in order stay a range, with no parse and no run kept for other ids
-        ids = range(1, len(signs) + 1)
-        if list(signs) != list(map(str, ids)):
-            try:
-                ids = list(map(int, signs))
-            except ValueError:
-                ids = []
+        try:
+            ids = list(map(int, signs))
+        except ValueError:
+            ids = []
         # canonical decimal keys only: int() alone also takes " 1", "+1" and "1_0"
-        if (type(ids) is list and list(map(str, ids)) != list(signs)) or not set(map(type, signs.values())) <= {int}:
+        if list(map(str, ids)) != list(signs) or not set(map(type, signs.values())) <= {int}:
             for k, v in signs.items():
                 if not (k.removeprefix("-").isdecimal() and str(int(k)) == k):
                     raise ValueError(f"$.signs: key {k!r} is not a crossing id")
                 want(v, int, "$.signs[{!r}]", k)
-        values = signs.values()
-        signs = PositiveSigns(len(ids)) if type(ids) is range and set(values) <= {1} else tuple(sorted(zip(ids, values)))
-        return cls(genus, tuple(map(tuple, x_curves)), tuple(map(tuple, y_curves)), signs)
+        return cls(genus, tuple(map(tuple, x_curves)), tuple(map(tuple, y_curves)), tuple(sorted(zip(ids, signs.values()))))
 
 
 class DiagramViolation(Value):
