@@ -196,17 +196,9 @@ class _CrossingIndex:
     __slots__ = ("rank", "sign", "positive", "x_next", "y_next", "x_curve", "components", "matrix")
 
 
-def _ranks(curve, rank, d: int):
-    """Ranks of a curve's crossings; KeyError if one is not a signed id."""
-    if rank is None:
-        if curve and (min(curve) < 1 or max(curve) > d):
-            raise KeyError(curve)
-        return curve
-    return [rank[c] for c in curve]
-
-
 def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
-    """Index of diagram data; None on any defect :func:`validate` reports."""
+    """Index of diagram data; None on any defect :func:`validate` reports.  Ids ``1..d`` are
+    their own ranks, range-checked once per side after the fill; one above ``d`` fails to index."""
     d = len(signs)
     if genus < 0 or not x_curves or not y_curves or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d:
         return None
@@ -226,22 +218,22 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
             idx.rank = {c: r for r, c in enumerate(sorted(sign_map), start=1)}
             values = [sign_map[c] for c in idx.rank]
     idx.sign = array("b", [1]) * (d + 1) if idx.positive else array("b", [1] + values)
+    # the d listed ranks are distinct iff no slot keeps its -1; a negative id is also some successor
+    idx.x_next, idx.y_next, idx.x_curve = x_next, y_next, x_curve = [0] + [-1] * d, [0] + [-1] * d, [0] * (d + 1)
     try:
-        x_ranks, y_ranks = ([_ranks(c, idx.rank, d) for c in curves] for curves in (x_curves, y_curves))
-    except KeyError:
+        x_ranks, y_ranks = (curves if idx.rank is None else [[idx.rank[c] for c in curve] for curve in curves]
+                            for curves in (x_curves, y_curves))
+        for ci, rs in enumerate(x_ranks):
+            for r, n in zip(rs, rs[1:] + rs[:1]):
+                x_next[r] = n
+                x_curve[r] = ci
+        for rs in y_ranks:
+            for r, n in zip(rs, rs[1:] + rs[:1]):
+                y_next[r] = n
+    except (IndexError, KeyError, TypeError):
         return None
-    # with d ranks listed in all, each occurs once iff each has a successor
-    x_next, y_next, x_curve = [0] + [-1] * d, [0] + [-1] * d, [0] * (d + 1)
-    for ci, rs in enumerate(x_ranks):
-        for r, n in zip(rs, rs[1:] + rs[:1]):
-            x_next[r] = n
-            x_curve[r] = ci
-    for rs in y_ranks:
-        for r, n in zip(rs, rs[1:] + rs[:1]):
-            y_next[r] = n
-    if -1 in x_next or -1 in y_next:
+    if min(x_next) < 0 or min(y_next) < 0:
         return None
-    idx.x_next, idx.y_next, idx.x_curve = x_next, y_next, x_curve
 
     gx = len(x_curves)
     rows = []
@@ -347,10 +339,8 @@ def diagram_presentation(dg: Diagram) -> Presentation:
     """
     idx = dg._index
     letter = [s * (i + 1) for s, i in zip(idx.sign, idx.x_curve)]
-    relators = tuple(
-        tuple(map(letter.__getitem__, _ranks(curve, idx.rank, len(letter) - 1)))
-        for curve in dg.y_curves
-    )
+    relators = tuple(tuple(map(letter.__getitem__, curve if idx.rank is None else map(idx.rank.__getitem__, curve)))
+                     for curve in dg.y_curves)
     return Presentation(len(dg.x_curves), relators)
 
 

@@ -9,6 +9,7 @@ depends on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from itertools import compress
 from math import gcd, prod
@@ -143,9 +144,7 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
     operations reduce the pivot row modulo the pivot and touch no other row.
     Remainders, all below the pivot, move it to the shortest row after a row
     pass or the shortest column after a column pass, ties to the least.  A
-    pivot alone in its row and column joins the ascending divisibility chain
-    by gcd/lcm exchanges from the top that skip runs of equal factors and
-    stop once a 1 passes down; a pivot of 1 goes straight to the bottom.
+    pivot alone in its row and column joins the chain by :func:`_join`.
     """
     rows, cols = {}, {}
     for i, row in enumerate(nonzeros):
@@ -206,13 +205,18 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
             if best is None:
                 break
             c = move
-        d, i = abs(p), len(chain)
-        while d != 1 and i:
-            i -= 1
-            g = gcd(x := chain[i], d)
-            chain[i], d = x // g * d, g
-            while i and chain[i - 1] == x:
-                i -= 1
-        chain.insert(0, d)
+        _join(chain, abs(p))
         del rows[r], cols[c]
     return SnfResult(tuple(chain), ncols - len(chain))
+
+
+def _join(chain: list[int], d: int) -> None:
+    """Join the factor ``d >= 1`` to the ascending divisibility ``chain`` in place: gcd/lcm
+    exchanges from the top, one ``bisect_left`` past each run of equal factors (they pass
+    the gcd on unchanged), until a 1 passes down; the last gcd goes to the bottom."""
+    i = len(chain)
+    while d != 1 and i:
+        g = gcd(x := chain[i - 1], d)
+        chain[i - 1], d = x // g * d, g
+        i = bisect_left(chain, x, 0, i - 1)
+    chain.insert(0, d)

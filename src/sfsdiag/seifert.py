@@ -21,7 +21,7 @@ from collections import Counter
 from math import gcd
 
 from .errors import InvalidInvariant, UnsatisfiablePattern, Value, init_field, want
-from .exactalg import SnfResult, _snf, floor_sum, least_positive_residue
+from .exactalg import SnfResult, _join, _snf, floor_sum, least_positive_residue
 from .presentation import Presentation
 
 
@@ -234,18 +234,27 @@ def homology(s: SeifertData) -> SnfResult:
     ``x_1 + ... + x_m + e t`` over generators ``a_*, b_*, x_*, t``; the
     ``a_j, b_j`` columns are untouched and contribute free rank ``2g``, so
     only the ``x_*, t`` columns are built and any base genus costs the same.
-    The matrix is held as its at most ``3m + 1`` nonzeros: memory linear in ``m``.
-    Rows sorted by ``(alpha_i, beta_i)`` let equal fibers cancel in one step;
-    any fiber order or coordinate form of the space gives the same result.
+    ``k`` equal fibers ``(alpha, beta)`` on ``x_1..x_k`` reduce, by ``y_j = x_j - x_1``,
+    row ``j`` minus row 1 and ``z = y_2 + ... + y_k``, to the row ``alpha x_1 + beta t``,
+    for ``k >= 2`` a row ``alpha z`` with ``k x_1 + z`` in the sum row, and ``k - 2``
+    summands ``Z/alpha`` joined after: at most ``2 kinds + 1`` rows, in ``(alpha, beta)`` order.
     """
     n = normalize(s)
-    m = len(n.fibers)
-    rows = [{i: alpha, m: beta} for i, (alpha, beta) in enumerate(sorted((f.alpha, f.beta) for f in n.fibers))]
-    rows.append(dict.fromkeys(range(m), 1))
-    if n.euler:
-        rows[m][m] = n.euler
-    r = _snf(rows, m + 1)
-    return SnfResult(r.invariant_factors, r.free_rank + 2 * n.base_genus)
+    kinds = sorted(Counter((f.alpha, f.beta) for f in n.fibers).items())
+    rows, total = [], {}  # column 0 is t
+    for (alpha, beta), k in kinds:
+        total[x := len(total) + 1] = k
+        rows.append({x: alpha, 0: beta})
+        if k > 1:
+            total[x + 1] = 1
+            rows.append({x + 1: alpha})
+    rows.append({**total, 0: n.euler} if n.euler else total)
+    r = _snf(rows, len(total) + 1)
+    chain = list(r.invariant_factors)
+    for (alpha, _), k in kinds:
+        for _ in range(k - 2):
+            _join(chain, alpha)
+    return SnfResult(tuple(chain), r.free_rank + 2 * n.base_genus)
 
 
 def vertical_genus_bound(s: SeifertData) -> int:

@@ -147,17 +147,18 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
     ids = list(range(d + 1))
     x_curves = []
     for i in range(beads):
+        # horizontal strand k ends on rectangle i (right) and i-1 (left), met in travel order
+        ends = ids[c0[i]:c0[i] + alphas[i]] if i <= r - 3 else [], ids[c0[i] - alphas[i]:c0[i]] if i else []
+        first, last = ends if hdirs[i] > 0 else ends[::-1]
         seq: list[int] = []
         for kind, k in _strand_cycle(alphas[i], bmag[i], hdirs[i]):
             if kind == "v":
                 seq.extend(ids[a0[i] + k * a_e:a0[i] + (k + 1) * a_e])
                 continue
-            # rectangle ends on the right and on the left, met in travel order
-            ends = [ids[c0[i] + k]] if i <= r - 3 else [], [ids[c0[i - 1] + alphas[i - 1] + k]] if i >= 1 else []
-            seq.extend(ends[hdirs[i] < 0])
+            seq.extend(first[k:k + 1])
             if i == 0:
                 seq.extend(ids[b0 + k * b_e:b0 + (k + 1) * b_e])
-            seq.extend(ends[hdirs[i] > 0])
+            seq.extend(last[k:k + 1])
         x_curves.append(tuple(seq))
 
     # a chain pass meets the fiber strands of X_{r-1}, ..., X_1 in turn,

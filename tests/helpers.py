@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: determinants use
 Bareiss elimination, Smith data is recomputed from gcds of k-minors or
-by dense elimination with a global pivot rescan, congruences are checked
+by dense elimination with a global pivot rescan (the filling relations
+of a space are built in full, one row per fiber), congruences are checked
 by exhaustive scan, and forced rotation genera are traced over
 ``(crossing, slot)`` darts with dict successor maps and a union-find over
 the crossings; chain diagrams are assembled through per-family id dicts,
@@ -150,6 +151,19 @@ def dense_snf(m: IntMatrix) -> SnfResult:
                     changed = True
     diag.sort()
     return SnfResult(tuple(diag), m.cols - len(diag))
+
+
+def relation_matrix(s: SeifertData) -> IntMatrix:
+    """Rows ``alpha_i x_i + beta_i t`` and ``x_1 + ... + x_m + e t`` over
+    ``a_*, b_*, x_*, t``: the full filling-relation matrix of normalized
+    ``s``, one row and one column per fiber, which ``homology`` reduces
+    per fiber kind."""
+    g, m = s.base_genus, len(s.fibers)
+    rows = []
+    for i, f in enumerate(s.fibers):
+        rows.append([0] * (2 * g + i) + [f.alpha] + [0] * (m - 1 - i) + [f.beta])
+    rows.append([0] * (2 * g) + [1] * m + [s.euler])
+    return IntMatrix(m + 1, 2 * g + m + 1, tuple(map(tuple, rows)))
 
 
 def crt_by_scan(pairs):

@@ -255,6 +255,21 @@ INVALID = [
     (Diagram(1, ((1,),), ((1, 2),), PositiveSigns(2)),
      "invalid diagram: MissingFromX: crossing 2 is only on a Y curve"),
 ]
+# ids that are not ranks 1..d, under a run and under the tuple it stands for;
+# -1 indexes the last slot and -2 the missing slot 2, so no slot is left
+# unfilled and only their places as successors give them away
+INVALID += [
+    (Diagram(1, (x,), (y,), signs), "invalid diagram: " + message)
+    for x, y, d, message in [
+        ((1.5, 1), (1.5, 1), 2, "MissingSign: crossing 1.5 has no sign"),
+        ((1, 2, -1), (1, 2, 3), 3, "MissingFromY: crossing -1 is only on an X curve"),
+        ((1, 3, -2), (1, 2, 3), 3, "MissingFromY: crossing -2 is only on an X curve"),
+        ((1, 2, 3), (0, 1, 2), 3, "MissingFromY: crossing 3 is only on an X curve"),
+        ((1, 2, 4), (1, 2, 4), 3, "MissingSign: crossing 4 has no sign"),
+        ((1, 2, 3), (1, 3, 3), 3, "DuplicateOnY: crossing 3 appears 2 times"),
+    ]
+    for signs in (PositiveSigns(d), tuple(PositiveSigns(d)))
+]
 
 
 @pytest.mark.parametrize("dg,message", INVALID)

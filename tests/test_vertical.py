@@ -151,23 +151,35 @@ class TestSynthesize:
 
 
 @st.composite
-def sphere_spaces(draw):
-    """Sphere-base spaces with up to 8 fibers (fewer than 3 are padded)."""
+def sphere_spaces(draw, m_range=(0, 8), max_alpha=60):
+    """Sphere-base spaces with ``m_range`` fibers (fewer than 3 are padded)."""
     fibers = []
-    for _ in range(draw(st.integers(0, 8))):
-        a = draw(st.integers(2, 60))
+    for _ in range(draw(st.integers(*m_range))):
+        a = draw(st.integers(2, max_alpha))
         fibers.append((a, draw(st.sampled_from([b for b in range(1, a) if gcd(a, b) == 1]))))
     return SeifertData.normalized(0, fibers, draw(st.integers(-5, 5)))
 
 
-@given(sphere_spaces())
-@settings(max_examples=150, deadline=None)
-def test_synthesis_matches_dict_assembly(s):
+def check_synthesis_matches_dict_assembly(s):
     n = normalize(s)
     plan = plan_decomposition(len(n.fibers))
     betas = assign_betas(n, plan)
     got = json.dumps(synthesize_diagram(plan, betas).to_json())
     assert got == json.dumps(dict_synthesize(plan, betas).to_json())
+
+
+@given(sphere_spaces())
+@settings(max_examples=150, deadline=None)
+def test_synthesis_matches_dict_assembly(s):
+    check_synthesis_matches_dict_assembly(s)
+
+
+@given(sphere_spaces((100, 140), 7))
+@settings(max_examples=10, deadline=None)
+def test_wide_synthesis_matches_dict_assembly(s):
+    """100-140 fibers with alpha 2-7, as ``build-wide`` draws them: most
+    X curves meet a rectangle on either side."""
+    check_synthesis_matches_dict_assembly(s)
 
 
 class TestBuild:
