@@ -130,8 +130,6 @@ def _adjust_for_prime(pairs, p: int):
     betas = [b for _, b in pairs]
     alphas = [a for a, _ in pairs]
     hit = [i for i in range(len(pairs)) if betas[i] % p == 0]
-    if not hit:
-        return tuple(betas)
     if len(hit) == 1:
         i = hit[0]
         others = [j for j in range(len(pairs)) if j != i]
@@ -147,21 +145,13 @@ def _adjust_for_prime(pairs, p: int):
             betas[i] -= alphas[i]
             betas[j] += alphas[j]
         return tuple(betas)
-    if len(hit) % 2 == 0:
-        half = len(hit) // 2
-        for i in hit[:half]:
-            betas[i] += alphas[i]
-        for i in hit[half:]:
-            betas[i] -= alphas[i]
-        return tuple(betas)
-    # odd count > 1: one slot takes a double step up, the rest balance it
-    first, rest = hit[0], hit[1:]
-    up = (len(hit) - 3) // 2
-    betas[first] += 2 * alphas[first]
-    for i in rest[:up]:
-        betas[i] += alphas[i]
-    for i in rest[up:]:
-        betas[i] -= alphas[i]
+    # the first half step up and the rest down; an odd count leaves one step
+    # down over, which the first slot balances by a second step up
+    half = len(hit) // 2
+    for n, i in enumerate(hit):
+        betas[i] += alphas[i] if n < half else -alphas[i]
+    if len(hit) % 2:
+        betas[hit[0]] += alphas[hit[0]]
     return tuple(betas)
 
 

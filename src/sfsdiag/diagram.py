@@ -27,7 +27,7 @@ from itertools import compress, repeat
 from operator import ne
 
 from .errors import Disconnected, IsolatedCurve, NotPositive, Value, init_field, want, want_ints
-from .exactalg import IntMatrix, SnfResult, _snf
+from .exactalg import SnfResult, _snf
 from .presentation import Presentation
 
 
@@ -187,13 +187,13 @@ def _find_violations(dg: Diagram) -> list[DiagramViolation]:
 
 
 class _CrossingIndex:
-    """The crossings of a valid diagram ranked ``1..d`` by id (``rank`` maps
-    id to rank, or is None for ids ``1..d``); per rank the next rank along X
-    and Y and the X curve as lists, the sign as an array, rank 0 a positive
-    dummy whose curves close on themselves; the component count and, per Y
-    curve, its nonzero intersection numbers by X curve (the matrix rows)."""
+    """The crossings of a valid diagram ranked ``1..d`` by id, and its Y curves
+    as ranks (``y_ranks``, the curves themselves for ids ``1..d``); per rank the
+    next rank along X and Y and the X curve as lists, the sign as an array, rank
+    0 a positive dummy whose curves close on themselves; the component count
+    and, per Y curve, its nonzero intersection numbers by X curve (the matrix rows)."""
 
-    __slots__ = ("rank", "sign", "positive", "x_next", "y_next", "x_curve", "components", "matrix")
+    __slots__ = ("y_ranks", "sign", "positive", "x_next", "y_next", "x_curve", "components", "matrix")
 
 
 def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
@@ -203,7 +203,7 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
     if genus < 0 or not x_curves or not y_curves or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d:
         return None
     idx = _CrossingIndex()
-    idx.positive, idx.rank = True, None
+    idx.positive, rank = True, None
     # a run of positive signs on 1..d is trusted; its curves are checked below
     if type(signs) is not PositiveSigns:
         values = [v for _, v in signs]
@@ -215,19 +215,19 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
             sign_map = dict(signs)
             if len(sign_map) != d:
                 return None
-            idx.rank = {c: r for r, c in enumerate(sorted(sign_map), start=1)}
-            values = [sign_map[c] for c in idx.rank]
+            rank = {c: r for r, c in enumerate(sorted(sign_map), start=1)}
+            values = [sign_map[c] for c in rank]
     idx.sign = array("b", [1]) * (d + 1) if idx.positive else array("b", [1] + values)
     # the d listed ranks are distinct iff no slot keeps its -1; a negative id is also some successor
     idx.x_next, idx.y_next, idx.x_curve = x_next, y_next, x_curve = [0] + [-1] * d, [0] + [-1] * d, [0] * (d + 1)
     try:
-        x_ranks, y_ranks = (curves if idx.rank is None else [[idx.rank[c] for c in curve] for curve in curves]
-                            for curves in (x_curves, y_curves))
+        x_ranks, idx.y_ranks = (curves if rank is None else [[rank[c] for c in curve] for curve in curves]
+                                for curves in (x_curves, y_curves))
         for ci, rs in enumerate(x_ranks):
             for r, n in zip(rs, rs[1:] + rs[:1]):
                 x_next[r] = n
                 x_curve[r] = ci
-        for rs in y_ranks:
+        for rs in idx.y_ranks:
             for r, n in zip(rs, rs[1:] + rs[:1]):
                 y_next[r] = n
     except (IndexError, KeyError, TypeError):
@@ -249,7 +249,7 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
     # curve i, so max(i, ~i) is the curve): the matrix row of a positive
     # diagram; union-find joins X curve i and Y curve j that cross
     letter = x_curve if idx.positive else [i if s > 0 else ~i for i, s in zip(x_curve, idx.sign)]
-    for j, rs in enumerate(y_ranks):
+    for j, rs in enumerate(idx.y_ranks):
         row = Counter(map(letter.__getitem__, rs))
         for i in row:
             parent[find(max(i, ~i))] = find(gx + j)
@@ -339,16 +339,7 @@ def diagram_presentation(dg: Diagram) -> Presentation:
     """
     idx = dg._index
     letter = [s * (i + 1) for s, i in zip(idx.sign, idx.x_curve)]
-    relators = tuple(tuple(map(letter.__getitem__, curve if idx.rank is None else map(idx.rank.__getitem__, curve)))
-                     for curve in dg.y_curves)
-    return Presentation(len(dg.x_curves), relators)
-
-
-def intersection_matrix(dg: Diagram) -> IntMatrix:
-    """Algebraic intersection matrix: entry ``(j, i)`` sums the signs of
-    the crossings of Y curve ``j`` with X curve ``i``."""
-    gx = len(dg.x_curves)
-    return IntMatrix(len(dg.y_curves), gx, tuple(tuple(row.get(i, 0) for i in range(gx)) for row in dg._index.matrix))
+    return Presentation(len(dg.x_curves), tuple(tuple(map(letter.__getitem__, rs)) for rs in idx.y_ranks))
 
 
 def diagram_homology(dg: Diagram) -> SnfResult:
@@ -357,17 +348,21 @@ def diagram_homology(dg: Diagram) -> SnfResult:
 
 
 class PermutationPair(Value):
-    """Successor permutations along X and along Y on crossings 1..d."""
+    """Successor permutations along X and along Y on crossings ``1..degree``."""
 
-    __slots__ = ("degree", "sigma_x", "sigma_y")
+    __slots__ = ("sigma_x", "sigma_y")
 
-    def __init__(self, degree: int, sigma_x: tuple[int, ...], sigma_y: tuple[int, ...]):
+    def __init__(self, sigma_x: tuple[int, ...], sigma_y: tuple[int, ...]):
+        ids = list(range(1, len(sigma_x) + 1))
         for name, sigma in (("sigma_x", sigma_x), ("sigma_y", sigma_y)):
-            if len(sigma) != degree or sorted(sigma) != list(range(1, degree + 1)):
-                raise ValueError(f"{name} is not a permutation of 1..{degree}")
-        init_field(self, "degree", degree)
+            if sorted(sigma) != ids:
+                raise ValueError(f"{name} is not a permutation of 1..{len(ids)}")
         init_field(self, "sigma_x", sigma_x)
         init_field(self, "sigma_y", sigma_y)
+
+    @property
+    def degree(self) -> int:
+        return len(self.sigma_x)
 
     def to_json(self) -> dict:
         return {
@@ -381,7 +376,9 @@ class PermutationPair(Value):
         sx = tuple(want_ints(data["sigma_x"], "$.sigma_x"))
         sy = tuple(want_ints(data["sigma_y"], "$.sigma_y"))
         degree = want(data.get("degree", len(sx)), int, "$.degree")
-        return cls(degree, sx, sy)
+        if degree != len(sx):
+            raise ValueError(f"sigma_x is not a permutation of 1..{degree}")
+        return cls(sx, sy)
 
 
 def montesinos_encode(dg: Diagram) -> PermutationPair:
@@ -394,7 +391,7 @@ def montesinos_encode(dg: Diagram) -> PermutationPair:
     if not idx.positive:
         raise NotPositive("the permutation encoding needs an all-positive diagram")
     sigma_x, sigma_y = (tuple(nxt[1:]) for nxt in (idx.x_next, idx.y_next))
-    return PermutationPair(len(idx.sign) - 1, sigma_x, sigma_y)
+    return PermutationPair(sigma_x, sigma_y)
 
 
 def _cycles(sigma: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -1,5 +1,5 @@
-"""Exact integer primitives: congruence solving, least positive residues,
-floor sums, and Smith normal form.
+"""Exact integer primitives: congruence solving, floor sums, and Smith
+normal form.
 
 Everything works with arbitrary-precision Python integers; nothing in the
 package has an overflow contract.  Floors are always toward minus infinity
@@ -39,18 +39,6 @@ def crt(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return res, mod
 
 
-def least_positive_residue(b: int, a: int) -> int:
-    """The unique integer in ``[1, a]`` congruent to ``b`` modulo ``a >= 1``.
-
-    When ``a > 1`` and ``gcd(b, a) = 1`` the result lands in ``(0, a)``; the
-    value ``a`` itself only appears for ``a = 1`` or non-coprime inputs.
-    """
-    if a < 1:
-        raise ValueError(f"modulus must be >= 1, got {a}")
-    r = b % a
-    return a if r == 0 else r
-
-
 def floor_sum(fractions: Iterable[tuple[int, int]]) -> int:
     """Sum of ``floor(beta/alpha)`` over ``(beta, alpha)`` pairs, ``alpha >= 1``."""
     total = 0
@@ -62,21 +50,23 @@ def floor_sum(fractions: Iterable[tuple[int, int]]) -> int:
 
 
 class IntMatrix(Value):
-    """An ``int`` matrix as row tuples; ``from_rows`` and :func:`snf` refuse other entries."""
+    """An ``int`` matrix as ``rows`` tuples of ``cols`` entries; ``from_rows`` and :func:`snf`
+    refuse other entries."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
-        if rows < 0 or cols < 0:
+    def __init__(self, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != rows:
-            raise ValueError("row count does not match entries")
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged matrix rows")
-        init_field(self, "rows", rows)
         init_field(self, "cols", cols)
         init_field(self, "entries", entries)
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -85,7 +75,7 @@ class IntMatrix(Value):
             if not data:
                 raise ValueError("cols is required for an empty matrix")
             cols = len(data[0])
-        return cls(len(data), cols, data)
+        return cls(cols, data)
 
 
 class SnfResult(Value):

@@ -109,4 +109,4 @@ def abelianization(p: Presentation) -> SnfResult:
         for letter in word:
             row[abs(letter) - 1] += 1 if letter > 0 else -1
         rows.append(row)
-    return snf(IntMatrix(len(rows), p.n_generators, tuple(map(tuple, rows))))
+    return snf(IntMatrix(p.n_generators, tuple(map(tuple, rows))))

@@ -21,7 +21,7 @@ from collections import Counter
 from math import gcd
 
 from .errors import InvalidInvariant, UnsatisfiablePattern, Value, init_field, want
-from .exactalg import SnfResult, _join, _snf, floor_sum, least_positive_residue
+from .exactalg import SnfResult, _join, _snf, floor_sum
 from .presentation import Presentation
 
 
@@ -113,11 +113,7 @@ def normalize(s: SeifertData) -> SeifertData:
     """
     if s.is_normalized:
         return s
-    fibers = tuple(
-        FiberInvariant(f.alpha, least_positive_residue(f.beta, f.alpha))
-        for f in s.fibers
-        if f.alpha > 1
-    )
+    fibers = tuple(FiberInvariant(f.alpha, f.beta % f.alpha) for f in s.fibers if f.alpha > 1)
     e = -floor_sum((f.beta, f.alpha) for f in s.fibers)
     return SeifertData(s.base_genus, fibers, e)
 
@@ -342,38 +338,30 @@ _CASE_TAGS = (
     "SmallLens_extension",
 )
 
-# the three triples whose tied horizontal splitting is also vertical, and
-# the one whose positivity is unresolved
-_POSITIVE_TRIPLES = (
-    ((2, 1), (3, 1), (5, 1)),
-    ((2, 1), (3, 1), (4, 1)),
-    ((2, 1), (3, 1), (3, 1)),
-)
-_OPEN_TRIPLE = ((2, 1), (3, 1), (7, 1))
-
-
 class GenusReport(Value):
     """Heegaard genus and positive-Heegaard-genus classification."""
 
-    __slots__ = ("hg", "phg_lo", "phg_hi", "exact", "case_tag", "horizontal_family", "notes")
+    __slots__ = ("hg", "phg_lo", "phg_hi", "case_tag", "horizontal_family", "notes")
 
-    def __init__(self, hg: int, phg_lo: int, phg_hi: int, exact: bool, case_tag: str,
+    def __init__(self, hg: int, phg_lo: int, phg_hi: int, case_tag: str,
                  horizontal_family: HorizontalFamily | None = None, notes: str = ""):
         if case_tag not in _CASE_TAGS:
             raise ValueError(f"unknown case tag {case_tag!r}")
         if phg_lo > phg_hi:
             raise ValueError("phg interval is empty")
-        if exact != (phg_lo == phg_hi):
-            raise ValueError("exactness flag disagrees with the interval")
         if hg > phg_lo:
             raise ValueError("hg exceeds the phg lower bound")
         init_field(self, "hg", hg)
         init_field(self, "phg_lo", phg_lo)
         init_field(self, "phg_hi", phg_hi)
-        init_field(self, "exact", exact)
         init_field(self, "case_tag", case_tag)
         init_field(self, "horizontal_family", horizontal_family)
         init_field(self, "notes", notes)
+
+    @property
+    def exact(self) -> bool:
+        """Whether ``phg`` is known exactly, i.e. the interval is one value."""
+        return self.phg_lo == self.phg_hi
 
     def to_json(self) -> dict:
         out = {
@@ -393,15 +381,6 @@ class GenusReport(Value):
         if self.notes:
             out["notes"] = self.notes
         return out
-
-
-def _tb_status(fibers) -> str:
-    key = tuple(sorted((f.alpha, f.beta) for f in fibers))
-    if key in _POSITIVE_TRIPLES:
-        return "positive"
-    if key == _OPEN_TRIPLE:
-        return "open"
-    return "not positive"
 
 
 def genus_report(s: SeifertData) -> GenusReport:
@@ -433,7 +412,7 @@ def genus_report(s: SeifertData) -> GenusReport:
         h = homology(n)
         hg = 0 if (h.free_rank == 0 and not h.torsion) else 1
         return GenusReport(
-            hg, hg, hg, True, "SmallLens_extension",
+            hg, hg, hg, "SmallLens_extension",
             notes="lens-space range (g = 0, m <= 2) reported by convention, outside the classifier's coverage",
         )
 
@@ -441,26 +420,30 @@ def genus_report(s: SeifertData) -> GenusReport:
         if fam is not None and fam.family == "1.1":
             hg = m - 2
             if m == 4 or fam.n > 1:
-                return GenusReport(hg, m - 1, m - 1, True, "ThmA1")
+                return GenusReport(hg, m - 1, m - 1, "ThmA1")
             return GenusReport(
-                hg, m - 2, m - 1, False, "ThmA1",
+                hg, m - 2, m - 1, "ThmA1",
                 notes="open: whether the horizontal splitting admits a positive diagram is unresolved for m >= 6 with n = 1",
             )
         if fam is not None:
+            # n = 1 with sign -1 is 1/2,1/3,1/5 or 1/2,1/4,1/3 or 1/3,1/3,1/2, whose tied horizontal
+            # splitting is also vertical; that of 1/2,1/3,1/7 is unresolved
+            status = ("positive" if (fam.n, fam.sign) == (1, -1)
+                      else "open" if (fam.family, fam.n, fam.sign) == ("2.1", 1, 1) else "not positive")
             return GenusReport(
-                m - 1, m - 1, m - 1, True, "ThmB_family",
+                m - 1, m - 1, m - 1, "ThmB_family",
                 horizontal_family=fam,
-                notes=f"horizontal splitting realizes the vertical genus; its positive-diagram status: {_tb_status(n.fibers)}",
+                notes=f"horizontal splitting realizes the vertical genus; its positive-diagram status: {status}",
             )
-        return GenusReport(m - 1, m - 1, m - 1, True, "Generic_g0")
+        return GenusReport(m - 1, m - 1, m - 1, "Generic_g0")
 
     if m >= 3:
         hg = 2 * g + m - 1
-        return GenusReport(hg, hg, hg, True, "Generic_gpos")
+        return GenusReport(hg, hg, hg, "Generic_gpos")
 
     if fam is not None and fam.family == "1.2":
         hg = 2 * g
-        return GenusReport(hg, 2 * g + 1, 2 * g + 2, False, "ThmA2")
+        return GenusReport(hg, 2 * g + 1, 2 * g + 2, "ThmA2")
 
     if m == 0:
         hg = 2 * g + 1
@@ -468,4 +451,4 @@ def genus_report(s: SeifertData) -> GenusReport:
     else:
         hg = min(2 * g + 1, 2 * g + m - 1)
         notes = ""
-    return GenusReport(hg, hg, hg + 1, False, "ThmA3", notes=notes)
+    return GenusReport(hg, hg, hg + 1, "ThmA3", notes=notes)

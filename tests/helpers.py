@@ -8,8 +8,10 @@ by exhaustive scan, and forced rotation genera are traced over
 ``(crossing, slot)`` darts with dict successor maps and a union-find over
 the crossings; chain diagrams are assembled through per-family id dicts,
 with each torus curve's strand order found by walking its switch.  The
-case-by-case slot representatives of ``denormalize`` and the hand-written
-three slots of ``base_orbifold_cover`` stay here to compare against.
+case-by-case slot representatives of ``denormalize``, the hand-written
+three slots of ``base_orbifold_cover``, the per-count branches of the
+``beta_star`` shift and the table of tied-family statuses stay here to
+compare against.
 ``VERB_PAYLOADS`` holds one valid request per CLI verb, and ``SRC`` the
 source tree for tests that start a fresh interpreter.
 """
@@ -20,7 +22,7 @@ from math import gcd
 
 from sfsdiag.covers import beta_star
 from sfsdiag.diagram import Diagram
-from sfsdiag.errors import BaseGenusUnsupported, TooManyFibers, UnsatisfiablePattern
+from sfsdiag.errors import BaseGenusUnsupported, InfeasibleBetaStar, TooManyFibers, UnsatisfiablePattern
 from sfsdiag.exactalg import IntMatrix, SnfResult, floor_sum
 from sfsdiag.seifert import FiberInvariant, SeifertData, normalize
 
@@ -163,7 +165,27 @@ def relation_matrix(s: SeifertData) -> IntMatrix:
     for i, f in enumerate(s.fibers):
         rows.append([0] * (2 * g + i) + [f.alpha] + [0] * (m - 1 - i) + [f.beta])
     rows.append([0] * (2 * g) + [1] * m + [s.euler])
-    return IntMatrix(m + 1, 2 * g + m + 1, tuple(map(tuple, rows)))
+    return IntMatrix(2 * g + m + 1, tuple(map(tuple, rows)))
+
+
+def least_positive_residue(b: int, a: int) -> int:
+    """The unique integer in ``[1, a]`` congruent to ``b`` modulo ``a >= 1``.
+
+    When ``a > 1`` and ``gcd(b, a) = 1`` the result lands in ``(0, a)``; the
+    value ``a`` itself only appears for ``a = 1`` or non-coprime inputs.
+    """
+    if a < 1:
+        raise ValueError(f"modulus must be >= 1, got {a}")
+    r = b % a
+    return a if r == 0 else r
+
+
+def intersection_matrix(dg: Diagram) -> IntMatrix:
+    """Algebraic intersection matrix: entry ``(j, i)`` sums the signs of
+    the crossings of Y curve ``j`` with X curve ``i``, read off the rows
+    the crossing index keeps."""
+    gx = len(dg.x_curves)
+    return IntMatrix(gx, tuple(tuple(row.get(i, 0) for i in range(gx)) for row in dg._index.matrix))
 
 
 def crt_by_scan(pairs):
@@ -373,6 +395,48 @@ def dict_synthesize(plan, betas):
     return Diagram(beads, tuple(x_curves), tuple(y_curves), tuple(zip(range(1, d + 1), [1] * d)))
 
 
+def adjust_for_prime_by_cases(pairs, p: int):
+    """:func:`sfsdiag.covers._adjust_for_prime` with one branch per count of
+    numerators divisible by ``p``: none, one (moved against a partner), an
+    even count (half up, half down) and an odd count above one (a double
+    step up on the first, then as many single steps up as balance the rest)."""
+    betas = [b for _, b in pairs]
+    alphas = [a for a, _ in pairs]
+    hit = [i for i in range(len(pairs)) if betas[i] % p == 0]
+    if not hit:
+        return tuple(betas)
+    if len(hit) == 1:
+        i = hit[0]
+        others = [j for j in range(len(pairs)) if j != i]
+        if not others:
+            raise InfeasibleBetaStar(
+                f"single slope divisible by {p} cannot be fixed without a partner"
+            )
+        j = others[0]
+        if (betas[j] - alphas[j]) % p != 0:
+            betas[i] += alphas[i]
+            betas[j] -= alphas[j]
+        else:
+            betas[i] -= alphas[i]
+            betas[j] += alphas[j]
+        return tuple(betas)
+    if len(hit) % 2 == 0:
+        half = len(hit) // 2
+        for i in hit[:half]:
+            betas[i] += alphas[i]
+        for i in hit[half:]:
+            betas[i] -= alphas[i]
+        return tuple(betas)
+    first, rest = hit[0], hit[1:]
+    up = (len(hit) - 3) // 2
+    betas[first] += 2 * alphas[first]
+    for i in rest[:up]:
+        betas[i] += alphas[i]
+    for i in rest[up:]:
+        betas[i] -= alphas[i]
+    return tuple(betas)
+
+
 def outcome(call, *args, **kwargs):
     """The result of a call, or its error's type and message."""
     try:
@@ -502,3 +566,25 @@ def tied_family_by_removal(fibers):
         if b >= 1 and a == coeff * b - 1:
             return family, b, -1
     return None
+
+
+# the three triples whose tied horizontal splitting is also vertical, and
+# the one whose positivity is unresolved
+POSITIVE_TRIPLES = (
+    ((2, 1), (3, 1), (5, 1)),
+    ((2, 1), (3, 1), (4, 1)),
+    ((2, 1), (3, 1), (3, 1)),
+)
+OPEN_TRIPLE = ((2, 1), (3, 1), (7, 1))
+
+
+def tied_status_by_triples(fibers) -> str:
+    """Positive-diagram status of the tied horizontal splitting of the
+    ``g = 0, e = 1`` space with three normalized ``fibers`` (``(alpha, beta)``
+    pairs), looked up in the tables above."""
+    key = tuple(sorted(fibers))
+    if key in POSITIVE_TRIPLES:
+        return "positive"
+    if key == OPEN_TRIPLE:
+        return "open"
+    return "not positive"

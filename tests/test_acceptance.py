@@ -222,7 +222,7 @@ def test_criterion_8_montesinos_codec():
             sy = list(range(1, d + 1))
             rng.shuffle(sx)
             rng.shuffle(sy)
-            pair = PermutationPair(d, tuple(sx), tuple(sy))
+            pair = PermutationPair(tuple(sx), tuple(sy))
             assert montesinos_encode(montesinos_decode(pair)) == pair
 
         def canonical(dg):
@@ -241,7 +241,7 @@ def test_criterion_8_montesinos_codec():
             sy = list(range(1, d + 1))
             rng.shuffle(sx)
             rng.shuffle(sy)
-            dg = montesinos_decode(PermutationPair(d, tuple(sx), tuple(sy)))
+            dg = montesinos_decode(PermutationPair(tuple(sx), tuple(sy)))
             shift = rng.randint(1, 99)
             disguised = build_diagram(
                 dg.declared_genus,

@@ -89,6 +89,24 @@ def test_diagram_decode_golden(tmp_path, capsys):
     assert out == '{"genus":1,"x_curves":[[1]],"y_curves":[[1]],"signs":{"1":1}}\n'
 
 
+def test_diagram_decode_refuses_a_degree_that_disagrees(tmp_path, capsys):
+    payload = {"degree": 2, "sigma_x": [1, 2, 3], "sigma_y": [1, 2, 3]}
+    code, out, err = run_with_file(tmp_path, capsys, "diagram-decode", payload)
+    assert code == 2 and out == ""
+    assert err == "ValueError: sigma_x is not a permutation of 1..2\n"
+
+
+def test_diagram_decode_reads_a_pair_without_degree(tmp_path, capsys):
+    pair = {"sigma_x": [2, 3, 1], "sigma_y": [3, 1, 2]}
+    code, out, err = run_with_file(tmp_path, capsys, "diagram-decode", pair)
+    assert code == 0 and err == ""
+    assert out == '{"genus":1,"x_curves":[[1,2,3]],"y_curves":[[1,3,2]],"signs":{"1":1,"2":1,"3":1}}\n'
+    assert run_with_file(tmp_path, capsys, "diagram-decode", dict(pair, degree=3))[1] == out
+    code, out, err = run_with_file(tmp_path, capsys, "diagram-encode", json.loads(out))
+    assert code == 0 and err == ""
+    assert out == '{"degree":3,"sigma_x":[2,3,1],"sigma_y":[3,1,2]}\n'
+
+
 def test_diagram_build_verify_encode_round_trip(tmp_path, capsys):
     code, out, _ = run_with_file(tmp_path, capsys, "diagram-build", FIGURE_INPUT)
     assert code == 0

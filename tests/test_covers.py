@@ -5,7 +5,7 @@ import sys
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfsdiag import covers
@@ -29,7 +29,7 @@ from sfsdiag.errors import (
 from sfsdiag.exactalg import floor_sum
 from sfsdiag.seifert import SeifertData, normalize, rational_euler
 
-from helpers import SRC, base_orbifold_cover_by_cases, outcome
+from helpers import SRC, adjust_for_prime_by_cases, base_orbifold_cover_by_cases, outcome
 
 COPRIME_FIBERS = [(a, b) for a in range(2, 6) for b in range(1, a) if gcd(a, b) == 1]
 
@@ -264,6 +264,38 @@ def cover_inputs(draw):
 @settings(max_examples=300, deadline=None)
 def test_base_orbifold_cover_matches_hand_written_slots(s):
     assert outcome(base_orbifold_cover, s) == outcome(base_orbifold_cover_by_cases, s)
+
+
+@st.composite
+def shift_inputs(draw):
+    """An odd prime ``p`` in 3-13 and 0-9 numerators divisible by it among
+    0-4 that are not, in any order; each divisible one's alpha is prime to
+    ``p``, as coprime pairs make it."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    multiple = st.integers(-30, 30).map(lambda k: p * k)
+    hit = [(draw(st.integers(1, 80).filter(lambda a: a % p)), draw(multiple))
+           for _ in range(draw(st.integers(0, 9)))]
+    miss = [(draw(st.integers(1, 80)), draw(multiple) + draw(st.integers(1, p - 1)))
+            for _ in range(draw(st.integers(0, 4)))]
+    return draw(st.permutations(hit + miss)), p
+
+
+@given(shift_inputs())
+@example(([(2, 3)], 3))  # a lone numerator divisible by p has no partner: InfeasibleBetaStar
+@example(([(2, 3), (5, 2)], 3))  # the partner steps down
+@example(([(2, 3), (5, 7)], 3))  # the partner would land on a multiple of 3, so it steps up
+@settings(max_examples=500)
+def test_shift_matches_the_case_by_case_branches(case):
+    pairs, p = case
+    try:
+        got = covers._adjust_for_prime(pairs, p)
+    except InfeasibleBetaStar as exc:
+        assert len(pairs) == 1
+        assert outcome(adjust_for_prime_by_cases, pairs, p) == (InfeasibleBetaStar, str(exc))
+        return
+    assert got == adjust_for_prime_by_cases(pairs, p)
+    assert all(b % p for b in got)
+    assert sum((new - b) // a for (a, b), new in zip(pairs, got)) == 0
 
 
 class TestPositiveGenusBound:

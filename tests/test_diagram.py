@@ -84,7 +84,7 @@ class TestRotationGenus:
             assert rotation_genus(lens_style(p)) == 1
 
     def test_three_crossing_pair(self):
-        dg = montesinos_decode(PermutationPair(3, (2, 3, 1), (3, 1, 2)))
+        dg = montesinos_decode(PermutationPair((2, 3, 1), (3, 1, 2)))
         assert rotation_genus(dg) == 1
 
     def test_disconnected(self):
@@ -126,7 +126,7 @@ class TestPresentationFromDiagram:
                 assert len(curve) == len(word)
 
     def test_homology_invariant_under_rotation_and_relabeling(self):
-        dg = montesinos_decode(PermutationPair(4, (2, 1, 4, 3), (3, 4, 1, 2)))
+        dg = montesinos_decode(PermutationPair((2, 1, 4, 3), (3, 4, 1, 2)))
         base = diagram_homology(dg)
         rotated = build_diagram(
             dg.declared_genus,
@@ -150,13 +150,13 @@ def random_pair(rng, d):
     sy = list(range(1, d + 1))
     rng.shuffle(sx)
     rng.shuffle(sy)
-    return PermutationPair(d, tuple(sx), tuple(sy))
+    return PermutationPair(tuple(sx), tuple(sy))
 
 
 class TestMontesinosCodec:
     def test_one_crossing_encoding(self):
         pair = montesinos_encode(one_crossing())
-        assert pair == PermutationPair(1, (1,), (1,))
+        assert pair == PermutationPair((1,), (1,))
 
     def test_two_cycle(self):
         dg = build_diagram(1, [[1, 2]], [[2, 1]], {1: 1, 2: 1})
@@ -170,13 +170,13 @@ class TestMontesinosCodec:
             montesinos_encode(dg)
 
     def test_decode_identity_pair(self):
-        dg = montesinos_decode(PermutationPair(1, (1,), (1,)))
+        dg = montesinos_decode(PermutationPair((1,), (1,)))
         assert dg.x_curves == ((1,),)
         assert dg.y_curves == ((1,),)
         assert dg.declared_genus == 1
 
     def test_decode_three_cycles(self):
-        dg = montesinos_decode(PermutationPair(3, (2, 3, 1), (3, 1, 2)))
+        dg = montesinos_decode(PermutationPair((2, 3, 1), (3, 1, 2)))
         assert dg.x_curves == ((1, 2, 3),)
         assert dg.y_curves == ((1, 3, 2),)
         assert is_positive_diagram(dg)
@@ -187,7 +187,7 @@ class TestMontesinosCodec:
         d = data.draw(st.integers(1, 30))
         sx = tuple(data.draw(st.permutations(range(1, d + 1))))
         sy = tuple(data.draw(st.permutations(range(1, d + 1))))
-        pair = PermutationPair(d, sx, sy)
+        pair = PermutationPair(sx, sy)
         assert montesinos_encode(montesinos_decode(pair)) == pair
 
     def test_decode_encode_reproduces_diagram(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_diagram, dict_components, dict_face_count, dict_genus_sum
+from helpers import build_diagram, dict_components, dict_face_count, dict_genus_sum, intersection_matrix
 from sfsdiag import diagram
 from sfsdiag.diagram import (
     Diagram,
@@ -17,7 +17,6 @@ from sfsdiag.diagram import (
     _CrossingIndex,
     _face_count,
     diagram_presentation,
-    intersection_matrix,
     is_positive_diagram,
     montesinos_decode,
     montesinos_encode,
@@ -110,7 +109,7 @@ def test_permutation_pairs_match_dict_tracer(dg):
 def test_decode_builds_one_crossing_index(monkeypatch):
     calls = []
     monkeypatch.setattr(diagram, "_crossing_index", lambda *args: calls.append(args) or _crossing_index(*args))
-    pair = PermutationPair(4, (2, 3, 4, 1), (3, 1, 4, 2))
+    pair = PermutationPair((2, 3, 4, 1), (3, 1, 4, 2))
     dg = montesinos_decode(pair)
     assert montesinos_encode(dg) == pair and rotation_genus(dg) == dg.declared_genus
     assert len(calls) == 1
@@ -175,7 +174,7 @@ def decoded_pairs(draw):
     """Positive diagrams decoded from random permutation pairs of degree 1..60."""
     d = draw(st.integers(1, 60))
     sx, sy = (tuple(draw(st.permutations(range(1, d + 1)))) for _ in "xy")
-    return montesinos_decode(PermutationPair(d, sx, sy))
+    return montesinos_decode(PermutationPair(sx, sy))
 
 
 @given(decoded_pairs())
@@ -219,7 +218,7 @@ def test_large_built_diagram_matches_dict_tracer():
 
 
 def test_index_is_cached_and_leaves_identity_alone():
-    dg = montesinos_decode(PermutationPair(3, (2, 3, 1), (3, 1, 2)))
+    dg = montesinos_decode(PermutationPair((2, 3, 1), (3, 1, 2)))
     twin = build_diagram(dg.declared_genus, dg.x_curves, dg.y_curves, dg.sign_map)
     assert dg._index is dg._index
     assert dg == twin and hash(dg) == hash(twin)

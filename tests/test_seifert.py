@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import combinations_with_replacement
 from math import gcd
 
@@ -23,7 +24,14 @@ from sfsdiag.seifert import (
     vertical_genus_bound,
 )
 
-from helpers import denormalize_by_cases, det, outcome, tied_family_by_removal
+from helpers import (
+    denormalize_by_cases,
+    det,
+    least_positive_residue,
+    outcome,
+    tied_family_by_removal,
+    tied_status_by_triples,
+)
 
 COPRIME_FIBERS = [(a, b) for a in range(2, 6) for b in range(1, a) if gcd(a, b) == 1]
 WIDE_COPRIME_FIBERS = [(a, b) for a in range(2, 10) for b in range(1, a) if gcd(a, b) == 1]
@@ -92,6 +100,12 @@ class TestNormalize:
     def test_residues(self):
         s = SeifertData.non_normalized(0, [(2, 1), (2, 1), (2, -1)])
         assert normalize(s) == SeifertData.normalized(0, [(2, 1), (2, 1), (2, 1)], 1)
+
+    @given(st.lists(st.tuples(st.integers(1, 60), st.integers(-10**6, 10**6)), max_size=6))
+    def test_residues_are_least_positive(self, pairs):
+        fibers = [(a, b) for a, b in pairs if gcd(a, b) == 1]
+        n = normalize(SeifertData.non_normalized(0, fibers))
+        assert [(f.alpha, f.beta) for f in n.fibers] == [(a, least_positive_residue(b, a)) for a, b in fibers if a > 1]
 
     def test_idempotent(self):
         rng = random.Random(2)
@@ -404,7 +418,24 @@ class TestGenusReport:
         for fibers, status in cases.items():
             rep = genus_report(SeifertData.normalized(0, list(fibers), 1))
             assert rep.case_tag == "ThmB_family"
-            assert status in rep.notes
+            # "positive" is also a suffix of "not positive": compare from the colon
+            assert rep.notes.endswith(f"status: {status}")
+
+    def test_thm_b_status_matches_the_triple_tables(self):
+        # every member of families 2.1-2.3 with alpha <= 100, its parameter
+        # fiber first, against the tables of the tied-family statuses
+        statuses = Counter()
+        for fixed, coeff in (([(2, 1), (3, 1)], 6), ([(2, 1), (4, 1)], 4), ([(3, 1), (3, 1)], 3)):
+            for b in range(1, 100 // coeff + 1):
+                for a in (coeff * b - 1, coeff * b + 1):
+                    if a > 100:
+                        continue
+                    rep = genus_report(SeifertData.normalized(0, [(a, b), *fixed], 1))
+                    assert rep.case_tag == "ThmB_family"
+                    status = rep.notes.rsplit("status: ", 1)[1]
+                    assert status == tied_status_by_triples([(a, b), *fixed]), (a, b, fixed)
+                    statuses[status] += 1
+        assert statuses == {"positive": 3, "open": 1, "not positive": 143}
 
     def test_small_lens_sphere(self):
         rep = genus_report(SeifertData.normalized(0, [], 1))

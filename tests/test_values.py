@@ -36,8 +36,8 @@ CASES = [
      "Diagram(declared_genus=1, x_curves=((1,),), y_curves=((1,),), signs=((1, 1),))"),
     (lambda: DiagramViolation("BadSign", "crossing 1 has sign 2"),
      "DiagramViolation(code='BadSign', message='crossing 1 has sign 2')"),
-    (lambda: PermutationPair(2, (2, 1), (1, 2)), "PermutationPair(degree=2, sigma_x=(2, 1), sigma_y=(1, 2))"),
-    (lambda: IntMatrix(1, 2, ((1, -2),)), "IntMatrix(rows=1, cols=2, entries=((1, -2),))"),
+    (lambda: PermutationPair((2, 1), (1, 2)), "PermutationPair(sigma_x=(2, 1), sigma_y=(1, 2))"),
+    (lambda: IntMatrix(2, ((1, -2),)), "IntMatrix(cols=2, entries=((1, -2),))"),
     (lambda: SnfResult((1, 6), 0), "SnfResult(invariant_factors=(1, 6), free_rank=0)"),
     (lambda: Presentation(2, ((1, -2), ())), "Presentation(n_generators=2, relators=((1, -2), ()))"),
     (lambda: FiberInvariant(5, -3), "FiberInvariant(alpha=5, beta=-3)"),
@@ -48,11 +48,10 @@ CASES = [
     (lambda: HorizontalFamily("2.1", 1, 1), "HorizontalFamily(family='2.1', n=1, sign=1, fiber_count=None)"),
     (lambda: HorizontalFamily("1.1", n=2, fiber_count=4),
      "HorizontalFamily(family='1.1', n=2, sign=None, fiber_count=4)"),
-    (lambda: GenusReport(2, 2, 2, True, "Generic_g0"),
-     "GenusReport(hg=2, phg_lo=2, phg_hi=2, exact=True, case_tag='Generic_g0', horizontal_family=None,"
-     " notes='')"),
-    (lambda: GenusReport(2, 2, 2, True, "ThmB_family", HorizontalFamily("2.1", 1, 1), "note"),
-     "GenusReport(hg=2, phg_lo=2, phg_hi=2, exact=True, case_tag='ThmB_family',"
+    (lambda: GenusReport(2, 2, 2, "Generic_g0"),
+     "GenusReport(hg=2, phg_lo=2, phg_hi=2, case_tag='Generic_g0', horizontal_family=None, notes='')"),
+    (lambda: GenusReport(2, 2, 2, "ThmB_family", HorizontalFamily("2.1", 1, 1), "note"),
+     "GenusReport(hg=2, phg_lo=2, phg_hi=2, case_tag='ThmB_family',"
      " horizontal_family=HorizontalFamily(family='2.1', n=1, sign=1, fiber_count=None), notes='note')"),
     (lambda: ChainPlan(4), "ChainPlan(r=4)"),
 ]
@@ -63,15 +62,15 @@ SIGNATURES = {
     CoverSpec: {"sheets": None, "partitions": None},
     Diagram: {"declared_genus": None, "x_curves": None, "y_curves": None, "signs": None},
     DiagramViolation: {"code": None, "message": None},
-    PermutationPair: {"degree": None, "sigma_x": None, "sigma_y": None},
-    IntMatrix: {"rows": None, "cols": None, "entries": None},
+    PermutationPair: {"sigma_x": None, "sigma_y": None},
+    IntMatrix: {"cols": None, "entries": None},
     SnfResult: {"invariant_factors": None, "free_rank": None},
     Presentation: {"n_generators": None, "relators": None},
     FiberInvariant: {"alpha": None, "beta": None},
     SeifertData: {"base_genus": None, "fibers": None, "euler": None},
     HorizontalFamily: {"family": None, "n": None, "sign": None, "fiber_count": None},
-    GenusReport: {"hg": None, "phg_lo": None, "phg_hi": None, "exact": None, "case_tag": None,
-                  "horizontal_family": None, "notes": ""},
+    GenusReport: {"hg": None, "phg_lo": None, "phg_hi": None, "case_tag": None, "horizontal_family": None,
+                  "notes": ""},
     ChainPlan: {"r": None},
 }
 
@@ -133,7 +132,26 @@ def test_constructor_parameters_and_defaults():
         defaults = cls.__init__.__defaults__ or ()
         assert list(params.values())[len(params) - len(defaults):] == list(defaults), cls
     assert SeifertData(1, ()).euler is None
-    assert GenusReport(1, 1, 1, True, "Generic_g0").notes == ""
+    assert GenusReport(1, 1, 1, "Generic_g0").notes == ""
+
+
+@pytest.mark.parametrize("make,name,value", [
+    (lambda: GenusReport(2, 2, 2, "Generic_g0"), "exact", True),
+    (lambda: GenusReport(2, 3, 4, "ThmA3"), "exact", False),
+    (lambda: PermutationPair((2, 3, 1), (1, 3, 2)), "degree", 3),
+    (lambda: PermutationPair((), ()), "degree", 0),
+    (lambda: IntMatrix(2, ((1, -2), (0, 3), (4, 0))), "rows", 3),
+    (lambda: IntMatrix(3, ()), "rows", 0),
+], ids=["exact", "inexact", "degree", "degree-0", "rows", "rows-0"])
+def test_derived_fields_are_read_only_properties(make, name, value):
+    a = make()
+    assert name not in type(a).__slots__ and getattr(a, name) == value
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert twin == a and hash(twin) == hash(a) and getattr(twin, name) == value
+    with pytest.raises(AttributeError):
+        setattr(a, name, value)
+    with pytest.raises(TypeError):
+        type(a)(**fields(a), **{name: value})
 
 
 def test_a_diagram_pickles_after_its_index_is_cached():
@@ -203,8 +221,8 @@ def test_checks_still_run_in_the_constructor():
         FiberInvariant(4, 2)
     with pytest.raises(ValueError):
         ChainPlan(2)
-    with pytest.raises(ValueError, match="exactness flag"):
-        GenusReport(1, 1, 2, True, "Generic_g0")
+    with pytest.raises(ValueError, match="phg interval is empty"):
+        GenusReport(1, 2, 1, "Generic_g0")
 
 
 class TestPackage:
@@ -226,11 +244,10 @@ class TestPackage:
     def test_internal_helpers_import_from_their_modules_only(self):
         from sfsdiag import exactalg, presentation
 
-        for module, name in [(exactalg, "crt"), (exactalg, "floor_sum"),
-                             (exactalg, "least_positive_residue"), (presentation, "free_reduce")]:
+        for module, name in [(exactalg, "crt"), (exactalg, "floor_sum"), (presentation, "free_reduce")]:
             assert name not in sfsdiag.__all__
             assert callable(getattr(module, name))
-        assert not hasattr(exactalg, "ext_gcd")
+        assert not hasattr(exactalg, "ext_gcd") and not hasattr(exactalg, "least_positive_residue")
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
