@@ -201,20 +201,13 @@ def beta_star(pairs, lam: int):
         return tuple(b for _, b in pairs)
 
     alphas = [a for a, _ in pairs]
-    (p, mod), *others = _prime_powers(lam)
-    partial = _adjust_for_prime(pairs, p)
-    for p, q in others:
-        nxt = _adjust_for_prime(pairs, p)
-        combined = []
-        for i, a in enumerate(alphas):
-            value, _ = crt([(partial[i], a * mod), (nxt[i], a * q)])
-            combined.append(value)
-        partial = tuple(combined)
-        mod *= q
+    adjusted = [(_adjust_for_prime(pairs, p), q) for p, q in _prime_powers(lam)]
+    # one prime power keeps its shifted numerators; crt would reduce them modulo alpha * q
+    out = (list(adjusted[0][0]) if len(adjusted) == 1
+           else [crt((adj[i], a * q) for adj, q in adjusted)[0] for i, a in enumerate(alphas)])
 
-    drift = floor_sum(zip(partial, alphas)) - floor_sum((b, a) for a, b in pairs)
+    drift = floor_sum(zip(out, alphas)) - floor_sum((b, a) for a, b in pairs)
     assert drift % lam == 0, "per-prime congruences should drift by multiples of lam"
-    out = list(partial)
     out[0] -= (drift // lam) * alphas[0] * lam
 
     for (a, b), star in zip(pairs, out):

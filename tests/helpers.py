@@ -3,27 +3,31 @@
 These deliberately avoid the library's own algorithms: determinants use
 Bareiss elimination, Smith data is recomputed from gcds of k-minors or
 by dense elimination with a global pivot rescan (the filling relations
-of a space are built in full, one row per fiber), congruences are checked
-by exhaustive scan, and forced rotation genera are traced over
-``(crossing, slot)`` darts with dict successor maps and a union-find over
-the crossings; chain diagrams are assembled through per-family id dicts,
+of a space are built in full, one row per fiber, or reduced per fiber kind
+for the sparse elimination), the rational Euler number is summed in
+``Fraction``s, congruences are checked by exhaustive scan, and forced
+rotation genera are traced over ``(crossing, slot)`` darts with dict
+successor maps and a union-find over the crossings; chain diagrams are assembled through per-family id dicts,
 with each torus curve's strand order found by walking its switch.  The
 case-by-case slot representatives of ``denormalize``, the hand-written
 three slots of ``base_orbifold_cover``, the per-count branches of the
-``beta_star`` shift and the table of tied-family statuses stay here to
-compare against.
+``beta_star`` shift, its pairwise stitch of the per-prime answers and the
+table of tied-family statuses stay here to compare against.
 ``VERB_PAYLOADS`` holds one valid request per CLI verb, and ``SRC`` the
 source tree for tests that start a fresh interpreter.
 """
 
 import os
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations, count
 from math import gcd
 
+from sfsdiag import covers
 from sfsdiag.covers import beta_star
 from sfsdiag.diagram import Diagram
 from sfsdiag.errors import BaseGenusUnsupported, InfeasibleBetaStar, TooManyFibers, UnsatisfiablePattern
-from sfsdiag.exactalg import IntMatrix, SnfResult, floor_sum
+from sfsdiag.exactalg import IntMatrix, SnfResult, _join, _snf, crt, floor_sum
 from sfsdiag.seifert import FiberInvariant, SeifertData, normalize
 
 
@@ -158,14 +162,46 @@ def dense_snf(m: IntMatrix) -> SnfResult:
 def relation_matrix(s: SeifertData) -> IntMatrix:
     """Rows ``alpha_i x_i + beta_i t`` and ``x_1 + ... + x_m + e t`` over
     ``a_*, b_*, x_*, t``: the full filling-relation matrix of normalized
-    ``s``, one row and one column per fiber, which ``homology`` reduces
-    per fiber kind."""
+    ``s``, one row and one column per fiber, whose Smith form ``homology``
+    reads off in closed form."""
     g, m = s.base_genus, len(s.fibers)
     rows = []
     for i, f in enumerate(s.fibers):
         rows.append([0] * (2 * g + i) + [f.alpha] + [0] * (m - 1 - i) + [f.beta])
     rows.append([0] * (2 * g) + [1] * m + [s.euler])
     return IntMatrix(2 * g + m + 1, tuple(map(tuple, rows)))
+
+
+def homology_by_elimination(s: SeifertData) -> SnfResult:
+    """First homology of ``s`` by eliminating its filling relations per fiber kind.
+
+    ``k`` equal fibers ``(alpha, beta)`` on ``x_1..x_k`` reduce, by ``y_j = x_j - x_1``,
+    row ``j`` minus row 1 and ``z = y_2 + ... + y_k``, to the row ``alpha x_1 + beta t``,
+    for ``k >= 2`` a row ``alpha z`` with ``k x_1 + z`` in the sum row, and ``k - 2``
+    summands ``Z/alpha`` joined after: at most ``2 kinds + 1`` rows, in ``(alpha, beta)``
+    order, for the sparse Smith elimination; the ``2g`` base columns are free.
+    """
+    n = normalize(s)
+    kinds = sorted(Counter((f.alpha, f.beta) for f in n.fibers).items())
+    rows, total = [], {}  # column 0 is t
+    for (alpha, beta), k in kinds:
+        total[x := len(total) + 1] = k
+        rows.append({x: alpha, 0: beta})
+        if k > 1:
+            total[x + 1] = 1
+            rows.append({x + 1: alpha})
+    rows.append({**total, 0: n.euler} if n.euler else total)
+    r = _snf(rows, len(total) + 1)
+    chain = list(r.invariant_factors)
+    for (alpha, _), k in kinds:
+        for _ in range(k - 2):
+            _join(chain, alpha)
+    return SnfResult(tuple(chain), r.free_rank + 2 * n.base_genus)
+
+
+def rational_euler_by_fractions(s: SeifertData) -> Fraction:
+    """``e - sum(beta_i/alpha_i)`` summed in ``Fraction``s (``e`` is 0 when not normalized)."""
+    return (s.euler or 0) - sum((Fraction(f.beta, f.alpha) for f in s.fibers), Fraction(0))
 
 
 def least_positive_residue(b: int, a: int) -> int:
@@ -435,6 +471,30 @@ def adjust_for_prime_by_cases(pairs, p: int):
     for i in rest[up:]:
         betas[i] -= alphas[i]
     return tuple(betas)
+
+
+def beta_star_pairwise(pairs, lam: int):
+    """:func:`sfsdiag.covers.beta_star` on valid input, with the per-prime answers
+    stitched pairwise: one two-congruence ``crt`` per slot and prime power after
+    the first, carrying the partial answer and its modulus by hand."""
+    pairs = tuple(pairs)
+    if lam == 1 or not pairs:
+        return tuple(b for _, b in pairs)
+    alphas = [a for a, _ in pairs]
+    (p, mod), *others = covers._prime_powers(lam)
+    partial = covers._adjust_for_prime(pairs, p)
+    for p, q in others:
+        nxt = covers._adjust_for_prime(pairs, p)
+        combined = []
+        for i, a in enumerate(alphas):
+            value, _ = crt([(partial[i], a * mod), (nxt[i], a * q)])
+            combined.append(value)
+        partial = tuple(combined)
+        mod *= q
+    drift = floor_sum(zip(partial, alphas)) - floor_sum((b, a) for a, b in pairs)
+    out = list(partial)
+    out[0] -= (drift // lam) * alphas[0] * lam
+    return tuple(out)
 
 
 def outcome(call, *args, **kwargs):

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +29,7 @@ from sfsdiag.errors import (
 from sfsdiag.exactalg import floor_sum
 from sfsdiag.seifert import SeifertData, normalize, rational_euler
 
-from helpers import SRC, adjust_for_prime_by_cases, base_orbifold_cover_by_cases, outcome
+from helpers import SRC, adjust_for_prime_by_cases, base_orbifold_cover_by_cases, beta_star_pairwise, outcome
 
 COPRIME_FIBERS = [(a, b) for a in range(2, 6) for b in range(1, a) if gcd(a, b) == 1]
 
@@ -296,6 +296,30 @@ def test_shift_matches_the_case_by_case_branches(case):
     assert got == adjust_for_prime_by_cases(pairs, p)
     assert all(b % p for b in got)
     assert sum((new - b) // a for (a, b), new in zip(pairs, got)) == 0
+
+
+@st.composite
+def beta_star_inputs(draw):
+    """0-6 coprime pairs with alpha 1-60 and an odd sheet count: any below 400, or a
+    product of up to four of 3, 9, 5, 25, 7, 11 and 13."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        alpha = draw(st.integers(1, 60))
+        pairs.append((alpha, draw(st.integers(-200, 200).filter(lambda b: gcd(alpha, b) == 1))))
+    powers = st.lists(st.sampled_from((3, 9, 5, 25, 7, 11, 13)), max_size=4).map(prod)
+    return pairs, draw(st.integers(0, 199).map(lambda k: 2 * k + 1) | powers)
+
+
+@given(beta_star_inputs())
+@example(([(2, 3), (5, -12), (7, 3)], 9))  # one prime power: the shifted numerators, unreduced
+@example(([(2, 3), (5, -12), (7, 3)], 15))
+@example(([(2, 3), (5, -12), (7, 3)], 1155))
+@example(([(2, 3)], 15))  # InfeasibleBetaStar from the first prime
+@example(([(2, 5)], 15))  # InfeasibleBetaStar from the second prime only
+@settings(max_examples=400)
+def test_one_crt_per_slot_matches_the_pairwise_stitch(case):
+    pairs, lam = case
+    assert outcome(beta_star, pairs, lam) == outcome(beta_star_pairwise, pairs, lam)
 
 
 class TestPositiveGenusBound:

@@ -5,10 +5,11 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfsdiag.errors import InvalidInvariant, UnsatisfiablePattern
+from sfsdiag import seifert
 from sfsdiag.presentation import abelianization
 from sfsdiag.seifert import (
     FiberInvariant,
@@ -29,6 +30,7 @@ from helpers import (
     det,
     least_positive_residue,
     outcome,
+    rational_euler_by_fractions,
     tied_family_by_removal,
     tied_status_by_triples,
 )
@@ -476,3 +478,31 @@ def test_rational_euler_forms_agree():
         pattern = ["+", "-"] + ["-"] * len(n.fibers)
         d = denormalize(n, pattern)
         assert rational_euler(d) == rational_euler(n)
+
+
+@st.composite
+def any_spaces(draw):
+    """Normalized or non-normalized spaces of 0-12 fibers with alpha 1-90 (above 1 when
+    normalized), numerators of either sign and genus 0-2."""
+    genus, normalized = draw(st.integers(0, 2)), draw(st.booleans())
+    fibers = []
+    for _ in range(draw(st.integers(0, 12))):
+        alpha = draw(st.integers(2 if normalized else 1, 90))
+        beta = st.integers(1, alpha - 1) if normalized else st.integers(-300, 300)
+        fibers.append((alpha, draw(beta.filter(lambda b: gcd(alpha, b) == 1))))
+    if normalized:
+        return SeifertData.normalized(genus, fibers, draw(st.integers(-9, 9)))
+    return SeifertData.non_normalized(genus, fibers)
+
+
+@given(any_spaces())
+@example(SeifertData.normalized(0, [], 0))
+@example(SeifertData.non_normalized(1, []))
+@example(SeifertData.normalized(0, [(2, 1), (3, 1), (6, 1)], 1))
+@example(SeifertData.non_normalized(0, [(1, 4), (3, -2), (3, 2)]))
+@settings(max_examples=300)
+def test_rational_euler_matches_the_fraction_sum(s):
+    num, den = seifert._euler_terms(s)
+    assert den >= 1 and gcd(num, den) == 1
+    assert rational_euler(s) == rational_euler_by_fractions(s) == rational_euler(normalize(s))
+    assert (rational_euler(s).numerator, rational_euler(s).denominator) == (num, den)

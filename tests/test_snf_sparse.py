@@ -3,8 +3,9 @@ dense elimination with a global pivot rescan kept in ``helpers``: random
 matrices of every small shape and fill, and the two structured matrices
 every verified build reduces (the filling relations, at small and large
 alpha and in any fiber order, and the diagram's intersection matrix).
-``homology`` reduces the filling relations per fiber kind; the full
-matrix of ``helpers.relation_matrix`` is its oracle."""
+``homology`` reads the Smith form of the filling relations off in closed
+form; the full matrix of ``helpers.relation_matrix`` is its oracle, and
+``helpers.homology_by_elimination`` where that matrix is too large."""
 
 import random
 import time
@@ -14,10 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfsdiag.exactalg import IntMatrix, SnfResult, snf
-from sfsdiag.seifert import SeifertData, homology, rational_euler
+from sfsdiag.seifert import SeifertData, homology
 from sfsdiag.vertical import assign_betas, plan_decomposition, synthesize_diagram
 
-from helpers import dense_snf, intersection_matrix, relation_matrix
+from helpers import (
+    dense_snf,
+    homology_by_elimination,
+    intersection_matrix,
+    rational_euler_by_fractions,
+    relation_matrix,
+)
 
 COPRIME = [(a, b) for a in range(2, 8) for b in range(1, a) if gcd(a, b) == 1]
 
@@ -91,27 +98,48 @@ def test_filling_relations_at_large_alpha_match_dense_in_any_fiber_order(s, data
 
 
 @st.composite
-def kind_spaces(draw):
-    """1-6 fiber kinds with alpha up to 200, each repeated 1-60 times, shuffled."""
+def kind_spaces(draw, max_copies=60):
+    """1-6 fiber kinds with alpha up to 200, each repeated 1 to ``max_copies`` times, shuffled."""
     kinds = set()
     for alpha in draw(st.lists(st.integers(2, 200), min_size=1, max_size=6)):
         kinds.add((alpha, draw(st.integers(1, alpha - 1).filter(lambda b: gcd(alpha, b) == 1))))
-    fibers = [kind for kind in sorted(kinds) for _ in range(draw(st.integers(1, 60)))]
+    fibers = [kind for kind in sorted(kinds) for _ in range(draw(st.integers(1, max_copies)))]
     return SeifertData.normalized(draw(st.integers(0, 3)), draw(st.permutations(fibers)), draw(st.integers(-5, 5)))
 
 
 @given(kind_spaces())
+@example(SeifertData.normalized(0, [], 0))  # m = 0: S^2 x S^1
+@example(SeifertData.normalized(0, [], -3))
 @example(SeifertData.normalized(1, [], 2))
-@example(SeifertData.normalized(0, [(5, 2)], 1))
+@example(SeifertData.normalized(0, [(5, 2)], 1))  # m = 1
+@example(SeifertData.normalized(3, [(7, 3)], 0))
+@example(SeifertData.normalized(0, [(4, 1), (6, 1)], 0))  # m = 2
 @example(SeifertData.normalized(0, [(5, 2), (3, 1), (5, 2)], -1))
 @example(SeifertData.normalized(2, [(4, 1), (6, 5), (4, 1), (4, 1)], 0))
 @example(SeifertData.normalized(0, [(3, 2)] * 500, -300))
+# e_Q = 0: no last factor, so the free rank is one higher
+@example(SeifertData.normalized(0, [(3, 1), (3, 2)], 1))
+@example(SeifertData.normalized(1, [(6, 1), (6, 5)], 1))
+@example(SeifertData.normalized(0, [(2, 1), (3, 1), (6, 1)], 1))
+@example(SeifertData.normalized(0, [(2, 1), (4, 1), (8, 1), (8, 1)], 1))
+@example(SeifertData.normalized(2, [(2, 1), (4, 1), (8, 1), (16, 1), (16, 1)], 1))
+@example(SeifertData.normalized(0, [(4, 1), (4, 3), (4, 1), (4, 3), (2, 1), (2, 1)], 3))
 @settings(max_examples=60, deadline=None)
 def test_homology_by_kinds_matches_the_full_relation_matrix(s):
     matrix = relation_matrix(s)
     assert homology(s) == snf(matrix)
     if len(s.fibers) <= 40:
         assert homology(s) == dense_snf(matrix)
+
+
+@given(kind_spaces(max_copies=3000))
+@example(SeifertData.normalized(0, [(2, 1), (3, 1), (5, 1), (7, 1)] * 5000, 1))
+@example(SeifertData.normalized(0, [(2, 1)] * 6000, 3000))
+@example(SeifertData.normalized(1, [(2, 1)] * 6000, 2999))
+@settings(max_examples=25, deadline=None)
+def test_closed_form_matches_the_elimination_by_kinds(s):
+    # too many fibers for the full relation matrix; the per-kind elimination is the oracle
+    assert homology(s) == homology_by_elimination(s)
 
 
 def timed_homology(s: SeifertData):
@@ -124,7 +152,7 @@ def test_many_fibers_of_few_kinds():
     # about 0.15 s and 0.02 s on a 2-core x86-64 host, where one elimination row per fiber took 19 s and 2.1 s
     s = SeifertData.normalized(0, [(2, 1), (3, 1), (5, 1), (7, 1)] * 5000, 1)
     h, elapsed = timed_homology(s)
-    assert h.order() == abs(rational_euler(s)) * prod(f.alpha for f in s.fibers)
+    assert h.order() == abs(rational_euler_by_fractions(s)) * prod(f.alpha for f in s.fibers)
     assert elapsed < 2.0, f"homology took {elapsed:.2f} s"
     h, elapsed = timed_homology(SeifertData.normalized(0, [(2, 1)] * 6000, 3000))
     assert h == SnfResult((1, 1) + (2,) * 5998, 1)
@@ -148,12 +176,26 @@ def large_alpha_family(m: int) -> SeifertData:
 
 def test_two_hundred_distinct_large_fibers():
     s = large_alpha_family(200)
-    start = time.perf_counter()
-    h = homology(s)
-    elapsed = time.perf_counter() - start
-    assert h.order() == abs(rational_euler(s)) * prod(f.alpha for f in s.fibers)
-    # about 0.2 s; a pivot rule that fills the matrix takes 8 s or more here
+    h, elapsed = timed_homology(s)
+    assert h.order() == abs(rational_euler_by_fractions(s)) * prod(f.alpha for f in s.fibers)
     assert elapsed < 5.0, f"homology took {elapsed:.2f} s"
+    matrix = relation_matrix(s)
+    start = time.perf_counter()
+    assert snf(matrix) == h
+    elapsed = time.perf_counter() - start
+    # about 0.25 s; a pivot rule that fills the matrix takes 8 s or more here
+    assert elapsed < 5.0, f"snf took {elapsed:.2f} s"
+
+
+def test_eight_hundred_distinct_even_fibers():
+    # {0; 1/4, 1/6, ..., 1/1602; e = -400}: every kind distinct, so nothing groups; about
+    # 0.02 s on a 2-core x86-64 host, where eliminating the filling relations took 2.6 s
+    m = 800
+    s = SeifertData.normalized(0, [(2 * i + 4, 1) for i in range(m)], -m // 2)
+    h, elapsed = timed_homology(s)
+    assert h.free_rank == 0 and len(h.invariant_factors) == m + 1
+    assert h.order() == abs(rational_euler_by_fractions(s)) * prod(f.alpha for f in s.fibers)
+    assert elapsed < 0.5, f"homology took {elapsed:.2f} s"
 
 
 @given(st.integers(0, 140), st.integers(0, 2**32))
