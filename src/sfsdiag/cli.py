@@ -85,7 +85,10 @@ def _cmd_cover_base(payload, emit):
 
 def _cmd_betastar(payload, emit):
     from .covers import beta_star
-    pairs = [tuple(want_ints(p, "$.pairs[{}]", i)) for i, p in enumerate(want(payload["pairs"], list, "$.pairs"))]
+    pairs = want(payload["pairs"], list, "$.pairs")
+    for i, p in enumerate(pairs):
+        if len(want_ints(p, "$.pairs[{}]", i)) != 2:
+            raise ValueError(f"$.pairs[{i}]: expected 2 integers [alpha, beta], got {len(p)}")
     stars = beta_star(pairs, want(payload["lambda"], int, "$.lambda"))
     return {"beta_star": list(stars)}
 

@@ -20,11 +20,10 @@ per component.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from functools import cached_property
 from itertools import compress, repeat
-from operator import ne
+from operator import mul, ne
 
 from .errors import Disconnected, IsolatedCurve, NotPositive, Value, init_field, want, want_ints
 from .exactalg import SnfResult, _snf
@@ -189,11 +188,12 @@ def _find_violations(dg: Diagram) -> list[DiagramViolation]:
 class _CrossingIndex:
     """The crossings of a valid diagram ranked ``1..d`` by id, and its Y curves
     as ranks (``y_ranks``, the curves themselves for ids ``1..d``); per rank the
-    next rank along X and Y and the X curve as lists, the sign as an array, rank
-    0 a positive dummy whose curves close on themselves; the component count
-    and, per Y curve, its nonzero intersection numbers by X curve (the matrix rows)."""
+    next rank along X and Y and the letter ``+-(i + 1)`` of its X curve ``i``, signed
+    by the crossing, rank 0 a dummy with letter 1 whose curves close on themselves;
+    the component count and, per Y curve, its nonzero intersection numbers by
+    generator ``1..g`` (the matrix rows)."""
 
-    __slots__ = ("y_ranks", "sign", "positive", "x_next", "y_next", "x_curve", "components", "matrix")
+    __slots__ = ("y_ranks", "letter", "positive", "x_next", "y_next", "components", "matrix")
 
 
 def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
@@ -217,16 +217,15 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
                 return None
             rank = {c: r for r, c in enumerate(sorted(sign_map), start=1)}
             values = [sign_map[c] for c in rank]
-    idx.sign = array("b", [1]) * (d + 1) if idx.positive else array("b", [1] + values)
     # the d listed ranks are distinct iff no slot keeps its -1; a negative id is also some successor
-    idx.x_next, idx.y_next, idx.x_curve = x_next, y_next, x_curve = [0] + [-1] * d, [0] + [-1] * d, [0] * (d + 1)
+    idx.x_next, idx.y_next, idx.letter = x_next, y_next, letter = [0] + [-1] * d, [0] + [-1] * d, [1] * (d + 1)
     try:
         x_ranks, idx.y_ranks = (curves if rank is None else [[rank[c] for c in curve] for curve in curves]
                                 for curves in (x_curves, y_curves))
-        for ci, rs in enumerate(x_ranks):
+        for gen, rs in enumerate(x_ranks, start=1):
             for r, n in zip(rs, rs[1:] + rs[:1]):
                 x_next[r] = n
-                x_curve[r] = ci
+                letter[r] = gen
         for rs in idx.y_ranks:
             for r, n in zip(rs, rs[1:] + rs[:1]):
                 y_next[r] = n
@@ -234,10 +233,12 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
         return None
     if min(x_next) < 0 or min(y_next) < 0:
         return None
+    if not idx.positive:
+        idx.letter = letter = list(map(mul, letter, [1] + values))
 
     gx = len(x_curves)
     rows = []
-    parent = list(range(gx + len(y_curves)))
+    parent = list(range(gx + 1 + len(y_curves)))
 
     def find(a):
         while parent[a] != a:
@@ -245,16 +246,15 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
             a = parent[a]
         return a
 
-    # per Y curve, count its X letters (~i for a negative crossing with X
-    # curve i, so max(i, ~i) is the curve): the matrix row of a positive
-    # diagram; union-find joins X curve i and Y curve j that cross
-    letter = x_curve if idx.positive else [i if s > 0 else ~i for i, s in zip(x_curve, idx.sign)]
-    for j, rs in enumerate(idx.y_ranks):
+    # per Y curve, count its letters: the matrix row of a positive diagram,
+    # folded to row[gen] - row[-gen] on a signed one; union-find joins each
+    # X curve (node gen) with the Y curves it crosses (nodes gx + 1 on)
+    for y_node, rs in enumerate(idx.y_ranks, start=gx + 1):
         row = Counter(map(letter.__getitem__, rs))
-        for i in row:
-            parent[find(max(i, ~i))] = find(gx + j)
-        rows.append(row if idx.positive else {i: v for i in {max(i, ~i) for i in row} if (v := row[i] - row[~i])})
-    idx.components = len({find(i) for i in range(gx) if x_curves[i]})
+        for gen in row:
+            parent[find(abs(gen))] = find(y_node)
+        rows.append(row if idx.positive else {gen: v for gen in set(map(abs, row)) if (v := row[gen] - row[-gen])})
+    idx.components = len({find(gen) for gen, curve in enumerate(x_curves, start=1) if curve})
     idx.matrix = rows
     return idx
 
@@ -283,12 +283,12 @@ def _face_count(idx: _CrossingIndex) -> int:
         x_prev, y_prev = [0] * len(x_next), [0] * len(y_next)
         for r, (xn, yn) in enumerate(zip(x_next, y_next)):
             x_prev[xn] = y_prev[yn] = r
-        sign, dst = idx.sign, []
+        letter, dst = idx.letter, []
         for nxt, prv in zip(x_next, x_prev):
             for e, n in ((0, nxt), (1, prv)):
-                via_out = (e == 1) == (sign[n] > 0)
+                via_out = (e == 1) == (letter[n] > 0)
                 m = y_next[n] if via_out else y_prev[n]
-                dst.append(2 * m + (via_out != (sign[m] > 0)))
+                dst.append(2 * m + (via_out != (letter[m] > 0)))
         src = range(len(dst))
     # most faces of a diagram are fixed points here; count them in bulk and
     # pop the cycles of the moved points
@@ -304,7 +304,7 @@ def _face_count(idx: _CrossingIndex) -> int:
 
 def _forced_genus(idx: _CrossingIndex) -> int:
     """Forced genus summed over the components: ``(2C + d - F) / 2``."""
-    return (2 * idx.components + len(idx.sign) - 1 - _face_count(idx)) // 2
+    return (2 * idx.components + len(idx.letter) - 1 - _face_count(idx)) // 2
 
 
 def rotation_genus(dg: Diagram) -> int:
@@ -338,8 +338,7 @@ def diagram_presentation(dg: Diagram) -> Presentation:
     length equals that Y curve's crossing count.
     """
     idx = dg._index
-    letter = [s * (i + 1) for s, i in zip(idx.sign, idx.x_curve)]
-    return Presentation(len(dg.x_curves), tuple(tuple(map(letter.__getitem__, rs)) for rs in idx.y_ranks))
+    return Presentation(len(dg.x_curves), tuple(tuple(map(idx.letter.__getitem__, rs)) for rs in idx.y_ranks))
 
 
 def diagram_homology(dg: Diagram) -> SnfResult:

@@ -9,10 +9,11 @@ depends on.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from itertools import compress
 from math import gcd, prod
+from operator import neg
 
 from .errors import Incompatible, Value, init_field, want, want_ints
 
@@ -197,16 +198,16 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
             c = move
         _join(chain, abs(p))
         del rows[r], cols[c]
-    return SnfResult(tuple(chain), ncols - len(chain))
+    return SnfResult(tuple(reversed(chain)), ncols - len(chain))
 
 
 def _join(chain: list[int], d: int) -> None:
-    """Join the factor ``d >= 1`` to the ascending divisibility ``chain`` in place: gcd/lcm
-    exchanges from the top, one ``bisect_left`` past each run of equal factors (they pass
-    the gcd on unchanged), until a 1 passes down; the last gcd goes to the bottom."""
-    i = len(chain)
-    while d != 1 and i:
-        g = gcd(x := chain[i - 1], d)
-        chain[i - 1], d = x // g * d, g
-        i = bisect_left(chain, x, 0, i - 1)
-    chain.insert(0, d)
+    """Join the factor ``d >= 1`` to the descending divisibility ``chain`` in place: gcd/lcm
+    exchanges from the largest, one ``bisect_right`` past each run of equal factors (they pass
+    the gcd on unchanged), until a 1 passes down; the last gcd is appended, shifting nothing."""
+    i = 0
+    while d != 1 and i < len(chain):
+        g = gcd(x := chain[i], d)
+        chain[i], d = x // g * d, g
+        i = bisect_right(chain, -x, i + 1, key=neg)
+    chain.append(d)

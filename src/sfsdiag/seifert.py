@@ -196,11 +196,7 @@ def denormalize(
         for idx, i in enumerate(slots):
             reps[i] += (q + 1 if idx < rem else q) * alphas[i]
 
-    return SeifertData(
-        s.base_genus,
-        tuple(FiberInvariant(a, b) for a, b in zip(alphas, reps)),
-        None,
-    )
+    return SeifertData.non_normalized(s.base_genus, zip(alphas, reps))
 
 
 def sfs_presentation(s: SeifertData) -> Presentation:
@@ -253,9 +249,9 @@ def homology(s: SeifertData) -> SnfResult:
     for f in n.fibers:
         _join(chain, f.alpha)
     num, den = _euler_terms(n)
-    factors = [1] * min(m, 2) + chain[:-2]
+    factors = [1] * min(m, 2) + chain[:1:-1]
     if num:
-        factors.append(abs(num) * prod(chain[-2:]) // den)
+        factors.append(abs(num) * prod(chain[:2]) // den)
     return SnfResult(tuple(factors), m + 1 - len(factors) + 2 * n.base_genus)
 
 

@@ -127,7 +127,7 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
     if len(betas) != r:
         raise ValueError(f"expected {r} slopes, got {len(betas)}")
     for i, (f, want) in enumerate(zip(betas, plan.sign_pattern)):
-        if (f.beta > 0) != (want == "+"):
+        if not f.beta or (f.beta > 0) != (want == "+"):
             raise ValueError(f"slope {i} has sign {f.beta} against pattern {want}")
 
     alphas = [f.alpha for f in betas]
@@ -181,10 +181,10 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
         got = dg._index.matrix
     except ValueError as exc:
         raise SynthesisInvariantViolation(f"structural defect: {exc}") from None
-    # nonzeros of the intersection matrix, Y_1 then one row per rectangle
-    target = [{i: b * a_e for i, b in enumerate(bmag[:beads]) if b}]
-    target[0][0] = target[0].get(0, 0) + alphas[0] * b_e
-    target += ({q: alphas[q], q + 1: alphas[q + 1]} for q in range(r - 2))
+    # nonzeros of the intersection matrix by generator, Y_1 then one row per rectangle
+    target = [{gen: b * a_e for gen, b in enumerate(bmag[:beads], start=1)}]
+    target[0][1] += alphas[0] * b_e
+    target += ({q + 1: alphas[q], q + 2: alphas[q + 1]} for q in range(r - 2))
     if got != target:
         raise SynthesisInvariantViolation("intersection matrix mismatch")
     return dg

@@ -9,6 +9,7 @@ for the sparse elimination), the rational Euler number is summed in
 rotation genera are traced over ``(crossing, slot)`` darts with dict
 successor maps and a union-find over the crossings; chain diagrams are assembled through per-family id dicts,
 with each torus curve's strand order found by walking its switch.  The
+ascending chain join that inserts each last gcd at the bottom, the
 case-by-case slot representatives of ``denormalize``, the hand-written
 three slots of ``base_orbifold_cover``, the per-count branches of the
 ``beta_star`` shift, its pairwise stitch of the per-prime answers and the
@@ -18,6 +19,7 @@ source tree for tests that start a fresh interpreter.
 """
 
 import os
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, count
@@ -27,7 +29,7 @@ from sfsdiag import covers
 from sfsdiag.covers import beta_star
 from sfsdiag.diagram import Diagram
 from sfsdiag.errors import BaseGenusUnsupported, InfeasibleBetaStar, TooManyFibers, UnsatisfiablePattern
-from sfsdiag.exactalg import IntMatrix, SnfResult, _join, _snf, crt, floor_sum
+from sfsdiag.exactalg import IntMatrix, SnfResult, _snf, crt, floor_sum
 from sfsdiag.seifert import FiberInvariant, SeifertData, normalize
 
 
@@ -172,6 +174,18 @@ def relation_matrix(s: SeifertData) -> IntMatrix:
     return IntMatrix(2 * g + m + 1, tuple(map(tuple, rows)))
 
 
+def join_ascending(chain: list[int], d: int) -> None:
+    """Join the factor ``d >= 1`` to the ascending divisibility ``chain`` in place: gcd/lcm
+    exchanges from the top, one ``bisect_left`` past each run of equal factors, until a 1
+    passes down; the last gcd is inserted at the bottom, which shifts the whole list."""
+    i = len(chain)
+    while d != 1 and i:
+        g = gcd(x := chain[i - 1], d)
+        chain[i - 1], d = x // g * d, g
+        i = bisect_left(chain, x, 0, i - 1)
+    chain.insert(0, d)
+
+
 def homology_by_elimination(s: SeifertData) -> SnfResult:
     """First homology of ``s`` by eliminating its filling relations per fiber kind.
 
@@ -195,7 +209,7 @@ def homology_by_elimination(s: SeifertData) -> SnfResult:
     chain = list(r.invariant_factors)
     for (alpha, _), k in kinds:
         for _ in range(k - 2):
-            _join(chain, alpha)
+            join_ascending(chain, alpha)
     return SnfResult(tuple(chain), r.free_rank + 2 * n.base_genus)
 
 
@@ -219,9 +233,9 @@ def least_positive_residue(b: int, a: int) -> int:
 def intersection_matrix(dg: Diagram) -> IntMatrix:
     """Algebraic intersection matrix: entry ``(j, i)`` sums the signs of
     the crossings of Y curve ``j`` with X curve ``i``, read off the rows
-    the crossing index keeps."""
+    the crossing index keeps by generator ``i + 1``."""
     gx = len(dg.x_curves)
-    return IntMatrix(gx, tuple(tuple(row.get(i, 0) for i in range(gx)) for row in dg._index.matrix))
+    return IntMatrix(gx, tuple(tuple(row.get(i, 0) for i in range(1, gx + 1)) for row in dg._index.matrix))
 
 
 def crt_by_scan(pairs):

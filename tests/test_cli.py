@@ -319,6 +319,19 @@ def test_no_silent_coercion_exit_2(tmp_path, capsys, verb, payload, message):
     assert err == f"TypeError: {message}\n"
 
 
+@pytest.mark.parametrize("pairs,message", [
+    ([[2, 1, 5]], "ValueError: $.pairs[0]: expected 2 integers [alpha, beta], got 3"),
+    ([[2]], "ValueError: $.pairs[0]: expected 2 integers [alpha, beta], got 1"),
+    ([[2, 1], []], "ValueError: $.pairs[1]: expected 2 integers [alpha, beta], got 0"),
+    ([[2, 1, 5], [3, 1.5]], "ValueError: $.pairs[0]: expected 2 integers [alpha, beta], got 3"),
+    ([[2, 1.5, 5]], "TypeError: $.pairs[0][1]: expected integer, got float"),
+])
+def test_betastar_pair_arity_exit_2(tmp_path, capsys, pairs, message):
+    code, out, err = run_with_file(tmp_path, capsys, "betastar", {"pairs": pairs, "lambda": 3})
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
 def test_oversized_build_refused_before_allocating(tmp_path, capsys):
     # {0; 1/4000001, 1/3, 2/5; e=1} needs 12,000,021 crossings
     payload = {"base_genus": 0, "mode": "normalized", "euler": 1,

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,13 @@ from sfsdiag.errors import Incompatible
 from sfsdiag.exactalg import (
     IntMatrix,
     SnfResult,
+    _join,
     crt,
     floor_sum,
     snf,
 )
 
-from helpers import crt_by_scan, det, least_positive_residue, smith_via_minors
+from helpers import crt_by_scan, det, join_ascending, least_positive_residue, smith_via_minors
 
 
 class TestCrt:
@@ -44,6 +46,36 @@ class TestCrt:
                 crt(pairs)
         else:
             assert crt(pairs) == expected
+
+
+@st.composite
+def factor_runs(draw):
+    """Up to 8 runs of up to 300 equal factors each, a third of the runs of 1s."""
+    kinds = st.sampled_from([1, 1, 1, 1, 2, 3, 4, 5, 6, 10, 12, 60, 97])
+    return draw(st.lists(st.tuples(kinds, st.integers(1, 300)), max_size=8))
+
+
+class TestJoin:
+    @given(factor_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_descending_join_matches_the_ascending_oracle(self, runs):
+        chain, oracle, total = [], [], 1
+        for d, k in runs:
+            for _ in range(k):
+                _join(chain, d)
+                join_ascending(oracle, d)
+            total *= d ** k
+            assert chain == oracle[::-1]
+        assert all(a % b == 0 for a, b in zip(chain, chain[1:]))
+        assert prod(chain) == total
+
+    @given(st.lists(st.integers(1, 60), max_size=40))
+    def test_any_factor_order_matches_the_ascending_oracle(self, factors):
+        chain, oracle = [], []
+        for d in factors:
+            _join(chain, d)
+            join_ascending(oracle, d)
+            assert chain == oracle[::-1]
 
 
 class TestLeastPositiveResidue:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfsdiag.exactalg import IntMatrix, SnfResult, snf
-from sfsdiag.seifert import SeifertData, homology
+from sfsdiag.seifert import FiberInvariant, SeifertData, homology
 from sfsdiag.vertical import assign_betas, plan_decomposition, synthesize_diagram
 
 from helpers import (
@@ -157,6 +157,15 @@ def test_many_fibers_of_few_kinds():
     h, elapsed = timed_homology(SeifertData.normalized(0, [(2, 1)] * 6000, 3000))
     assert h == SnfResult((1, 1) + (2,) * 5998, 1)
     assert elapsed < 0.5, f"homology took {elapsed:.2f} s"
+
+
+def test_a_hundred_thousand_equal_fibers():
+    # {0; 1/2 x 100,000; e = 50,000}: about 0.17 s on a 2-core x86-64 host, where joining each
+    # last gcd at the bottom of an ascending chain shifted the whole chain and took 3.3-3.9 s
+    s = SeifertData(0, (FiberInvariant(2, 1),) * 100_000, 50_000)
+    h, elapsed = timed_homology(s)
+    assert h == SnfResult((1, 1) + (2,) * 99_998, 1)
+    assert elapsed < 1.0, f"homology took {elapsed:.2f} s"
 
 
 def large_alpha_family(m: int) -> SeifertData:

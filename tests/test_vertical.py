@@ -16,7 +16,7 @@ from sfsdiag.diagram import (
     validate,
 )
 from sfsdiag.errors import BaseGenusUnsupported, CrossingBudgetExceeded, UnsatisfiablePattern
-from sfsdiag.seifert import SeifertData, homology, normalize
+from sfsdiag.seifert import FiberInvariant, SeifertData, homology, normalize
 from sfsdiag.vertical import (
     ChainPlan,
     _strand_cycle,
@@ -148,6 +148,12 @@ class TestSynthesize:
                 plan,
                 SeifertData.non_normalized(0, [(2, 1), (3, 2), (5, 1)]).fibers,
             )
+
+    def test_zero_slope_on_a_minus_slot_refused(self):
+        # a - slot needs beta' < 0: beta' = 0 would leave X_1 without fiber strands
+        betas = (FiberInvariant(2, 1), FiberInvariant(1, 0), FiberInvariant(3, 1))
+        with pytest.raises(ValueError, match=r"^slope 1 has sign 0 against pattern -$"):
+            synthesize_diagram(ChainPlan(3), betas)
 
 
 @st.composite
