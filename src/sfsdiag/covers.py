@@ -84,9 +84,9 @@ def lift_seifert(s: SeifertData, spec: CoverSpec) -> SeifertData:
     For non-normalized input ``{g; beta_i/alpha_i}`` with ``r`` slots and
     boundary parts ``b_{i,j}`` the lift has genus
     ``lambda*(g-1) + 1 + (r*lambda - sum(r_i))/2`` and slopes
-    ``beta_i / (alpha_i / b_{i,j})``.  Each part must divide its alpha and
-    be coprime to its beta (otherwise the covered filling does not exist),
-    and the genus formula must come out integral.
+    ``beta_i / (alpha_i / b_{i,j})``.  Each part must divide its alpha
+    (otherwise the covered filling does not exist), which makes it coprime
+    to its beta, and the genus formula must come out integral.
     """
     if s.is_normalized:
         raise ValueError("lift_seifert expects non-normalized input")
@@ -102,10 +102,6 @@ def lift_seifert(s: SeifertData, spec: CoverSpec) -> SeifertData:
         for b in part:
             if f.alpha % b != 0:
                 raise IncompatibleSpec(f"part {b} does not divide alpha {f.alpha}")
-            if gcd(f.beta, b) != 1:
-                raise IncompatibleSpec(
-                    f"part {b} shares a factor with beta {f.beta}"
-                )
     circles = sum(len(part) for part in spec.partitions)
     if (r * lam - circles) % 2 != 0:
         raise ParityError("boundary circle count has the wrong parity")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from operator import mul, ne
 
 from .errors import Disconnected, IsolatedCurve, NotPositive, Value, init_field, want, want_ints
@@ -264,6 +264,20 @@ def is_positive_diagram(dg: Diagram) -> bool:
     return dg._index.positive
 
 
+def _trivial_handles(idx: _CrossingIndex) -> tuple[list[int], list[int]]:
+    """``x_next`` and ``y_next`` once each -1 crossing is traded for the paper's trivial handle, three
+    +1 crossings with the same faces: per negative rank p, ranks b and c = b + 1 are appended, c takes
+    p's place on its Y curve, p moves to the new Y curve (p, b) and the new X curve (b, c) closes it."""
+    neg = [p for p, gen in enumerate(idx.letter) if gen < 0]
+    c_of = dict(zip(neg, count(len(idx.x_next) + 1, 2)))
+    x_next, y_next = idx.x_next[:], list(map(c_of.get, idx.y_next, idx.y_next))
+    for p, c in c_of.items():
+        x_next += (c, c - 1)
+        y_next += (p, y_next[p])
+        y_next[p] = c - 1
+    return x_next, y_next
+
+
 def _face_count(idx: _CrossingIndex) -> int:
     """Faces of the forced rotation system, as cycles of one permutation.
 
@@ -272,24 +286,11 @@ def _face_count(idx: _CrossingIndex) -> int:
     of ``r -> y_next[x_prev[y_prev[x_next[r]]]]``, or of its conjugate by
     ``x_next``, which maps ``y_next[x_next[w]]`` to ``x_next[y_next[w]]``
     and fixes the commuting squares, where ``x_next`` and ``y_next`` commute.
-    Otherwise the squared face permutation runs on the X-darts
-    ``2 * rank + e`` (``e`` 1 on arrival along X), each crossing turning
-    the face by its sign.  The dummy rank 0 adds one face either way.
+    A signed diagram is first given its trivial handles (:func:`_trivial_handles`).
+    The dummy rank 0 adds one face.
     """
-    x_next, y_next = idx.x_next, idx.y_next
-    if idx.positive:
-        src, dst = list(map(y_next.__getitem__, x_next)), list(map(x_next.__getitem__, y_next))
-    else:
-        x_prev, y_prev = [0] * len(x_next), [0] * len(y_next)
-        for r, (xn, yn) in enumerate(zip(x_next, y_next)):
-            x_prev[xn] = y_prev[yn] = r
-        letter, dst = idx.letter, []
-        for nxt, prv in zip(x_next, x_prev):
-            for e, n in ((0, nxt), (1, prv)):
-                via_out = (e == 1) == (letter[n] > 0)
-                m = y_next[n] if via_out else y_prev[n]
-                dst.append(2 * m + (via_out != (letter[m] > 0)))
-        src = range(len(dst))
+    x_next, y_next = (idx.x_next, idx.y_next) if idx.positive else _trivial_handles(idx)
+    src, dst = list(map(y_next.__getitem__, x_next)), list(map(x_next.__getitem__, y_next))
     # most faces of a diagram are fixed points here; count them in bulk and
     # pop the cycles of the moved points
     step = dict(compress(zip(src, dst), map(ne, src, dst)))
@@ -312,11 +313,9 @@ def rotation_genus(dg: Diagram) -> int:
 
     The 4-valent graph X union Y gets the counterclockwise half-edge order
     (X-out, Y-out, X-in, Y-in) at a +1 crossing and
-    (X-out, Y-in, X-in, Y-out) at a -1 crossing.  Every face alternates
-    X and Y edges, so the faces are counted on the ``d`` crossings of an
-    all-positive diagram and on the ``2d`` X half-edges otherwise (see
-    :func:`_face_count`), and the genus is ``(2 - (V - E + F)) / 2`` with
-    ``V = d`` crossings and ``E = 2d`` edges.
+    (X-out, Y-in, X-in, Y-out) at a -1 crossing.  The faces are counted on the
+    paper's trivial handles, which keep them (:func:`_face_count`); the genus is
+    ``(2 - (V - E + F)) / 2`` with ``V = d`` crossings and ``E = 2d`` edges.
 
     Requires every curve to carry a crossing (:class:`IsolatedCurve`) and
     the graph to be connected (:class:`Disconnected`).

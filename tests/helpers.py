@@ -7,7 +7,9 @@ of a space are built in full, one row per fiber, or reduced per fiber kind
 for the sparse elimination), the rational Euler number is summed in
 ``Fraction``s, congruences are checked by exhaustive scan, and forced
 rotation genera are traced over ``(crossing, slot)`` darts with dict
-successor maps and a union-find over the crossings; chain diagrams are assembled through per-family id dicts,
+successor maps and a union-find over the crossings, and the faces of a
+signed crossing index are also walked on its X-darts with no trivial
+handles; chain diagrams are assembled through per-family id dicts,
 with each torus curve's strand order found by walking its switch.  The
 ascending chain join that inserts each last gcd at the bottom, the
 case-by-case slot representatives of ``denormalize``, the hand-written
@@ -325,6 +327,32 @@ def dict_face_count(crossings, dg):
         while dart != start:
             todo.remove(dart)
             dart = face_next(dart)
+    return faces
+
+
+def dart_face_count(idx) -> int:
+    """Faces of a crossing index with no trivial handles: the squared face
+    permutation runs on the X-darts ``2 * rank + e`` (``e`` 1 on arrival
+    along X), each crossing turning the face by the sign of its letter.
+    The dummy rank 0 closes one face of its own, which is not counted."""
+    x_next, y_next, letter = idx.x_next, idx.y_next, idx.letter
+    x_prev, y_prev = [0] * len(x_next), [0] * len(y_next)
+    for r, (xn, yn) in enumerate(zip(x_next, y_next)):
+        x_prev[xn] = y_prev[yn] = r
+    dst = []
+    for nxt, prv in zip(x_next, x_prev):
+        for e, n in ((0, nxt), (1, prv)):
+            via_out = (e == 1) == (letter[n] > 0)
+            m = y_next[n] if via_out else y_prev[n]
+            dst.append(2 * m + (via_out != (letter[m] > 0)))
+    seen, faces = set(), -1
+    for start in range(len(dst)):
+        if start not in seen:
+            faces += 1
+            w = start
+            while w not in seen:
+                seen.add(w)
+                w = dst[w]
     return faces
 
 

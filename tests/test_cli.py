@@ -224,13 +224,20 @@ def test_deep_nesting_exit_2(tmp_path, capsys, verb, text):
     assert captured.err == "ValueError: JSON nesting is too deep\n"
 
 
-# a child process's own peak RSS (KiB on Linux) after one request on stdin
+# a child process's own peak RSS in KiB after one request on stdin: VmHWM, since
+# on Linux ru_maxrss also carries the RSS of the parent through fork and exec;
+# ru_maxrss (bytes on macOS) where there is no /proc
 PEAK_RSS_CHILD = """
 import io, resource, sys
 from sfsdiag.cli import main
 sys.stdout = io.StringIO()
 code = main([sys.argv[1]])
-sys.stderr.write(f"{code} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}")
+try:
+    with open("/proc/self/status") as status:
+        peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == "darwin" else 1)
+sys.stderr.write(f"{code} {peak}")
 """
 
 
@@ -330,6 +337,48 @@ def test_betastar_pair_arity_exit_2(tmp_path, capsys, pairs, message):
     code, out, err = run_with_file(tmp_path, capsys, "betastar", {"pairs": pairs, "lambda": 3})
     assert code == 2 and out == ""
     assert err == message + "\n"
+
+
+LIFT_SLOTS = {"base_genus": 0, "mode": "non_normalized",
+              "fibers": [{"alpha": 2, "beta": 1}, {"alpha": 3, "beta": 1}, {"alpha": 5, "beta": 1}]}
+
+
+@pytest.mark.parametrize("verb,payload,code,out,err", [
+    ("normalize", {"base_genus": 0, "mode": "bogus", "fibers": []}, 2, "", "ValueError: unknown mode 'bogus'"),
+    ("normalize", {"base_genus": -1, "mode": "normalized", "fibers": [], "euler": 0},
+     3, "", "InvalidInvariant: base genus must be >= 0, got -1"),
+    ("normalize", {"base_genus": 0, "mode": "normalized", "fibers": [{"alpha": 0, "beta": 1}], "euler": 0},
+     3, "", "InvalidInvariant: alpha must be >= 1, got 0"),
+    ("cover-lift", {"seifert": {"base_genus": 0, "mode": "normalized", "fibers": [], "euler": 0},
+                    "cover": {"lambda": 1, "partitions": []}},
+     2, "", "ValueError: lift_seifert expects non-normalized input"),
+    ("cover-lift", {"seifert": {"base_genus": 0, "mode": "non_normalized", "fibers": []},
+                    "cover": {"lambda": 1, "partitions": []}},
+     2, "", "ValueError: lift_seifert needs at least one filling slot"),
+    ("cover-lift", {"seifert": LIFT_SLOTS, "cover": {"lambda": 0, "partitions": [[1], [1], [1]]}},
+     2, "", "ValueError: sheet count must be >= 1, got 0"),
+    ("cover-lift", {"seifert": LIFT_SLOTS, "cover": {"lambda": 1, "partitions": [[0], [1], [1]]}},
+     2, "", "ValueError: partition 0 must consist of positive parts"),
+    ("cover-lift", {"seifert": LIFT_SLOTS, "cover": {"lambda": 1, "partitions": [[1], [1], [1], [1]]}},
+     3, "", "IncompatibleSpec: 3 filling slots but 4 boundary partitions"),
+    ("cover-lift", {"seifert": LIFT_SLOTS, "cover": {"lambda": 2, "partitions": [[1], [1], [1]]}},
+     3, "", "IncompatibleSpec: partition 0 sums to 1, not 2"),
+    ("cover-lift", {"seifert": {"base_genus": 0, "mode": "non_normalized", "fibers": [{"alpha": 9, "beta": 2}]},
+                    "cover": {"lambda": 3, "partitions": [[3]]}},
+     3, "", "IncompatibleSpec: covering data yields a negative genus"),
+    ("betastar", {"pairs": [[0, 1], [5, 3]], "lambda": 3}, 2, "", "ValueError: alpha must be >= 1, got 0"),
+    ("betastar", {"pairs": [[4, 2], [5, 3]], "lambda": 3}, 2, "", "ValueError: pair (4, 2) is not coprime"),
+    ("positivize", {"generators": -1, "relators": []}, 2, "", "ValueError: generator count must be nonnegative"),
+    ("positivize", {"generators": 2, "relators": [[1, 0]]}, 2, "", "ValueError: letter 0 out of range"),
+    ("positivize", {"generators": 2, "relators": [[3]]}, 2, "", "ValueError: letter 3 out of range"),
+    ("positivize", {"generators": 2, "relators": [[-3]]}, 2, "", "ValueError: letter -3 out of range"),
+    ("diagram-decode", {"sigma_x": [1, 2], "sigma_y": [1, 1]},
+     2, "", "ValueError: sigma_y is not a permutation of 1..2"),
+    ("diagram-decode", {"sigma_x": [], "sigma_y": []},
+     0, '{"genus":0,"x_curves":[],"y_curves":[],"signs":{}}', ""),
+])
+def test_exit_code_and_stderr_line(tmp_path, capsys, verb, payload, code, out, err):
+    assert run_with_file(tmp_path, capsys, verb, payload) == (code, out and out + "\n", err and err + "\n")
 
 
 def test_oversized_build_refused_before_allocating(tmp_path, capsys):

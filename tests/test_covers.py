@@ -43,6 +43,12 @@ class TestLiftedDiagramGenus:
         for g in range(6):
             assert lifted_diagram_genus(g, 1) == g
 
+    @pytest.mark.parametrize("g,lam,message", [(-1, 3, "genus must be >= 0, got -1"),
+                                               (1, 0, "sheet count must be >= 1, got 0")])
+    def test_out_of_range_arguments_refused(self, g, lam, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lifted_diagram_genus(g, lam)
+
 
 class TestLiftSeifert:
     def test_identity_spec(self):

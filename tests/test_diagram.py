@@ -247,6 +247,14 @@ def test_json_round_trip():
      TypeError, "$.x_curves[1]: expected list, got integer"),
     ({"genus": 1, "x_curves": [[1]], "y_curves": [["1"]], "signs": {"1": 1}},
      TypeError, "$.y_curves[0][0]: expected integer, got string"),
+    ({"genus": 1, "x_curves": [[1]], "y_curves": [[1]], "signs": {"a": 1}},
+     ValueError, "$.signs: key 'a' is not a crossing id"),
+    ({"genus": 1, "x_curves": [[1]], "y_curves": [[1]], "signs": {" 1": 1}},
+     ValueError, "$.signs: key ' 1' is not a crossing id"),
+    ({"genus": 1, "x_curves": [[1]], "y_curves": [[1]], "signs": {"+1": 1}},
+     ValueError, "$.signs: key '+1' is not a crossing id"),
+    ({"genus": 0, "x_curves": [[0]], "y_curves": [[0]], "signs": {"-0": 1}},
+     ValueError, "$.signs: key '-0' is not a crossing id"),
 ])
 def test_json_types_are_checked(doc, error, message):
     with pytest.raises(error) as exc:

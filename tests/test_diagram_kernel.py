@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_diagram, dict_components, dict_face_count, dict_genus_sum, intersection_matrix
+from helpers import (
+    build_diagram,
+    dart_face_count,
+    dict_components,
+    dict_face_count,
+    dict_genus_sum,
+    intersection_matrix,
+    outcome,
+)
 from sfsdiag import diagram
 from sfsdiag.diagram import (
     Diagram,
@@ -16,6 +24,7 @@ from sfsdiag.diagram import (
     _crossing_index,
     _CrossingIndex,
     _face_count,
+    _trivial_handles,
     diagram_presentation,
     is_positive_diagram,
     montesinos_decode,
@@ -66,6 +75,25 @@ def signed_pair_diagrams(draw):
     return build_diagram(0, cycles(sx), cycles(sy), dict(enumerate(signs, start=1)))
 
 
+def relabel(dg, new_ids):
+    """The diagram with its crossing ids, in increasing order, renamed to ``new_ids``."""
+    to = dict(zip((c for c, _ in dg.signs), new_ids))
+    return build_diagram(
+        0,
+        [[to[c] for c in curve] for curve in dg.x_curves],
+        [[to[c] for c in curve] for curve in dg.y_curves],
+        {to[c]: s for c, s in dg.signs},
+    )
+
+
+@st.composite
+def relabelled_pair_diagrams(draw):
+    """Signed pair diagrams on distinct ids drawn from -1000..1000."""
+    dg = draw(signed_pair_diagrams())
+    d = dg.crossing_count
+    return relabel(dg, draw(st.lists(st.integers(-1000, 1000), min_size=d, max_size=d, unique=True)))
+
+
 def reference_relators(dg):
     x_index = {c: i for i, curve in enumerate(dg.x_curves, start=1) for c in curve}
     sign = dg.sign_map
@@ -93,6 +121,7 @@ def check_against_reference(dg):
     assert diagram_presentation(dg).relators == relators
     assert intersection_matrix(dg).entries == exponent_rows(relators, len(dg.x_curves))
     assert is_positive_diagram(dg) == all(v == 1 for _, v in dg.signs)
+    check_face_walks_agree(dg)
 
 
 @given(signed_pair_diagrams())
@@ -121,17 +150,8 @@ def test_decode_builds_one_crossing_index(monkeypatch):
 @given(signed_pair_diagrams(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_noncontiguous_ids_match_dict_tracer(dg, data):
-    ids = [c for c, _ in dg.signs]
-    new_ids = data.draw(
-        st.lists(st.integers(-1000, 1000), min_size=len(ids), max_size=len(ids), unique=True)
-    )
-    relabel = dict(zip(ids, new_ids))
-    mapped = build_diagram(
-        0,
-        [[relabel[c] for c in curve] for curve in dg.x_curves],
-        [[relabel[c] for c in curve] for curve in dg.y_curves],
-        {relabel[c]: s for c, s in dg.signs},
-    )
+    d = dg.crossing_count
+    mapped = relabel(dg, data.draw(st.lists(st.integers(-1000, 1000), min_size=d, max_size=d, unique=True)))
     check_against_reference(mapped)
     assert intersection_matrix(mapped) == intersection_matrix(dg)
     assert mapped._index.components == dg._index.components
@@ -161,12 +181,36 @@ def test_positive_and_signed_face_walks_agree(fibers, euler):
 
 
 def check_face_walks_agree(dg):
-    # the signed walk runs on 2d X-darts and handles +1 crossings too
-    idx = _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs)
-    assert idx.positive
-    faces = _face_count(idx)
-    idx.positive = False
-    assert _face_count(idx) == faces
+    # _face_count gives each -1 crossing a trivial handle, the dart walk turns
+    # at each crossing by its sign, and the dict tracer walks (crossing, slot) darts
+    faces = _face_count(dg._index)
+    assert dart_face_count(dg._index) == faces == dict_face_count([c for c, _ in dg.signs], dg)
+
+
+@given(st.one_of(signed_pair_diagrams(), relabelled_pair_diagrams()))
+@settings(max_examples=150, deadline=None)
+def test_trivial_handles_make_a_positive_diagram_one_genus_up_per_negative_crossing(dg):
+    # the paper's statement: a -1 crossing becomes three +1 crossings with the same faces
+    n = sum(v < 0 for _, v in dg.signs)
+    x_next, y_next = _trivial_handles(dg._index)
+    assert len(x_next) == len(y_next) == dg.crossing_count + 1 + 2 * n
+    assert x_next[0] == y_next[0] == 0
+    positive = montesinos_decode(PermutationPair(tuple(x_next[1:]), tuple(y_next[1:])))
+    assert is_positive_diagram(positive)
+    # a handle is a stabilization: one more X curve and one more Y curve
+    assert (len(positive.x_curves), len(positive.y_curves)) == (len(dg.x_curves) + n, len(dg.y_curves) + n)
+    assert positive.declared_genus == dict_genus_sum(positive) == dict_genus_sum(dg) + n
+    assert dict_face_count(range(1, len(x_next)), positive) == dict_face_count([c for c, _ in dg.signs], dg)
+    assert len(dict_components(positive)) == len(dict_components(dg))
+
+
+@given(st.one_of(signed_pair_diagrams(), relabelled_pair_diagrams()))
+@settings(max_examples=150, deadline=None)
+def test_flipping_every_sign_keeps_the_faces_and_the_rotation_genus(dg):
+    # the mirror reverses the rotation at every crossing, and with it every face
+    mirror = Diagram(0, dg.x_curves, dg.y_curves, tuple((c, -v) for c, v in dg.signs))
+    assert _face_count(mirror._index) == _face_count(dg._index)
+    assert outcome(rotation_genus, mirror) == outcome(rotation_genus, dg)
 
 
 @st.composite
@@ -182,7 +226,6 @@ def decoded_pairs(draw):
 def test_positive_and_signed_face_walks_agree_on_decoded_pairs(dg):
     # unlike in builds, most ranks of a random pair move under the face step
     check_face_walks_agree(dg)
-    assert _face_count(dg._index) == dict_face_count([c for c, _ in dg.signs], dg)
 
 
 def check_index_parity(dg):
@@ -269,6 +312,9 @@ INVALID += [
     ]
     for signs in (PositiveSigns(d), tuple(PositiveSigns(d)))
 ]
+# ids 1..d in order with a repeat: the sign map is shorter than d
+INVALID.append((Diagram(1, ((1, 2),), ((1, 2),), ((1, 1), (1, 1))),
+                "invalid diagram: DuplicateSign: crossing 1 appears 2 times"))
 
 
 @pytest.mark.parametrize("dg,message", INVALID)

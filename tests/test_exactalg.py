@@ -1,4 +1,5 @@
 import random
+import re
 from math import prod
 
 import pytest
@@ -76,6 +77,21 @@ class TestJoin:
             _join(chain, d)
             join_ascending(oracle, d)
             assert chain == oracle[::-1]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: crt([(1, 2), (0, 0)]), "modulus must be >= 1, got 0"),
+    (lambda: floor_sum([(1, 2), (3, -1)]), "denominator must be >= 1, got -1"),
+    (lambda: IntMatrix(-1, ()), "matrix dimensions must be nonnegative"),
+    (lambda: IntMatrix(2, ((1, 2), (3,))), "ragged matrix rows"),
+    (lambda: IntMatrix.from_rows([]), "cols is required for an empty matrix"),
+    (lambda: SnfResult((), -1), "free rank must be nonnegative"),
+    (lambda: SnfResult((1, 0), 0), "invariant factors must be positive"),
+    (lambda: SnfResult((2, 3), 0), "invariant factors must form a divisibility chain"),
+])
+def test_out_of_range_arguments_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestLeastPositiveResidue:

@@ -225,6 +225,10 @@ class TestPresentationAndHomology:
         assert p.n_generators == 3
         assert p.relators == ((1, 2, -1, -2), (1, 3, -1, -3), (2, 3, -2, -3))
 
+    def test_presentation_needs_normalized_input(self):
+        with pytest.raises(ValueError, match="^sfs_presentation expects normalized input$"):
+            sfs_presentation(SeifertData.non_normalized(0, [(2, 1)]))
+
     def test_three_torus_homology(self):
         h = homology(SeifertData.normalized(1, [], 0))
         assert h.free_rank == 3

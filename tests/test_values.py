@@ -223,6 +223,10 @@ def test_checks_still_run_in_the_constructor():
         ChainPlan(2)
     with pytest.raises(ValueError, match="phg interval is empty"):
         GenusReport(1, 2, 1, "Generic_g0")
+    with pytest.raises(ValueError, match="^unknown case tag 'ThmZ'$"):
+        GenusReport(1, 1, 1, "ThmZ")
+    with pytest.raises(ValueError, match="^hg exceeds the phg lower bound$"):
+        GenusReport(3, 2, 2, "Generic_g0")
 
 
 class TestPackage:

@@ -155,6 +155,11 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=r"^slope 1 has sign 0 against pattern -$"):
             synthesize_diagram(ChainPlan(3), betas)
 
+    def test_wrong_slope_count_refused(self):
+        betas = (FiberInvariant(2, 1), FiberInvariant(1, -1))
+        with pytest.raises(ValueError, match="^expected 3 slopes, got 2$"):
+            synthesize_diagram(ChainPlan(3), betas)
+
 
 @st.composite
 def sphere_spaces(draw, m_range=(0, 8), max_alpha=60):
