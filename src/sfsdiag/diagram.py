@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import compress, count, repeat
-from operator import mul, ne
+from itertools import count, repeat
+from operator import mul
 
 from .errors import Disconnected, IsolatedCurve, NotPositive, Value, init_field, want, want_ints
 from .exactalg import SnfResult, _snf
@@ -191,7 +191,8 @@ class _CrossingIndex:
     next rank along X and Y and the letter ``+-(i + 1)`` of its X curve ``i``, signed
     by the crossing, rank 0 a dummy with letter 1 whose curves close on themselves;
     the component count and, per Y curve, its nonzero intersection numbers by
-    generator ``1..g`` (the matrix rows)."""
+    generator ``1..g`` (the matrix rows), on a positive diagram counted on every
+    Y curve but the longest, whose row is derived from the X curve lengths."""
 
     __slots__ = ("y_ranks", "letter", "positive", "x_next", "y_next", "components", "matrix")
 
@@ -248,12 +249,25 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
 
     # per Y curve, count its letters: the matrix row of a positive diagram,
     # folded to row[gen] - row[-gen] on a signed one; union-find joins each
-    # X curve (node gen) with the Y curves it crosses (nodes gx + 1 on)
+    # X curve (node gen) with the Y curves it crosses (nodes gx + 1 on).  Each
+    # rank lies on one X and one Y curve, so column gen of a positive matrix
+    # sums to len(X_gen): the longest Y curve (most crossings of a build) goes
+    # uncounted, its row len(X_gen) less the other rows, zeros dropped
+    lens = [len(rs) for rs in idx.y_ranks]
+    longest = gx + 1 + lens.index(max(lens)) if idx.positive else 0
     for y_node, rs in enumerate(idx.y_ranks, start=gx + 1):
-        row = Counter(map(letter.__getitem__, rs))
+        row = {} if y_node == longest else Counter(map(letter.__getitem__, rs))
         for gen in row:
             parent[find(abs(gen))] = find(y_node)
         rows.append(row if idx.positive else {gen: v for gen in set(map(abs, row)) if (v := row[gen] - row[-gen])})
+    if idx.positive:
+        left = [0] + [len(curve) for curve in x_curves]
+        for row in rows:
+            for gen, v in row.items():
+                left[gen] -= v
+        rows[longest - gx - 1] = row = {gen: v for gen, v in enumerate(left) if v}
+        for gen in row:
+            parent[find(gen)] = find(longest)
     idx.components = len({find(gen) for gen, curve in enumerate(x_curves, start=1) if curve})
     idx.matrix = rows
     return idx
@@ -264,12 +278,13 @@ def is_positive_diagram(dg: Diagram) -> bool:
     return dg._index.positive
 
 
-def _trivial_handles(idx: _CrossingIndex) -> tuple[list[int], list[int]]:
+def _trivial_handles(idx: _CrossingIndex, sign: int = -1) -> tuple[list[int], list[int]]:
     """``x_next`` and ``y_next`` once each -1 crossing is traded for the paper's trivial handle, three
     +1 crossings with the same faces: per negative rank p, ranks b and c = b + 1 are appended, c takes
-    p's place on its Y curve, p moves to the new Y curve (p, b) and the new X curve (b, c) closes it."""
-    neg = [p for p, gen in enumerate(idx.letter) if gen < 0]
-    c_of = dict(zip(neg, count(len(idx.x_next) + 1, 2)))
+    p's place on its Y curve, p moves to the new Y curve (p, b) and the new X curve (b, c) closes it.
+    With ``sign`` +1 the handles go on the +1 crossings (never the dummy rank 0): those of the mirror."""
+    handled = [p for p, gen in enumerate(idx.letter) if p and gen * sign > 0]
+    c_of = dict(zip(handled, count(len(idx.x_next) + 1, 2)))
     x_next, y_next = idx.x_next[:], list(map(c_of.get, idx.y_next, idx.y_next))
     for p, c in c_of.items():
         x_next += (c, c - 1)
@@ -286,15 +301,17 @@ def _face_count(idx: _CrossingIndex) -> int:
     of ``r -> y_next[x_prev[y_prev[x_next[r]]]]``, or of its conjugate by
     ``x_next``, which maps ``y_next[x_next[w]]`` to ``x_next[y_next[w]]``
     and fixes the commuting squares, where ``x_next`` and ``y_next`` commute.
-    A signed diagram is first given its trivial handles (:func:`_trivial_handles`).
-    The dummy rank 0 adds one face.
+    A signed diagram is first given its trivial handles (:func:`_trivial_handles`) on
+    its minority sign: the mirror has the same faces, so at most ``2d + 1`` ranks are
+    walked.  The dummy rank 0 adds one face.
     """
-    x_next, y_next = (idx.x_next, idx.y_next) if idx.positive else _trivial_handles(idx)
-    src, dst = list(map(y_next.__getitem__, x_next)), list(map(x_next.__getitem__, y_next))
+    x_next, y_next = idx.x_next, idx.y_next
+    if not idx.positive:  # more than d / 2 crossings -1: handles on the +1 ones, as on the mirror
+        x_next, y_next = _trivial_handles(idx, 1 if 2 * sum(gen < 0 for gen in idx.letter) >= len(x_next) else -1)
     # most faces of a diagram are fixed points here; count them in bulk and
     # pop the cycles of the moved points
-    step = dict(compress(zip(src, dst), map(ne, src, dst)))
-    faces = len(dst) - len(step) - 1
+    step = {a: b for r, w in zip(x_next, y_next) if (a := y_next[r]) != (b := x_next[w])}
+    faces = len(x_next) - len(step) - 1
     while step:
         start, w = step.popitem()
         faces += 1

@@ -121,7 +121,7 @@ def check_against_reference(dg):
     assert diagram_presentation(dg).relators == relators
     assert intersection_matrix(dg).entries == exponent_rows(relators, len(dg.x_curves))
     assert is_positive_diagram(dg) == all(v == 1 for _, v in dg.signs)
-    check_face_walks_agree(dg)
+    check_rows_and_walks(dg)
 
 
 @given(signed_pair_diagrams())
@@ -181,7 +181,7 @@ def test_positive_and_signed_face_walks_agree(fibers, euler):
 
 
 def check_face_walks_agree(dg):
-    # _face_count gives each -1 crossing a trivial handle, the dart walk turns
+    # _face_count gives each crossing of the minority sign a trivial handle, the dart walk turns
     # at each crossing by its sign, and the dict tracer walks (crossing, slot) darts
     faces = _face_count(dg._index)
     assert dart_face_count(dg._index) == faces == dict_face_count([c for c, _ in dg.signs], dg)
@@ -208,9 +208,69 @@ def test_trivial_handles_make_a_positive_diagram_one_genus_up_per_negative_cross
 @settings(max_examples=150, deadline=None)
 def test_flipping_every_sign_keeps_the_faces_and_the_rotation_genus(dg):
     # the mirror reverses the rotation at every crossing, and with it every face
-    mirror = Diagram(0, dg.x_curves, dg.y_curves, tuple((c, -v) for c, v in dg.signs))
-    assert _face_count(mirror._index) == _face_count(dg._index)
-    assert outcome(rotation_genus, mirror) == outcome(rotation_genus, dg)
+    assert _face_count(mirror(dg)._index) == _face_count(dg._index)
+    assert outcome(rotation_genus, mirror(dg)) == outcome(rotation_genus, dg)
+
+
+def mirror(dg):
+    """``dg`` with every crossing sign flipped."""
+    return Diagram(0, dg.x_curves, dg.y_curves, tuple((c, -v) for c, v in dg.signs))
+
+
+def check_rows_and_walks(dg):
+    """The index's rows are exactly the nonzeros of the reference exponent rows, its
+    components those of the dict tracer, and every face walk agrees."""
+    rows = exponent_rows(reference_relators(dg), len(dg.x_curves))
+    assert [dict(row) for row in dg._index.matrix] == [{g: v for g, v in enumerate(row, start=1) if v} for row in rows]
+    assert dg._index.components == len(dict_components(dg))
+    check_face_walks_agree(dg)
+
+
+# positive diagrams whose longest Y curve (the one whose row is derived, not
+# counted) is tied, alone, missed by an X curve, or beside an empty X curve
+DERIVED_ROW_CASES = {
+    "tied-longest": ([[1, 2], [3, 4]], [[1, 3], [2, 4]]),
+    "tied-longest-first-short": ([[1, 4], [2, 5], [3]], [[3], [1, 2], [4, 5]]),
+    "single-y": ([[1, 2], [3]], [[1, 3, 2]]),
+    "single-y-one-x": ([[3, 1, 2]], [[2, 1, 3]]),
+    "x-misses-longest": ([[1, 2, 3], [4]], [[1, 2, 3], [4]]),
+    "x-misses-longest-later": ([[5], [1, 3], [2, 4, 6]], [[6], [4, 1, 2, 3], [5]]),
+    "empty-x": ([[1, 2], []], [[2, 1]]),
+    "empty-x-first": ([[], [2, 3], [1]], [[1, 3, 2]]),
+}
+
+
+@pytest.mark.parametrize("case", DERIVED_ROW_CASES)
+def test_derived_row_matches_reference(case):
+    xs, ys = DERIVED_ROW_CASES[case]
+    d = sum(map(len, xs))
+    for dg in (Diagram(0, tuple(map(tuple, xs)), tuple(map(tuple, ys)), PositiveSigns(d)),
+               relabel(build_diagram(0, xs, ys, dict.fromkeys(range(1, d + 1), 1)), [7 * c - 20 for c in range(d)])):
+        assert is_positive_diagram(dg)
+        check_rows_and_walks(dg)
+        # the signed path, with one crossing -1, counts every row
+        check_rows_and_walks(Diagram(0, dg.x_curves, dg.y_curves, ((dg.signs[0][0], -1), *dg.signs[1:])))
+
+
+@given(st.one_of(signed_pair_diagrams(), relabelled_pair_diagrams()))
+@settings(max_examples=150, deadline=None)
+def test_majority_negative_diagrams_match_reference(dg):
+    check_against_reference(dg if 2 * sum(v < 0 for _, v in dg.signs) >= dg.crossing_count else mirror(dg))
+
+
+@given(st.one_of(signed_pair_diagrams(), relabelled_pair_diagrams()))
+@settings(max_examples=150, deadline=None)
+def test_face_count_gives_handles_to_the_minority_sign(dg):
+    # handles on the +1 crossings are those of the mirror, whose faces are the same
+    assert _trivial_handles(dg._index, 1) == _trivial_handles(mirror(dg)._index)
+    # so the walk takes at most d / 2 handles: at most 2d + 1 ranks
+    walked, real = [], _trivial_handles
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagram, "_trivial_handles", lambda idx, *sign: walked.append(real(idx, *sign)) or walked[-1])
+        faces = _face_count(dg._index)
+    assert faces == dart_face_count(dg._index)
+    d, minus = dg.crossing_count, sum(v < 0 for _, v in dg.signs)
+    assert [len(x_next) for x_next, _ in walked] == ([d + 1 + 2 * min(minus, d - minus)] if minus else [])
 
 
 @st.composite
