@@ -237,9 +237,8 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
     if not idx.positive:
         idx.letter = letter = list(map(mul, letter, [1] + values))
 
-    gx = len(x_curves)
     rows = []
-    parent = list(range(gx + 1 + len(y_curves)))
+    parent = list(range(len(x_curves) + 1))
 
     def find(a):
         while parent[a] != a:
@@ -247,27 +246,31 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
             a = parent[a]
         return a
 
+    def join(gens):  # the X curves one Y curve crosses lie in one component
+        if gens:
+            root = find(abs(next(iter(gens))))
+            for gen in gens:
+                parent[find(abs(gen))] = root
+
     # per Y curve, count its letters: the matrix row of a positive diagram,
-    # folded to row[gen] - row[-gen] on a signed one; union-find joins each
-    # X curve (node gen) with the Y curves it crosses (nodes gx + 1 on).  Each
-    # rank lies on one X and one Y curve, so column gen of a positive matrix
-    # sums to len(X_gen): the longest Y curve (most crossings of a build) goes
-    # uncounted, its row len(X_gen) less the other rows, zeros dropped
+    # folded to row[gen] - row[-gen] on a signed one, whose letters before the
+    # fold are joined.  Each rank lies on one X and one Y curve, so column gen
+    # of a positive matrix sums to len(X_gen): the longest Y curve (most
+    # crossings of a build) goes uncounted, its row len(X_gen) less the other
+    # rows, zeros dropped
     lens = [len(rs) for rs in idx.y_ranks]
-    longest = gx + 1 + lens.index(max(lens)) if idx.positive else 0
-    for y_node, rs in enumerate(idx.y_ranks, start=gx + 1):
-        row = {} if y_node == longest else Counter(map(letter.__getitem__, rs))
-        for gen in row:
-            parent[find(abs(gen))] = find(y_node)
+    longest = lens.index(max(lens)) if idx.positive else -1
+    for k, rs in enumerate(idx.y_ranks):
+        row = {} if k == longest else Counter(map(letter.__getitem__, rs))
+        join(row)
         rows.append(row if idx.positive else {gen: v for gen in set(map(abs, row)) if (v := row[gen] - row[-gen])})
     if idx.positive:
         left = [0] + [len(curve) for curve in x_curves]
         for row in rows:
             for gen, v in row.items():
                 left[gen] -= v
-        rows[longest - gx - 1] = row = {gen: v for gen, v in enumerate(left) if v}
-        for gen in row:
-            parent[find(gen)] = find(longest)
+        rows[longest] = row = {gen: v for gen, v in enumerate(left) if v}
+        join(row)
     idx.components = len({find(gen) for gen, curve in enumerate(x_curves, start=1) if curve})
     idx.matrix = rows
     return idx

@@ -13,7 +13,6 @@ from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from itertools import compress
 from math import gcd, prod
-from operator import neg
 
 from .errors import Incompatible, Value, init_field, want, want_ints
 
@@ -130,13 +129,17 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
 
     Rows are ``{col: value}`` dicts of nonzeros, beside a column -> row-set
     map.  Each pivot is the least ``|v|`` entry, ties to the shorter column,
-    of the first row with the fewest nonzeros.  Local Euclid passes: row
-    operations clear the pivot column walking only the pivot row, column
-    operations reduce the pivot row modulo the pivot and touch no other row.
-    Remainders, all below the pivot, move it to the shortest row after a row
-    pass or the shortest column after a column pass, ties to the least.  A
-    pivot alone in its row and column joins the chain by :func:`_join`.
+    of the first row with the fewest nonzeros: the least ``(len(row), i)`` of a
+    heap that gets an entry whenever a row's length changes, stale entries
+    popped when they reach the top, so no pivot rescans the live rows.  Local
+    Euclid passes: row operations clear the pivot column walking only the pivot
+    row, column operations reduce the pivot row modulo the pivot and touch no
+    other row.  Remainders, all below the pivot, move it to the shortest row
+    after a row pass or the shortest column after a column pass, ties to the
+    least.  A pivot alone in its row and column joins the chain by :func:`_join`.
     """
+    from heapq import heapify, heappop, heappush
+
     rows, cols = {}, {}
     for i, row in enumerate(nonzeros):
         if row := dict(row):
@@ -148,12 +151,13 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
                     cols[j].add(i)
                 else:
                     cols[j] = {i}
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapify(heap)
     chain = []
     while rows:
-        n = min(map(len, rows.values()))
-        for r, row in rows.items():
-            if len(row) == n:
-                break
+        while (r := heap[0][1]) not in rows or len(rows[r]) != heap[0][0]:
+            heappop(heap)
+        row = rows[r]
         best = None
         for j, v in row.items():
             if best is None or (abs(v), len(cols[j])) < best:
@@ -165,6 +169,7 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
                     continue
                 other = rows[i]
                 if q := other[c] // p:
+                    n = len(other)
                     for j, v in row.items():
                         w = other.get(j)
                         if w is None:
@@ -175,6 +180,8 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
                         else:
                             del other[j]
                             cols[j].discard(i)
+                    if len(other) != n:
+                        heappush(heap, (len(other), i))
                 if c in other:
                     if best is None or (len(other), abs(other[c])) < best:
                         best, move = (len(other), abs(other[c])), i
@@ -183,6 +190,7 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
             if best is not None:
                 r, row = move, rows[move]
                 continue
+            n = len(row)
             for j in [*row]:
                 if j == c:
                     continue
@@ -195,6 +203,8 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
                     cols[j].discard(r)
             if best is None:
                 break
+            if len(row) != n:
+                heappush(heap, (len(row), r))
             c = move
         _join(chain, abs(p))
         del rows[r], cols[c]
@@ -202,12 +212,15 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
 
 
 def _join(chain: list[int], d: int) -> None:
-    """Join the factor ``d >= 1`` to the descending divisibility ``chain`` in place: gcd/lcm
-    exchanges from the largest, one ``bisect_right`` past each run of equal factors (they pass
-    the gcd on unchanged), until a 1 passes down; the last gcd is appended, shifting nothing."""
+    """Join the factor ``d >= 1`` to the descending divisibility ``chain`` in place by gcd/lcm
+    exchanges from the largest.  Each factor divides the one before it, so ``d`` divides a prefix
+    of the chain, which the exchange leaves unchanged: one ``bisect_right`` on ``x % d`` jumps to
+    the first factor ``d`` does not divide, and once ``d`` divides the last factor (always so for a
+    1) the last gcd is appended, shifting nothing."""
     i = 0
-    while d != 1 and i < len(chain):
+    while chain and chain[-1] % d:
+        i = bisect_right(chain, 0, i, key=d.__rmod__)
         g = gcd(x := chain[i], d)
         chain[i], d = x // g * d, g
-        i = bisect_right(chain, -x, i + 1, key=neg)
+        i += 1
     chain.append(d)

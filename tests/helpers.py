@@ -11,7 +11,8 @@ successor maps and a union-find over the crossings, and the faces of a
 signed crossing index are also walked on its X-darts with no trivial
 handles; chain diagrams are assembled through per-family id dicts,
 with each torus curve's strand order found by walking its switch.  The
-ascending chain join that inserts each last gcd at the bottom, the
+ascending chain join that inserts each last gcd at the bottom and the
+descending one that walks the chain run by run, the
 case-by-case slot representatives of ``denormalize``, the hand-written
 three slots of ``base_orbifold_cover``, the per-count branches of the
 ``beta_star`` shift, its pairwise stitch of the per-prime answers and the
@@ -21,11 +22,12 @@ source tree for tests that start a fresh interpreter.
 """
 
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, count
 from math import gcd
+from operator import neg
 
 from sfsdiag import covers
 from sfsdiag.covers import beta_star
@@ -186,6 +188,18 @@ def join_ascending(chain: list[int], d: int) -> None:
         chain[i - 1], d = x // g * d, g
         i = bisect_left(chain, x, 0, i - 1)
     chain.insert(0, d)
+
+
+def join_by_runs(chain: list[int], d: int) -> None:
+    """Join the factor ``d >= 1`` to the descending divisibility ``chain`` in place: gcd/lcm
+    exchanges from the largest, one ``bisect_right`` past each run of equal factors (they pass
+    the gcd on unchanged), until a 1 passes down; the last gcd is appended, shifting nothing."""
+    i = 0
+    while d != 1 and i < len(chain):
+        g = gcd(x := chain[i], d)
+        chain[i], d = x // g * d, g
+        i = bisect_right(chain, -x, i + 1, key=neg)
+    chain.append(d)
 
 
 def homology_by_elimination(s: SeifertData) -> SnfResult:

@@ -252,6 +252,26 @@ def test_derived_row_matches_reference(case):
         check_rows_and_walks(Diagram(0, dg.x_curves, dg.y_curves, ((dg.signs[0][0], -1), *dg.signs[1:])))
 
 
+# X curves linked only through a Y curve that crosses one of them twice with
+# opposite signs: its folded row drops that generator, but the curves still meet
+CANCELLED_LINK_CASES = {
+    "cancelled-first": ([[1, 2], [3]], [[1, 2, 3]], {1: 1, 2: -1, 3: 1}),
+    "cancelled-last": ([[3], [1, 2]], [[3, 1, 2]], {1: -1, 2: 1, 3: -1}),
+    "cancelled-middle": ([[1], [2, 3], [4]], [[1, 2, 3, 4]], {1: 1, 2: 1, 3: -1, 4: 1}),
+}
+
+
+@pytest.mark.parametrize("case", CANCELLED_LINK_CASES)
+def test_a_cancelled_generator_still_links_its_x_curve(case):
+    xs, ys, signs = CANCELLED_LINK_CASES[case]
+    built = build_diagram(0, xs, ys, signs)
+    for dg in (built, mirror(built)):
+        assert len(dg._index.matrix[0]) == len(xs) - 1
+        assert dg._index.components == len(dict_components(dg)) == 1
+        assert rotation_genus(dg) == dict_genus_sum(dg)
+        check_rows_and_walks(dg)
+
+
 @given(st.one_of(signed_pair_diagrams(), relabelled_pair_diagrams()))
 @settings(max_examples=150, deadline=None)
 def test_majority_negative_diagrams_match_reference(dg):

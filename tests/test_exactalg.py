@@ -16,7 +16,7 @@ from sfsdiag.exactalg import (
     snf,
 )
 
-from helpers import crt_by_scan, det, join_ascending, least_positive_residue, smith_via_minors
+from helpers import crt_by_scan, det, join_ascending, join_by_runs, least_positive_residue, smith_via_minors
 
 
 class TestCrt:
@@ -56,7 +56,41 @@ def factor_runs(draw):
     return draw(st.lists(st.tuples(kinds, st.integers(1, 300)), max_size=8))
 
 
+# two large primes and a Mersenne prime: pairwise coprime factors whose lcms grow fast
+LARGE_PRIMES = (10**9 + 7, 998_244_353, 2**61 - 1)
+
+
+@st.composite
+def factor_sequences(draw):
+    """Up to 10 runs of 1 to 200 equal factors: 1s, small factors, large coprime
+    primes and multiples of an earlier factor."""
+    factors = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("one", "small", "prime", "multiple")))
+        if kind == "multiple" and factors:
+            d = draw(st.sampled_from(factors)) * draw(st.integers(1, 12))
+        elif kind == "prime":
+            d = draw(st.sampled_from(LARGE_PRIMES))
+        else:
+            d = 1 if kind == "one" else draw(st.integers(1, 60))
+        factors += [d] * draw(st.integers(1, 200))
+    return factors
+
+
 class TestJoin:
+    @given(factor_sequences())
+    @settings(max_examples=150, deadline=None)
+    def test_bisecting_join_matches_the_run_walk_and_the_ascending_oracle(self, factors):
+        chain, runs, oracle = [], [], []
+        for d in factors:
+            _join(chain, d)
+            join_by_runs(runs, d)
+            join_ascending(oracle, d)
+        assert chain == runs == oracle[::-1]
+        for descending in (chain, runs, oracle[::-1]):
+            assert all(a % b == 0 for a, b in zip(descending, descending[1:]))
+        assert prod(chain) == prod(factors) and len(chain) == len(factors)
+
     @given(factor_runs())
     @settings(max_examples=150, deadline=None)
     def test_descending_join_matches_the_ascending_oracle(self, runs):

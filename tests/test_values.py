@@ -296,6 +296,14 @@ class TestImportBudget:
         assert "sfsdiag.cli" in loaded
         assert not unneeded & loaded
 
+    # only diagram-build runs an elimination, whose pivot heap is the one user of heapq
+    @pytest.mark.parametrize("verb", ["homology", "normalize", "genus", "diagram-build"])
+    def test_only_an_elimination_loads_heapq(self, verb):
+        loaded = new_modules(f"from sfsdiag.cli import main\nassert main([{verb!r}]) == 0",
+                             json.dumps(VERB_PAYLOADS[verb]))
+        assert "sfsdiag.exactalg" in loaded
+        assert ("heapq" in loaded) == (verb == "diagram-build")
+
     @pytest.mark.parametrize("verb,payload,needed,unneeded", [
         ("positivize", {"generators": 2, "relators": [[1, -2]]}, {"presentation"},
          {"seifert", "diagram", "covers", "vertical"}),
