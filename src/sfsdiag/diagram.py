@@ -27,7 +27,7 @@ from operator import mul
 
 from .errors import Disconnected, IsolatedCurve, NotPositive, Value, init_field, want, want_ints
 from .exactalg import SnfResult, _snf
-from .presentation import Presentation
+from .presentation import Presentation, _exponent_sums
 
 
 class PositiveSigns(Value):
@@ -186,15 +186,15 @@ def _find_violations(dg: Diagram) -> list[DiagramViolation]:
 
 
 class _CrossingIndex:
-    """The crossings of a valid diagram ranked ``1..d`` by id, and its Y curves
-    as ranks (``y_ranks``, the curves themselves for ids ``1..d``); per rank the
-    next rank along X and Y and the letter ``+-(i + 1)`` of its X curve ``i``, signed
-    by the crossing, rank 0 a dummy with letter 1 whose curves close on themselves;
-    the component count and, per Y curve, its nonzero intersection numbers by
-    generator ``1..g`` (the matrix rows), on a positive diagram counted on every
-    Y curve but the longest, whose row is derived from the X curve lengths."""
+    """The crossings of a valid diagram ranked ``1..d`` by id, and its Y curves as ranks
+    (``y_ranks``, the curves themselves for ids ``1..d``); per rank the next rank along X
+    and Y and the letter ``+-(i + 1)`` of its X curve ``i``, signed by the crossing, rank 0
+    a dummy with letter 1 whose curves close on themselves; the count ``negative`` of -1
+    crossings; the component count and, per Y curve, its nonzero intersection numbers by
+    generator ``1..g`` (the matrix rows), on a positive diagram counted on every Y curve
+    but the longest, whose row is derived from the X curve lengths."""
 
-    __slots__ = ("y_ranks", "letter", "positive", "x_next", "y_next", "components", "matrix")
+    __slots__ = ("y_ranks", "letter", "negative", "x_next", "y_next", "components", "matrix")
 
 
 def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
@@ -204,14 +204,13 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
     if genus < 0 or not x_curves or not y_curves or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d:
         return None
     idx = _CrossingIndex()
-    idx.positive, rank = True, None
+    idx.negative, rank = 0, None
     # a run of positive signs on 1..d is trusted; its curves are checked below
     if type(signs) is not PositiveSigns:
         values = [v for _, v in signs]
-        plus = values.count(1)
-        if plus + values.count(-1) != d:
+        idx.negative = values.count(-1)
+        if values.count(1) + idx.negative != d:
             return None
-        idx.positive = plus == d
         if [c for c, _ in signs] != list(range(1, d + 1)):
             sign_map = dict(signs)
             if len(sign_map) != d:
@@ -234,7 +233,7 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
         return None
     if min(x_next) < 0 or min(y_next) < 0:
         return None
-    if not idx.positive:
+    if idx.negative:
         idx.letter = letter = list(map(mul, letter, [1] + values))
 
     rows = []
@@ -252,19 +251,18 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
             for gen in gens:
                 parent[find(abs(gen))] = root
 
-    # per Y curve, count its letters: the matrix row of a positive diagram,
-    # folded to row[gen] - row[-gen] on a signed one, whose letters before the
-    # fold are joined.  Each rank lies on one X and one Y curve, so column gen
-    # of a positive matrix sums to len(X_gen): the longest Y curve (most
-    # crossings of a build) goes uncounted, its row len(X_gen) less the other
-    # rows, zeros dropped
+    # per Y curve, count its letters: the matrix row of a positive diagram, folded to
+    # its exponent sums on a signed one, whose letters before the fold are joined.
+    # Each rank lies on one X and one Y curve, so column gen of a positive matrix sums
+    # to len(X_gen): the longest Y curve (most crossings of a build) goes uncounted,
+    # its row len(X_gen) less the other rows, zeros dropped
     lens = [len(rs) for rs in idx.y_ranks]
-    longest = lens.index(max(lens)) if idx.positive else -1
+    longest = -1 if idx.negative else lens.index(max(lens))
     for k, rs in enumerate(idx.y_ranks):
         row = {} if k == longest else Counter(map(letter.__getitem__, rs))
         join(row)
-        rows.append(row if idx.positive else {gen: v for gen in set(map(abs, row)) if (v := row[gen] - row[-gen])})
-    if idx.positive:
+        rows.append(_exponent_sums(row) if idx.negative else row)
+    if not idx.negative:
         left = [0] + [len(curve) for curve in x_curves]
         for row in rows:
             for gen, v in row.items():
@@ -278,7 +276,7 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
 
 def is_positive_diagram(dg: Diagram) -> bool:
     """True iff every crossing sign is +1 (vacuously true with none)."""
-    return dg._index.positive
+    return not dg._index.negative
 
 
 def _trivial_handles(idx: _CrossingIndex, sign: int = -1) -> tuple[list[int], list[int]]:
@@ -309,8 +307,8 @@ def _face_count(idx: _CrossingIndex) -> int:
     walked.  The dummy rank 0 adds one face.
     """
     x_next, y_next = idx.x_next, idx.y_next
-    if not idx.positive:  # more than d / 2 crossings -1: handles on the +1 ones, as on the mirror
-        x_next, y_next = _trivial_handles(idx, 1 if 2 * sum(gen < 0 for gen in idx.letter) >= len(x_next) else -1)
+    if idx.negative:  # more than d / 2 crossings -1: handles on the +1 ones, as on the mirror
+        x_next, y_next = _trivial_handles(idx, 1 if 2 * idx.negative >= len(x_next) else -1)
     # most faces of a diagram are fixed points here; count them in bulk and
     # pop the cycles of the moved points
     step = {a: b for r, w in zip(x_next, y_next) if (a := y_next[r]) != (b := x_next[w])}
@@ -406,7 +404,7 @@ def montesinos_encode(dg: Diagram) -> PermutationPair:
     differing only by id relabeling encode identically.
     """
     idx = dg._index
-    if not idx.positive:
+    if idx.negative:
         raise NotPositive("the permutation encoding needs an all-positive diagram")
     sigma_x, sigma_y = (tuple(nxt[1:]) for nxt in (idx.x_next, idx.y_next))
     return PermutationPair(sigma_x, sigma_y)

@@ -1,18 +1,21 @@
 """Finite group presentations with signed-letter relator words.
 
-A word is a tuple of nonzero integers: letter ``k > 0`` is the k-th
-generator, ``k < 0`` its inverse.  A presentation is *positive* when every
-relator uses only positive letters; any presentation can be rewritten into
-a positive one at the cost of a single extra generator and relator, and
-that rewriting preserves the group (checked here through abelianization).
+A word is a tuple of nonzero integers: letter ``k > 0`` is the k-th generator,
+``k < 0`` its inverse.  A presentation is *positive* when every relator uses
+only positive letters; any presentation can be rewritten into a positive one
+at the cost of a single extra generator and relator, and that rewriting
+preserves the group (the tests check it through abelianization and S3 counts).
 """
 
 from __future__ import annotations
 
-from .errors import Value, WorkBudgetExceeded, init_field, want, want_ints
-from .exactalg import IntMatrix, SnfResult, snf
+from collections import Counter
 
-#: Most letters :func:`positivize` writes, and most matrix entries :func:`abelianization` allocates.
+from .errors import Value, WorkBudgetExceeded, init_field, want, want_ints
+from .exactalg import SnfResult, _snf
+
+#: Most letters :func:`positivize` writes, and most cells of the relation matrix :func:`abelianization`
+#: accepts: it allocates no cells, but the elimination's fill can reach them all.
 MAX_ENTRIES = 1_000_000
 
 
@@ -94,19 +97,18 @@ def positivize(p: Presentation) -> Presentation:
     return Presentation(new_gen, tuple(relators))
 
 
+def _exponent_sums(counts: Counter) -> dict[int, int]:
+    """The nonzero exponent sums ``counts[k] - counts[-k]`` of a word's letter counts, by generator ``k``."""
+    return {k: v for k in set(map(abs, counts)) if (v := counts[k] - counts[-k])}
+
+
 def abelianization(p: Presentation) -> SnfResult:
     """Invariant factors and free rank of the abelianized group.
 
-    Rows of the exponent-sum matrix are relators, columns generators; one
-    of more than :data:`MAX_ENTRIES` entries raises :class:`WorkBudgetExceeded`.
+    Rows of the exponent-sum matrix are relators, kept as their nonzeros, columns
+    generators; one of more than :data:`MAX_ENTRIES` cells raises :class:`WorkBudgetExceeded`.
     """
     cells = len(p.relators) * p.n_generators
     if cells > MAX_ENTRIES:
         raise WorkBudgetExceeded(f"the exponent matrix needs {cells} entries, above the limit of {MAX_ENTRIES}")
-    rows = []
-    for word in p.relators:
-        row = [0] * p.n_generators
-        for letter in word:
-            row[abs(letter) - 1] += 1 if letter > 0 else -1
-        rows.append(row)
-    return snf(IntMatrix(p.n_generators, tuple(map(tuple, rows))))
+    return _snf(map(_exponent_sums, map(Counter, p.relators)), p.n_generators)

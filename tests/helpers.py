@@ -17,6 +17,9 @@ case-by-case slot representatives of ``denormalize``, the hand-written
 three slots of ``base_orbifold_cover``, the per-count branches of the
 ``beta_star`` shift, its pairwise stitch of the per-prime answers and the
 table of tied-family statuses stay here to compare against.
+``hom_count`` counts homomorphisms of a presented group into a finite
+permutation group (``S3``) by brute force over the generator images, a
+homotopy invariant that abelianization cannot see.
 ``VERB_PAYLOADS`` holds one valid request per CLI verb, and ``SRC`` the
 source tree for tests that start a fresh interpreter.
 """
@@ -25,7 +28,7 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, groupby, permutations
 from math import gcd
 from operator import neg
 
@@ -704,3 +707,46 @@ def tied_status_by_triples(fibers) -> str:
     if key == OPEN_TRIPLE:
         return "open"
     return "not positive"
+
+
+S3 = tuple(permutations(range(3)))
+
+
+def hom_count(p, group) -> int:
+    """Number of homomorphisms from the group presented by ``p`` into ``group``, a finite
+    group of permutation tuples, by brute force over the generator images.  Images are
+    chosen for the generators in most relators first; each relator, kept as runs
+    ``(generator, exponent)``, is checked once every generator it uses has an image."""
+    identity = tuple(range(len(group[0])))
+    powers = {}
+    for g in group:
+        powers[g] = [identity]
+        while (nxt := tuple(g[i] for i in powers[g][-1])) != identity:
+            powers[g].append(nxt)
+    uses = Counter(abs(letter) for word in p.relators for letter in set(word))
+    order = sorted(range(1, p.n_generators + 1), key=lambda gen: -uses[gen])
+    level = {gen: i for i, gen in enumerate(order)}
+    due = [[] for _ in order]
+    for word in filter(None, p.relators):
+        runs = [(abs(letter), len(list(run)) * (1 if letter > 0 else -1)) for letter, run in groupby(word)]
+        due[max(level[gen] for gen, _ in runs)].append(runs)
+    images = {}
+
+    def holds(runs):
+        value = identity
+        for gen, e in runs:
+            power = powers[images[gen]]
+            value = tuple(value[i] for i in power[e % len(power)])
+        return value == identity
+
+    def extensions(i):
+        if i == len(order):
+            return 1
+        total = 0
+        for g in group:
+            images[order[i]] = g
+            if all(map(holds, due[i])):
+                total += extensions(i + 1)
+        return total
+
+    return extensions(0)

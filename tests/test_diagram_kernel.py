@@ -25,6 +25,7 @@ from sfsdiag.diagram import (
     _CrossingIndex,
     _face_count,
     _trivial_handles,
+    diagram_homology,
     diagram_presentation,
     is_positive_diagram,
     montesinos_decode,
@@ -33,6 +34,7 @@ from sfsdiag.diagram import (
     validate,
 )
 from sfsdiag.errors import Disconnected
+from sfsdiag.presentation import abelianization
 from sfsdiag.seifert import SeifertData
 from sfsdiag.vertical import build_positive_vertical
 
@@ -94,6 +96,21 @@ def relabelled_pair_diagrams(draw):
     return relabel(dg, draw(st.lists(st.integers(-1000, 1000), min_size=d, max_size=d, unique=True)))
 
 
+@st.composite
+def shared_sign_pair_diagrams(draw):
+    """Diagrams of random permutation pairs of degree 1..80 with any share of -1
+    crossings, every one -1 in about half the draws; three in four on even ids,
+    which are never ``1..d``."""
+    d = draw(st.integers(1, 80))
+    sx, sy = (draw(st.permutations(range(1, d + 1))) for _ in "xy")
+    minus = set(draw(st.permutations(range(1, d + 1)))[:draw(st.one_of(st.just(d), st.integers(0, d)))])
+    dg = build_diagram(0, cycles(sx), cycles(sy), {c: -1 if c in minus else 1 for c in range(1, d + 1)})
+    if draw(st.integers(0, 3)):
+        ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=d, max_size=d, unique=True))
+        dg = relabel(dg, [2 * c for c in ids])
+    return dg
+
+
 def reference_relators(dg):
     x_index = {c: i for i, curve in enumerate(dg.x_curves, start=1) for c in curve}
     sign = dg.sign_map
@@ -120,6 +137,9 @@ def check_against_reference(dg):
     relators = reference_relators(dg)
     assert diagram_presentation(dg).relators == relators
     assert intersection_matrix(dg).entries == exponent_rows(relators, len(dg.x_curves))
+    # the Smith form is canonical, so the index's rows and the presentation's
+    # exponent sums give one exact result, 1s included
+    assert diagram_homology(dg) == abelianization(diagram_presentation(dg))
     assert is_positive_diagram(dg) == all(v == 1 for _, v in dg.signs)
     check_rows_and_walks(dg)
 
@@ -133,6 +153,12 @@ def test_permutation_pairs_match_dict_tracer(dg):
     decoded = montesinos_decode(pair)
     assert decoded.declared_genus == dict_genus_sum(positive)
     assert montesinos_encode(decoded) == pair
+
+
+@given(shared_sign_pair_diagrams())
+@settings(max_examples=100, deadline=None)
+def test_diagram_homology_is_the_presentation_abelianization(dg):
+    assert diagram_homology(dg) == abelianization(diagram_presentation(dg))
 
 
 def test_decode_builds_one_crossing_index(monkeypatch):

@@ -1,11 +1,14 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import S3, hom_count
 from sfsdiag import presentation
 from sfsdiag.errors import WorkBudgetExceeded
+from sfsdiag.exactalg import SnfResult
 from sfsdiag.presentation import (
     Presentation,
     abelianization,
@@ -86,6 +89,16 @@ class TestPositivize:
         assert is_positive(q)
         assert abelianization(q).same_group(abelianization(p))
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_preserves_the_s3_count(self, data):
+        # a homotopy invariant that abelianization cannot see
+        n = data.draw(st.integers(1, 3))
+        letters = st.integers(-n, n).filter(lambda x: x != 0)
+        relators = data.draw(st.lists(st.lists(letters, max_size=10).map(tuple), max_size=4).map(tuple))
+        p = Presentation(n, relators)
+        assert hom_count(positivize(p), S3) == hom_count(p, S3)
+
 
 class TestWorkBudget:
     def test_positivize_refuses_one_above_the_limit(self, monkeypatch):
@@ -109,6 +122,20 @@ class TestWorkBudget:
             abelianization(p)
         monkeypatch.setattr(presentation, "MAX_ENTRIES", 9)
         assert abelianization(p).free_rank == 0
+
+    def test_abelianization_stays_sparse_at_the_limit(self):
+        # 1,000 one-letter relators on 1,000 generators: exactly MAX_ENTRIES cells,
+        # of which 1,000 are nonzero; a dense exponent matrix peaks near 16 MiB
+        p = Presentation(1000, tuple((k,) for k in range(1, 1001)))
+        assert len(p.relators) * p.n_generators == presentation.MAX_ENTRIES
+        tracemalloc.start()
+        try:
+            result = abelianization(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == SnfResult((1,) * 1000, 0)
+        assert peak < 2 * 1024 * 1024
 
 
 class TestAbelianization:

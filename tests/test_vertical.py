@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dict_synthesize, walk_strand_cycle
+from helpers import S3, dict_synthesize, hom_count, walk_strand_cycle
 from sfsdiag import vertical
 from sfsdiag.diagram import (
     diagram_homology,
@@ -16,7 +16,8 @@ from sfsdiag.diagram import (
     validate,
 )
 from sfsdiag.errors import BaseGenusUnsupported, CrossingBudgetExceeded, UnsatisfiablePattern
-from sfsdiag.seifert import FiberInvariant, SeifertData, homology, normalize
+from sfsdiag.presentation import Presentation, abelianization
+from sfsdiag.seifert import FiberInvariant, SeifertData, homology, normalize, sfs_presentation
 from sfsdiag.vertical import (
     ChainPlan,
     _strand_cycle,
@@ -251,6 +252,31 @@ class TestBuild:
             assert len(dg.x_curves) == len(dg.y_curves) == dg.declared_genus == r - 1
             assert rotation_genus(dg) == r - 1
             assert diagram_homology(dg).same_group(homology(s))
+
+
+class TestS3Counts:
+    """Homomorphism counts into S3, a homotopy invariant that H1 cannot see."""
+
+    @given(
+        st.lists(st.sampled_from([(a, b) for a in range(2, 10) for b in range(1, a) if gcd(a, b) == 1]),
+                 min_size=3, max_size=4),
+        st.integers(-3, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_built_presentation_counts_as_the_input(self, fibers, euler):
+        s = SeifertData.normalized(0, fibers, euler)
+        assert hom_count(diagram_presentation(build_positive_vertical(s)), S3) == hom_count(sfs_presentation(s), S3)
+
+    def test_a_letter_swap_that_keeps_h1_changes_the_count(self):
+        # {0; 3/4, 1/2, 1/2; e = 0}: swapping two adjacent distinct letters of the
+        # second relator keeps every exponent sum, so only the S3 count sees it
+        s = SeifertData.normalized(0, [(4, 3), (2, 1), (2, 1)], 0)
+        p = diagram_presentation(build_positive_vertical(s))
+        assert p.relators[1] == (1, 1, 1, 1, 2, 2)
+        mutant = Presentation(2, (p.relators[0], (1, 1, 1, 2, 1, 2)))
+        assert abelianization(mutant) == abelianization(p)
+        assert hom_count(p, S3) == hom_count(sfs_presentation(s), S3) == 10
+        assert hom_count(mutant, S3) == 16
 
 
 class TestCrossingBudget:
