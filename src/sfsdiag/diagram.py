@@ -27,7 +27,7 @@ from operator import mul
 
 from .errors import Disconnected, IsolatedCurve, NotPositive, Value, init_field, want, want_ints
 from .exactalg import SnfResult, _snf
-from .presentation import Presentation, _exponent_sums
+from .presentation import Presentation, _exponent_sums, _letter_counts
 
 
 class PositiveSigns(Value):
@@ -190,16 +190,17 @@ class _CrossingIndex:
     (``y_ranks``, the curves themselves for ids ``1..d``); per rank the next rank along X
     and Y and the letter ``+-(i + 1)`` of its X curve ``i``, signed by the crossing, rank 0
     a dummy with letter 1 whose curves close on themselves; the count ``negative`` of -1
-    crossings; the component count and, per Y curve, its nonzero intersection numbers by
-    generator ``1..g`` (the matrix rows), on a positive diagram counted on every Y curve
-    but the longest, whose row is derived from the X curve lengths."""
+    crossings; the component count, 1 whenever one row meets every X curve; per Y curve its
+    nonzero intersection numbers by generator ``1..g`` (the matrix rows, plain dicts), on a
+    positive diagram counted on every Y curve but the longest, derived from the X lengths."""
 
     __slots__ = ("y_ranks", "letter", "negative", "x_next", "y_next", "components", "matrix")
 
 
 def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
     """Index of diagram data; None on any defect :func:`validate` reports.  Ids ``1..d`` are
-    their own ranks, range-checked once per side after the fill; one above ``d`` fails to index."""
+    their own ranks, range-checked once per side after the fill; one above ``d`` fails to index.
+    Rows count letters into plain dicts; a union-find runs only when no row meets every X curve."""
     d = len(signs)
     if genus < 0 or not x_curves or not y_curves or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d:
         return None
@@ -236,40 +237,39 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
     if idx.negative:
         idx.letter = letter = list(map(mul, letter, [1] + values))
 
-    rows = []
-    parent = list(range(len(x_curves) + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def join(gens):  # the X curves one Y curve crosses lie in one component
-        if gens:
-            root = find(abs(next(iter(gens))))
-            for gen in gens:
-                parent[find(abs(gen))] = root
-
-    # per Y curve, count its letters: the matrix row of a positive diagram, folded to
-    # its exponent sums on a signed one, whose letters before the fold are joined.
-    # Each rank lies on one X and one Y curve, so column gen of a positive matrix sums
-    # to len(X_gen): the longest Y curve (most crossings of a build) goes uncounted,
-    # its row len(X_gen) less the other rows, zeros dropped
+    # per Y curve its letter counts: the matrix row of a positive diagram, folded to its
+    # exponent sums on a signed one.  Each rank lies on one X and one Y curve, so column gen
+    # of a positive matrix sums to len(X_gen): the longest Y curve (most crossings of a
+    # build) goes uncounted, its row len(X_gen) less the other rows, zeros dropped
     lens = [len(rs) for rs in idx.y_ranks]
     longest = -1 if idx.negative else lens.index(max(lens))
-    for k, rs in enumerate(idx.y_ranks):
-        row = {} if k == longest else Counter(map(letter.__getitem__, rs))
-        join(row)
-        rows.append(_exponent_sums(row) if idx.negative else row)
-    if not idx.negative:
+    counts = [{} if k == longest else _letter_counts(map(letter.__getitem__, rs)) for k, rs in enumerate(idx.y_ranks)]
+    if idx.negative:
+        rows = list(map(_exponent_sums, counts))
+    else:
         left = [0] + [len(curve) for curve in x_curves]
-        for row in rows:
+        for row in counts:
             for gen, v in row.items():
                 left[gen] -= v
-        rows[longest] = row = {gen: v for gen, v in enumerate(left) if v}
-        join(row)
-    idx.components = len({find(gen) for gen, curve in enumerate(x_curves, start=1) if curve})
+        counts[longest] = {gen: v for gen, v in enumerate(left) if v}
+        rows = counts
+    if len(x_curves) in map(len, rows):  # a row meets every X curve, as Y_1 of a build does
+        idx.components = 1
+    else:
+        parent = list(range(len(x_curves) + 1))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for row in counts:  # the X curves one Y curve crosses lie in one component
+            if row:
+                root = find(abs(next(iter(row))))
+                for gen in row:
+                    parent[find(abs(gen))] = root
+        idx.components = len({find(gen) for gen, curve in enumerate(x_curves, start=1) if curve})
     idx.matrix = rows
     return idx
 

@@ -136,7 +136,7 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
     row, column operations reduce the pivot row modulo the pivot and touch no
     other row.  Remainders, all below the pivot, move it to the shortest row
     after a row pass or the shortest column after a column pass, ties to the
-    least.  A pivot alone in its row and column joins the chain by :func:`_join`.
+    least.  A pivot alone in its row and column joins the chain by :func:`_join`; a 1 is only counted.
     """
     from heapq import heapify, heappop, heappush
 
@@ -153,7 +153,7 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
                     cols[j] = {i}
     heap = [(len(row), i) for i, row in rows.items()]
     heapify(heap)
-    chain = []
+    chain, ones = [], 0
     while rows:
         while (r := heap[0][1]) not in rows or len(rows[r]) != heap[0][0]:
             heappop(heap)
@@ -207,8 +207,10 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
                 heappush(heap, (len(row), r))
             c = move
         _join(chain, abs(p))
+        if chain[-1] == 1:
+            ones += chain.pop()
         del rows[r], cols[c]
-    return SnfResult(tuple(reversed(chain)), ncols - len(chain))
+    return SnfResult((1,) * ones + tuple(reversed(chain)), ncols - ones - len(chain))
 
 
 def _join(chain: list[int], d: int) -> None:

@@ -9,7 +9,7 @@ preserves the group (the tests check it through abelianization and S3 counts).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import _count_elements
 
 from .errors import Value, WorkBudgetExceeded, init_field, want, want_ints
 from .exactalg import SnfResult, _snf
@@ -97,9 +97,16 @@ def positivize(p: Presentation) -> Presentation:
     return Presentation(new_gen, tuple(relators))
 
 
-def _exponent_sums(counts: Counter) -> dict[int, int]:
+def _letter_counts(word) -> dict[int, int]:
+    """How often each letter occurs in ``word``, counted into a plain dict as ``Counter`` counts."""
+    counts = {}
+    _count_elements(counts, word)
+    return counts
+
+
+def _exponent_sums(counts: dict[int, int]) -> dict[int, int]:
     """The nonzero exponent sums ``counts[k] - counts[-k]`` of a word's letter counts, by generator ``k``."""
-    return {k: v for k in set(map(abs, counts)) if (v := counts[k] - counts[-k])}
+    return {k: v for k in set(map(abs, counts)) if (v := counts.get(k, 0) - counts.get(-k, 0))}
 
 
 def abelianization(p: Presentation) -> SnfResult:
@@ -111,4 +118,4 @@ def abelianization(p: Presentation) -> SnfResult:
     cells = len(p.relators) * p.n_generators
     if cells > MAX_ENTRIES:
         raise WorkBudgetExceeded(f"the exponent matrix needs {cells} entries, above the limit of {MAX_ENTRIES}")
-    return _snf(map(_exponent_sums, map(Counter, p.relators)), p.n_generators)
+    return _snf(map(_exponent_sums, map(_letter_counts, p.relators)), p.n_generators)

@@ -241,13 +241,16 @@ def homology(s: SeifertData) -> SnfResult:
     ``c_1 ... c_{k-2}``, and the determinant is ``+-e_Q * prod(alpha_i)``.  So the invariant
     factors are ``min(m, 2)`` ones, then ``c_1 ... c_{m-2}``, then ``|num| c_{m-1} c_m / den``
     unless ``num = 0``, and the free rank is ``m + 1`` minus their count, plus ``2g``.
-    Nothing is eliminated: one :func:`_join` per fiber and one integer pass for ``e_Q``.
+    Nothing is eliminated: one :func:`_join` per fiber, 1s counted apart, and one pass for ``e_Q``.
     """
     n = normalize(s)
     m = len(n.fibers)
-    chain = []
+    chain, ones = [], 0
     for f in n.fibers:
         _join(chain, f.alpha)
+        if chain[-1] == 1:
+            ones += chain.pop()
+    chain += [1] * ones
     num, den = _euler_terms(n)
     factors = [1] * min(m, 2) + chain[:1:-1]
     if num:

@@ -80,26 +80,23 @@ def assign_betas(s: SeifertData, plan: ChainPlan) -> tuple[FiberInvariant, ...]:
     return denormalize(s, plan.sign_pattern).fibers
 
 
-def _strand_cycle(a: int, b: int, hdir: int) -> list[tuple[str, int]]:
-    """Traversal order of the strands of an (a, b) torus curve.
+def _strand_order(a: int, b: int) -> list[int]:
+    """Traversal order of the ``a + b`` strands of an (a, b) torus curve.
 
     The curve is laid out as ``a`` horizontal strands (levels 0..a-1,
     bottom to top) and ``b`` vertical strands (slots 0..b-1, left to
-    right) joined at one switch; ``hdir`` is the horizontal travel
-    direction (+1 rightward, -1 leftward) and vertical strands always
-    travel upward.  The switch connects the strands the way the cut-open
-    (a, b) torus line does, which is the unique crossing-free filling of
-    the switch box.  That line is the rotation ``s -> s + b mod a+b`` of
-    strand ``s``: level ``s`` if ``s < a``, else slot ``a+b-1-s`` (``s-a``
-    when travelling leftward); coprimality makes the orbit of 0 one cycle.
+    right, travelling upward) joined at one switch, the way the cut-open
+    (a, b) torus line does: the unique crossing-free filling of the switch
+    box.  That line is the rotation ``s -> s + b mod a+b`` of strand ``s``
+    from 0, level ``s`` if ``s < a``, else slot ``a+b-1-s`` when the levels
+    travel rightward and ``s-a`` when leftward; coprimality makes it one cycle.
     """
     if a < 1 or b < 1:
         raise ValueError("strand counts must be positive")
     if gcd(a, b) != 1:
         raise ValueError("strand counts must be coprime")
     n = a + b
-    steps = (k * b % n for k in range(n))
-    return [("h", s) if s < a else ("v", n - 1 - s if hdir > 0 else s - a) for s in steps]
+    return [k * b % n for k in range(n)]
 
 
 def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
@@ -116,8 +113,9 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
     * rectangle q meets the horizontal strands of X_q, then of X_{q+1},
       from ``c0[q]`` on (``alpha_q + alpha_{q+1}``).
 
-    Every curve is a run of slices of the id range from these offsets, so
-    the crossing count is known before anything is allocated; above
+    Every curve is a run of slices of the id range from these offsets, an X
+    curve's in the :func:`_strand_order` of its ``(alpha, |beta'|)``, found once
+    per pair, so the crossing count is known before anything is allocated; above
     :data:`MAX_CROSSINGS` it raises :class:`CrossingBudgetExceeded`.  The
     algebraic intersection matrix this produces is verified against the
     abelianized filling relations before returning.
@@ -145,27 +143,30 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
 
     # slices of one list of ids, so every curve shares its int objects
     ids = list(range(d + 1))
+    orders = {pair: _strand_order(*pair) for pair in dict.fromkeys(zip(alphas, bmag))}
     x_curves = []
     for i in range(beads):
+        a, n = alphas[i], alphas[i] + bmag[i]
         # horizontal strand k ends on rectangle i (right) and i-1 (left), met in travel order
-        ends = ids[c0[i]:c0[i] + alphas[i]] if i <= r - 3 else [], ids[c0[i] - alphas[i]:c0[i]] if i else []
+        ends = ids[c0[i]:c0[i] + a] if i <= r - 3 else [], ids[c0[i] - a:c0[i]] if i else []
         first, last = ends if hdirs[i] > 0 else ends[::-1]
         seq: list[int] = []
-        for kind, k in _strand_cycle(alphas[i], bmag[i], hdirs[i]):
-            if kind == "v":
-                seq.extend(ids[a0[i] + k * a_e:a0[i] + (k + 1) * a_e])
+        for s in orders[a, bmag[i]]:
+            if s >= a:  # fiber strand: slot n-1-s travelling rightward, s-a leftward
+                v = n - 1 - s if hdirs[i] > 0 else s - a
+                seq += ids[a0[i] + v * a_e:a0[i] + (v + 1) * a_e]
                 continue
-            seq.extend(first[k:k + 1])
+            seq += first[s:s + 1]
             if i == 0:
-                seq.extend(ids[b0 + k * b_e:b0 + (k + 1) * b_e])
-            seq.extend(last[k:k + 1])
+                seq += ids[b0 + s * b_e:b0 + (s + 1) * b_e]
+            seq += last[s:s + 1]
         x_curves.append(tuple(seq))
 
     # a chain pass meets the fiber strands of X_{r-1}, ..., X_1 in turn,
     # each from its last strand down: every a_e-th A id, descending
     y_main: list[int] = []
-    for kind, k in _strand_cycle(a_e, b_e, -1):
-        y_main.extend(ids[b0 - a_e + k:k:-a_e] if kind == "h" else ids[b0 + k:c0[0]:b_e])
+    for s in orders[a_e, b_e]:
+        y_main += ids[b0 - a_e + s:s:-a_e] if s < a_e else ids[b0 + s - a_e:c0[0]:b_e]
     y_curves = [tuple(y_main)]
 
     for q in range(r - 2):

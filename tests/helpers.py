@@ -10,7 +10,8 @@ rotation genera are traced over ``(crossing, slot)`` darts with dict
 successor maps and a union-find over the crossings, and the faces of a
 signed crossing index are also walked on its X-darts with no trivial
 handles; chain diagrams are assembled through per-family id dicts,
-with each torus curve's strand order found by walking its switch.  The
+with each torus curve's strand order found by walking its switch, and
+that order is also kept as the tagged strand rotation.  The
 ascending chain join that inserts each last gcd at the bottom and the
 descending one that walks the chain run by run, the
 case-by-case slot representatives of ``denormalize``, the hand-written
@@ -384,11 +385,33 @@ def dict_genus_sum(dg):
     return total
 
 
+def strand_cycle(a: int, b: int, hdir: int) -> list[tuple[str, int]]:
+    """Traversal order of the strands of an (a, b) torus curve, tagged.
+
+    The curve is laid out as ``a`` horizontal strands (levels 0..a-1,
+    bottom to top) and ``b`` vertical strands (slots 0..b-1, left to
+    right) joined at one switch; ``hdir`` is the horizontal travel
+    direction (+1 rightward, -1 leftward) and vertical strands always
+    travel upward.  The switch connects the strands the way the cut-open
+    (a, b) torus line does, which is the unique crossing-free filling of
+    the switch box.  That line is the rotation ``s -> s + b mod a+b`` of
+    strand ``s``: level ``s`` if ``s < a``, else slot ``a+b-1-s`` (``s-a``
+    when travelling leftward); coprimality makes the orbit of 0 one cycle.
+    """
+    if a < 1 or b < 1:
+        raise ValueError("strand counts must be positive")
+    if gcd(a, b) != 1:
+        raise ValueError("strand counts must be coprime")
+    n = a + b
+    steps = (k * b % n for k in range(n))
+    return [("h", s) if s < a else ("v", n - 1 - s if hdir > 0 else s - a) for s in steps]
+
+
 def walk_strand_cycle(a: int, b: int, hdir: int) -> list[tuple[str, int]]:
     """Strand order of an (a, b) torus curve found by walking the switch
-    from strand to strand, as :func:`sfsdiag.vertical._strand_cycle`
-    describes it: levels ``0..a-1`` travelling in direction ``hdir``,
-    slots ``0..b-1`` travelling upward, ``min(a, b)`` strands turning."""
+    from strand to strand, as :func:`strand_cycle` describes it: levels
+    ``0..a-1`` travelling in direction ``hdir``, slots ``0..b-1``
+    travelling upward, ``min(a, b)`` strands turning."""
     if a < 1 or b < 1:
         raise ValueError("strand counts must be positive")
     if gcd(a, b) != 1:

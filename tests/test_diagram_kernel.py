@@ -298,6 +298,30 @@ def test_a_cancelled_generator_still_links_its_x_curve(case):
         check_rows_and_walks(dg)
 
 
+# the component count is 1 when some matrix row meets every X curve, with no union-find;
+# otherwise the raw letters of every Y curve are joined.  Per case: curves, the -1 crossings,
+# whether a row meets every X curve, and the component count
+CONNECTIVITY_CASES = {
+    # Y_1 crosses every X curve, as in every build
+    "one-row-meets-all": ([[1, 4], [2], [3, 5]], [[1, 2, 3], [4, 5]], (), True, 1),
+    # the longest Y curve misses X_3, which the other Y curve links to X_1
+    "longest-misses-one": ([[1, 5], [2, 3], [4]], [[1, 2, 3], [4, 5]], (), False, 1),
+    "intransitive": ([[1, 2], [3], [4]], [[1, 3, 2], [4]], (), False, 2),
+    # Y_1 meets every X curve, but X_1 twice with opposite signs: its folded row loses X_1
+    "folded-row-loses-one": ([[1, 2], [3], [4]], [[1, 3, 2, 4]], (2,), False, 1),
+}
+
+
+@pytest.mark.parametrize("case", CONNECTIVITY_CASES)
+def test_one_row_connectivity_rule_and_its_fallback(case):
+    xs, ys, negative, row_meets_all, components = CONNECTIVITY_CASES[case]
+    built = build_diagram(0, xs, ys, {c: -1 if c in negative else 1 for c in range(1, sum(map(len, xs)) + 1)})
+    for dg in (built, mirror(built)):
+        assert (len(xs) in map(len, dg._index.matrix)) == row_meets_all
+        assert dg._index.components == len(dict_components(dg)) == components
+        check_rows_and_walks(dg)
+
+
 @given(st.one_of(signed_pair_diagrams(), relabelled_pair_diagrams()))
 @settings(max_examples=150, deadline=None)
 def test_majority_negative_diagrams_match_reference(dg):

@@ -59,13 +59,15 @@ def test_random_matrices_match_dense(m):
     assert snf(m) == dense_snf(m)
 
 
+SHARED_FACTOR_ENTRIES = st.one_of(st.just(0), st.sampled_from((1, 2, 6, 12, 30, 60, 210)), st.integers(-99, 99))
+
+
 @st.composite
-def banded_matrices(draw):
+def banded_matrices(draw, entry=SHARED_FACTOR_ENTRIES):
     """One dense row over a bidiagonal band of up to 40 columns, the shape of a chain
-    build's intersection matrix, first or last; entries share small factors, so the
-    Euclid passes move the pivot between rows and columns."""
+    build's intersection matrix, first or last; by default entries share small factors,
+    so the Euclid passes move the pivot between rows and columns."""
     n = draw(st.integers(1, 40))
-    entry = st.one_of(st.just(0), st.sampled_from((1, 2, 6, 12, 30, 60, 210)), st.integers(-99, 99))
     dense = draw(st.lists(entry, min_size=n, max_size=n))
     band = [(0,) * j + tuple(draw(st.lists(entry, min_size=2, max_size=2))) + (0,) * (n - j - 2) for j in range(n - 1)]
     rows = [tuple(dense), *band] if draw(st.booleans()) else [*band, tuple(dense)]
@@ -80,6 +82,15 @@ def banded_matrices(draw):
 @example(IntMatrix(4, ((-9, -10, 0, 0), (0, -3, 6, 0), (0, 0, 6, -17), (-12, 210, 9, 9))))
 @settings(max_examples=300, deadline=None)
 def test_banded_matrices_match_dense(m):
+    assert snf(m) == dense_snf(m)
+
+
+@given(banded_matrices(st.sampled_from([v for v in range(-7, 8) if v])))
+# pivots 1, 2, 1, 3 in heap order: the 1s join between non-units, and the 3 leaves a 1
+@example(IntMatrix(4, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 3))))
+@settings(max_examples=300, deadline=None)
+def test_unit_pivots_between_non_units_match_dense(m):
+    # _snf counts its 1s apart from the chain: equal factors put each of them back, first
     assert snf(m) == dense_snf(m)
 
 
@@ -166,6 +177,29 @@ def test_homology_by_kinds_matches_the_full_relation_matrix(s):
 def test_closed_form_matches_the_elimination_by_kinds(s):
     # too many fibers for the full relation matrix; the per-kind elimination is the oracle
     assert homology(s) == homology_by_elimination(s)
+
+
+@st.composite
+def alternating_coprime_spaces(draw):
+    """Fibers cycling through 2-4 pairwise coprime alphas, each repeated 1-3 times per
+    pass: every join of a coprime alpha leaves a 1, between joins of larger factors."""
+    alphas = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11)), min_size=2, max_size=4, unique=True))
+    fibers = []
+    for _ in range(draw(st.integers(1, 12))):
+        for alpha in alphas:
+            fibers += [(alpha, draw(st.integers(1, alpha - 1)))] * draw(st.integers(1, 3))
+    return SeifertData.normalized(draw(st.integers(0, 2)), fibers, draw(st.integers(-4, 4)))
+
+
+@given(alternating_coprime_spaces())
+@example(SeifertData.normalized(0, [(2, 1), (3, 1)] * 20, 1))
+@example(SeifertData.normalized(1, [(2, 1), (2, 1), (3, 2), (5, 1), (3, 1), (2, 1)], 0))
+@settings(max_examples=80, deadline=None)
+def test_closed_form_keeps_the_1s_of_alternating_coprime_fibers(s):
+    h = homology(s)
+    assert h == homology_by_elimination(s)
+    if len(s.fibers) <= 40:
+        assert h == dense_snf(relation_matrix(s))
 
 
 def timed_homology(s: SeifertData):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import S3, dict_synthesize, hom_count, walk_strand_cycle
+from helpers import S3, dict_synthesize, hom_count, strand_cycle, walk_strand_cycle
 from sfsdiag import vertical
 from sfsdiag.diagram import (
     diagram_homology,
@@ -20,7 +20,7 @@ from sfsdiag.presentation import Presentation, abelianization
 from sfsdiag.seifert import FiberInvariant, SeifertData, homology, normalize, sfs_presentation
 from sfsdiag.vertical import (
     ChainPlan,
-    _strand_cycle,
+    _strand_order,
     assign_betas,
     build_positive_vertical,
     plan_decomposition,
@@ -102,18 +102,26 @@ class TestAssignBetas:
                 assert gcd(f.alpha, f.beta) == 1
 
 
+def tagged(a: int, b: int, hdir: int) -> list[tuple[str, int]]:
+    """:func:`_strand_order` as the ``("h", level)`` and ``("v", slot)`` strands the synthesizer
+    lays out: strand ``s >= a`` is slot ``a+b-1-s`` travelling rightward, ``s-a`` leftward."""
+    n = a + b
+    return [("h", s) if s < a else ("v", n - 1 - s if hdir > 0 else s - a) for s in _strand_order(a, b)]
+
+
 class TestStrandCycle:
     @pytest.mark.parametrize("a,b", [(1, 1), (1, 4), (3, 2), (2, 3), (5, 3), (4, 7)])
     @pytest.mark.parametrize("hdir", [1, -1])
     def test_single_cycle_visits_all(self, a, b, hdir):
-        cycle = _strand_cycle(a, b, hdir)
+        assert sorted(_strand_order(a, b)) == list(range(a + b))
+        cycle = tagged(a, b, hdir)
         assert len(cycle) == a + b
         assert sorted(c for c in cycle if c[0] == "h") == [("h", k) for k in range(a)]
         assert sorted(c for c in cycle if c[0] == "v") == [("v", v) for v in range(b)]
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
-            _strand_cycle(2, 4, 1)
+            _strand_order(2, 4)
 
 
 def test_strand_rotation_matches_the_switch_walk():
@@ -121,14 +129,14 @@ def test_strand_rotation_matches_the_switch_walk():
         for b in range(1, 201):
             if gcd(a, b) == 1:
                 for hdir in (1, -1):
-                    assert _strand_cycle(a, b, hdir) == walk_strand_cycle(a, b, hdir), (a, b, hdir)
+                    assert tagged(a, b, hdir) == walk_strand_cycle(a, b, hdir) == strand_cycle(a, b, hdir), (a, b, hdir)
     for a, b in [(0, 1), (3, 0), (2, 4)]:
         errors = []
-        for strands in (_strand_cycle, walk_strand_cycle):
+        for strands in (tagged, walk_strand_cycle, strand_cycle):
             with pytest.raises(ValueError) as exc:
                 strands(a, b, 1)
             errors.append(str(exc.value))
-        assert errors[0] == errors[1]
+        assert errors[0] == errors[1] == errors[2]
 
 
 class TestSynthesize:
