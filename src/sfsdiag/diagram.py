@@ -191,16 +191,16 @@ class _CrossingIndex:
     and Y and the letter ``+-(i + 1)`` of its X curve ``i``, signed by the crossing, rank 0
     a dummy with letter 1 whose curves close on themselves; the count ``negative`` of -1
     crossings; the component count, 1 whenever one row meets every X curve; per Y curve its
-    nonzero intersection numbers by generator ``1..g`` (the matrix rows, plain dicts), on a
-    positive diagram counted on every Y curve but the longest, derived from the X lengths."""
+    nonzero intersection numbers by generator ``1..g`` (the matrix rows, plain dicts), counted
+    on every Y curve but the longest, whose row is derived from the signs on each X curve."""
 
     __slots__ = ("y_ranks", "letter", "negative", "x_next", "y_next", "components", "matrix")
 
 
 def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
-    """Index of diagram data; None on any defect :func:`validate` reports.  Ids ``1..d`` are
-    their own ranks, range-checked once per side after the fill; one above ``d`` fails to index.
-    Rows count letters into plain dicts; a union-find runs only when no row meets every X curve."""
+    """Index of diagram data; None on any defect :func:`validate` reports.  Ids ``1..d`` are their own
+    ranks, each linked from the one before it, range-checked once per side after the fill; one above
+    ``d`` fails to index.  Rows count letters into plain dicts, but the longest is derived on every diagram."""
     d = len(signs)
     if genus < 0 or not x_curves or not y_curves or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d:
         return None
@@ -219,17 +219,20 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
             rank = {c: r for r, c in enumerate(sorted(sign_map), start=1)}
             values = [sign_map[c] for c in rank]
     # the d listed ranks are distinct iff no slot keeps its -1; a negative id is also some successor
-    idx.x_next, idx.y_next, idx.letter = x_next, y_next, letter = [0] + [-1] * d, [0] + [-1] * d, [1] * (d + 1)
+    idx.x_next, idx.y_next, idx.letter = x_next, y_next, letter = [-1] * (d + 1), [-1] * (d + 1), [1] * (d + 1)
+    x_next[0] = y_next[0] = 0
     try:
         x_ranks, idx.y_ranks = (curves if rank is None else [[rank[c] for c in curve] for curve in curves]
                                 for curves in (x_curves, y_curves))
         for gen, rs in enumerate(x_ranks, start=1):
-            for r, n in zip(rs, rs[1:] + rs[:1]):
-                x_next[r] = n
+            p = rs[-1] if rs else 0
+            for r in rs:  # link each rank from the one before it, the last closing the curve
+                x_next[p] = p = r
                 letter[r] = gen
         for rs in idx.y_ranks:
-            for r, n in zip(rs, rs[1:] + rs[:1]):
-                y_next[r] = n
+            p = rs[-1] if rs else 0
+            for r in rs:
+                y_next[p] = p = r
     except (IndexError, KeyError, TypeError):
         return None
     if min(x_next) < 0 or min(y_next) < 0:
@@ -239,20 +242,17 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
 
     # per Y curve its letter counts: the matrix row of a positive diagram, folded to its
     # exponent sums on a signed one.  Each rank lies on one X and one Y curve, so column gen
-    # of a positive matrix sums to len(X_gen): the longest Y curve (most crossings of a
-    # build) goes uncounted, its row len(X_gen) less the other rows, zeros dropped
+    # sums to the signs on X_gen, its letters over gen: the longest Y curve (most crossings of
+    # a build) goes uncounted, its row that sum less the other rows, zeros dropped
     lens = [len(rs) for rs in idx.y_ranks]
-    longest = -1 if idx.negative else lens.index(max(lens))
+    longest = lens.index(max(lens))
     counts = [{} if k == longest else _letter_counts(map(letter.__getitem__, rs)) for k, rs in enumerate(idx.y_ranks)]
-    if idx.negative:
-        rows = list(map(_exponent_sums, counts))
-    else:
-        left = [0] + [len(curve) for curve in x_curves]
-        for row in counts:
-            for gen, v in row.items():
-                left[gen] -= v
-        counts[longest] = {gen: v for gen, v in enumerate(left) if v}
-        rows = counts
+    rows = list(map(_exponent_sums, counts)) if idx.negative else counts[:]
+    left = [0] + [sum(map(letter.__getitem__, rs)) // gen if idx.negative else len(rs) for gen, rs in enumerate(x_ranks, 1)]
+    for row in rows:
+        for gen, v in row.items():
+            left[gen] -= v
+    rows[longest] = {gen: v for gen, v in enumerate(left) if v}
     if len(x_curves) in map(len, rows):  # a row meets every X curve, as Y_1 of a build does
         idx.components = 1
     else:
@@ -264,7 +264,8 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
                 a = parent[a]
             return a
 
-        for row in counts:  # the X curves one Y curve crosses lie in one component
+        counts[longest] = _letter_counts(map(letter.__getitem__, idx.y_ranks[longest]))
+        for row in counts:  # the X curves one Y curve crosses, cancelled or not, lie in one component
             if row:
                 root = find(abs(next(iter(row))))
                 for gen in row:

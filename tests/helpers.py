@@ -9,7 +9,9 @@ for the sparse elimination), the rational Euler number is summed in
 rotation genera are traced over ``(crossing, slot)`` darts with dict
 successor maps and a union-find over the crossings, and the faces of a
 signed crossing index are also walked on its X-darts with no trivial
-handles; chain diagrams are assembled through per-family id dicts,
+handles; the crossing index itself is rebuilt by pairing each rank with
+its successor and counting the letters of every Y curve, the longest
+too; chain diagrams are assembled through per-family id dicts,
 with each torus curve's strand order found by walking its switch, and
 that order is also kept as the tagged strand rotation.  The
 ascending chain join that inserts each last gcd at the bottom and the
@@ -31,11 +33,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, count, groupby, permutations
 from math import gcd
-from operator import neg
+from operator import mul, neg
 
 from sfsdiag import covers
 from sfsdiag.covers import beta_star
-from sfsdiag.diagram import Diagram
+from sfsdiag.diagram import Diagram, _CrossingIndex
 from sfsdiag.errors import BaseGenusUnsupported, InfeasibleBetaStar, TooManyFibers, UnsatisfiablePattern
 from sfsdiag.exactalg import IntMatrix, SnfResult, _snf, crt, floor_sum
 from sfsdiag.seifert import FiberInvariant, SeifertData, normalize
@@ -256,6 +258,59 @@ def intersection_matrix(dg: Diagram) -> IntMatrix:
     the crossing index keeps by generator ``i + 1``."""
     gx = len(dg.x_curves)
     return IntMatrix(gx, tuple(tuple(row.get(i, 0) for i in range(1, gx + 1)) for row in dg._index.matrix))
+
+
+def crossing_index_by_zip(genus, x_curves, y_curves, signs):
+    """The crossing index of ``sfsdiag.diagram._crossing_index`` slot by slot, None on the same
+    defects: each rank paired with its successor by ``zip(rs, rs[1:] + rs[:1])``, every sign
+    read from the pairs (a ``PositiveSigns`` run too), every Y curve's letters counted into a
+    ``Counter`` and folded to its exponent sums, the longest curve's too, and the component
+    count from a union-find over the raw letters of every Y curve."""
+    d = len(signs)
+    if genus < 0 or not x_curves or not y_curves or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d:
+        return None
+    idx, rank = _CrossingIndex(), None
+    values = [v for _, v in signs]
+    if values.count(1) + values.count(-1) != d:
+        return None
+    if [c for c, _ in signs] != list(range(1, d + 1)):
+        sign_map = dict(signs)
+        if len(sign_map) != d:
+            return None
+        rank = {c: r for r, c in enumerate(sorted(sign_map), start=1)}
+        values = [sign_map[c] for c in rank]
+    idx.negative = values.count(-1)
+    idx.x_next, idx.y_next = x_next, y_next = [0] + [-1] * d, [0] + [-1] * d
+    letter = [1] * (d + 1)
+    try:
+        x_ranks, idx.y_ranks = (curves if rank is None else [[rank[c] for c in curve] for curve in curves]
+                                for curves in (x_curves, y_curves))
+        for gen, rs in enumerate(x_ranks, start=1):
+            for r, n in zip(rs, rs[1:] + rs[:1]):
+                x_next[r] = n
+                letter[r] = gen
+        for rs in idx.y_ranks:
+            for r, n in zip(rs, rs[1:] + rs[:1]):
+                y_next[r] = n
+    except (IndexError, KeyError, TypeError):
+        return None
+    if min(x_next) < 0 or min(y_next) < 0:
+        return None
+    idx.letter = letter = list(map(mul, letter, [1] + values))
+    counts = [Counter(map(letter.__getitem__, rs)) for rs in idx.y_ranks]
+    idx.matrix = [{gen: v for gen in set(map(abs, row)) if (v := row[gen] - row[-gen])} for row in counts]
+    parent = list(range(len(x_curves) + 1))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for row in counts:
+        for k in row:
+            parent[find(abs(k))] = find(abs(next(iter(row))))
+    idx.components = len({find(gen) for gen, curve in enumerate(x_curves, start=1) if curve})
+    return idx
 
 
 def crt_by_scan(pairs):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     build_diagram,
+    crossing_index_by_zip,
     dart_face_count,
     dict_components,
     dict_face_count,
@@ -252,30 +253,42 @@ def check_rows_and_walks(dg):
     check_face_walks_agree(dg)
 
 
-# positive diagrams whose longest Y curve (the one whose row is derived, not
-# counted) is tied, alone, missed by an X curve, or beside an empty X curve
+# diagrams whose longest Y curve (the one whose row is derived, not counted) is tied,
+# alone, missed by an X curve, or beside an empty X or Y curve; per case the curves
+# and the -1 crossings, which in the last cases cancel a generator on that curve
 DERIVED_ROW_CASES = {
-    "tied-longest": ([[1, 2], [3, 4]], [[1, 3], [2, 4]]),
-    "tied-longest-first-short": ([[1, 4], [2, 5], [3]], [[3], [1, 2], [4, 5]]),
-    "single-y": ([[1, 2], [3]], [[1, 3, 2]]),
-    "single-y-one-x": ([[3, 1, 2]], [[2, 1, 3]]),
-    "x-misses-longest": ([[1, 2, 3], [4]], [[1, 2, 3], [4]]),
-    "x-misses-longest-later": ([[5], [1, 3], [2, 4, 6]], [[6], [4, 1, 2, 3], [5]]),
-    "empty-x": ([[1, 2], []], [[2, 1]]),
-    "empty-x-first": ([[], [2, 3], [1]], [[1, 3, 2]]),
+    "tied-longest": ([[1, 2], [3, 4]], [[1, 3], [2, 4]], ()),
+    "tied-longest-first-short": ([[1, 4], [2, 5], [3]], [[3], [1, 2], [4, 5]], ()),
+    "single-y": ([[1, 2], [3]], [[1, 3, 2]], ()),
+    "single-y-one-x": ([[3, 1, 2]], [[2, 1, 3]], ()),
+    "x-misses-longest": ([[1, 2, 3], [4]], [[1, 2, 3], [4]], ()),
+    "x-misses-longest-later": ([[5], [1, 3], [2, 4, 6]], [[6], [4, 1, 2, 3], [5]], ()),
+    "empty-x": ([[1, 2], []], [[2, 1]], ()),
+    "empty-x-first": ([[], [2, 3], [1]], [[1, 3, 2]], ()),
+    "empty-y": ([[1, 2], [3]], [[2, 3, 1], []], ()),
+    "empty-y-first": ([[1, 3], [2, 4]], [[], [4], [1, 2, 3]], ()),
+    "cancelled-on-longest": ([[1, 2], [3]], [[1, 3, 2]], (2,)),
+    "cancelled-on-longest-only": ([[1, 4], [2, 3]], [[1, 2, 3], [4]], (3,)),
+    "cancelled-twice-on-longest": ([[1, 2], [3, 4], [5]], [[1, 3, 5, 2, 4], []], (2, 4)),
+    "cancelled-beside-others": ([[1, 2, 5], [3, 4, 6]], [[2, 3], [1, 4, 5, 6]], (3, 5)),
+    "all-cancelled-on-longest": ([[1, 2, 5], [3, 4, 6]], [[2, 3], [1, 4, 5, 6]], (5, 6)),
 }
 
 
 @pytest.mark.parametrize("case", DERIVED_ROW_CASES)
 def test_derived_row_matches_reference(case):
-    xs, ys = DERIVED_ROW_CASES[case]
+    xs, ys, negative = DERIVED_ROW_CASES[case]
     d = sum(map(len, xs))
-    for dg in (Diagram(0, tuple(map(tuple, xs)), tuple(map(tuple, ys)), PositiveSigns(d)),
-               relabel(build_diagram(0, xs, ys, dict.fromkeys(range(1, d + 1), 1)), [7 * c - 20 for c in range(d)])):
-        assert is_positive_diagram(dg)
-        check_rows_and_walks(dg)
-        # the signed path, with one crossing -1, counts every row
-        check_rows_and_walks(Diagram(0, dg.x_curves, dg.y_curves, ((dg.signs[0][0], -1), *dg.signs[1:])))
+    built = build_diagram(0, xs, ys, {c: -1 if c in negative else 1 for c in range(1, d + 1)})
+    variants = [built, relabel(built, [7 * c - 20 for c in range(d)])]
+    if not negative:
+        variants.append(Diagram(0, built.x_curves, built.y_curves, PositiveSigns(d)))
+    for dg in variants:
+        assert is_positive_diagram(dg) == (not negative)
+        # every variant's longest row is derived, from the signs on each X curve when some
+        # are -1: as given, mirrored, and with the first crossing's sign flipped
+        for signed in (dg, mirror(dg), Diagram(0, dg.x_curves, dg.y_curves, ((dg.signs[0][0], -dg.signs[0][1]), *dg.signs[1:]))):
+            check_rows_and_walks(signed)
 
 
 # X curves linked only through a Y curve that crosses one of them twice with
@@ -380,6 +393,48 @@ def test_index_of_a_built_run_matches_the_tuple_path(fibers, euler):
 @settings(max_examples=60, deadline=None)
 def test_index_of_a_decoded_run_matches_the_tuple_path(dg):
     check_index_parity(dg)
+
+
+@st.composite
+def index_inputs(draw):
+    """Curves and signs of permutation-pair diagrams, relabelled or with any share of -1
+    crossings (none in a quarter of the draws, as a run of +1 signs in half of those on
+    ids ``1..d``), empty X and Y curves inserted, and in half the draws one id on one
+    curve corrupted to 0, -k, d + 1 or a repeat."""
+    dg = draw(st.one_of(signed_pair_diagrams(), relabelled_pair_diagrams(), shared_sign_pair_diagrams()))
+    d, ids = dg.crossing_count, [c for c, _ in dg.signs]
+    sides = [list(map(list, dg.x_curves)), list(map(list, dg.y_curves))]
+    for curves in sides:
+        for _ in range(draw(st.integers(0, 2))):
+            curves.insert(draw(st.integers(0, len(curves))), [])
+    if draw(st.booleans()):
+        curve = draw(st.sampled_from([curve for curves in sides for curve in curves if curve]))
+        at = draw(st.integers(0, len(curve) - 1))
+        # id -k indexes slot d + 1 - k, so curve[at] - d - 1 fills the very slot it replaces
+        curve[at] = draw(st.sampled_from(
+            [0, d + 1, -draw(st.integers(1, d + 1)), curve[at] - d - 1, draw(st.sampled_from(ids))]))
+    signs = tuple((c, 1) for c in ids) if draw(st.integers(0, 3)) == 0 else dg.signs
+    if signs == PositiveSigns(d) and draw(st.booleans()):
+        signs = PositiveSigns(d)
+    return dg.declared_genus, tuple(map(tuple, sides[0])), tuple(map(tuple, sides[1])), signs
+
+
+def index_slots(idx):
+    """Every slot of a crossing index, the curves and rows as plain lists and dicts."""
+    if idx is None:
+        return None
+    slots = {s: getattr(idx, s) for s in _CrossingIndex.__slots__}
+    slots["y_ranks"] = [list(rs) for rs in idx.y_ranks]
+    slots["matrix"] = [dict(row) for row in idx.matrix]
+    return slots
+
+
+@given(index_inputs())
+@settings(max_examples=400, deadline=None)
+def test_index_matches_the_zip_oracle_slot_by_slot(case):
+    genus, xs, ys, signs = case
+    for signs in (signs, tuple((c, -v) for c, v in signs)):  # and the mirror
+        assert index_slots(_crossing_index(genus, xs, ys, signs)) == index_slots(crossing_index_by_zip(genus, xs, ys, signs))
 
 
 def test_large_built_diagram_matches_dict_tracer():
