@@ -15,20 +15,10 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import (
-    BaseGenusUnsupported,
-    IncompatibleSpec,
-    InfeasibleBetaStar,
-    ParityError,
-    TooManyFibers,
-    Value,
-    WorkBudgetExceeded,
-    init_field,
-    want,
-    want_ints,
-)
+from .errors import (BaseGenusUnsupported, IncompatibleSpec, InfeasibleBetaStar, ParityError, TooManyFibers, Value,
+                     WorkBudgetExceeded, init_field, want, want_ints)
 from .exactalg import crt, floor_sum
-from .seifert import FiberInvariant, SeifertData, denormalize, normalize
+from .seifert import SeifertData, _fibers, denormalize, normalize
 
 #: Largest trial divisor :func:`beta_star` tries when factoring the sheet count.
 MAX_TRIAL_DIVISOR = 1_000_000
@@ -94,9 +84,7 @@ def lift_seifert(s: SeifertData, spec: CoverSpec) -> SeifertData:
     if r < 1:
         raise ValueError("lift_seifert needs at least one filling slot")
     if len(spec.partitions) != r:
-        raise IncompatibleSpec(
-            f"{r} filling slots but {len(spec.partitions)} boundary partitions"
-        )
+        raise IncompatibleSpec(f"{r} filling slots but {len(spec.partitions)} boundary partitions")
     lam = spec.sheets
     for f, part in zip(s.fibers, spec.partitions):
         for b in part:
@@ -108,11 +96,7 @@ def lift_seifert(s: SeifertData, spec: CoverSpec) -> SeifertData:
     genus = lifted_diagram_genus(s.base_genus, lam) + (r * lam - circles) // 2
     if genus < 0:
         raise IncompatibleSpec("covering data yields a negative genus")
-    fibers = tuple(
-        FiberInvariant(f.alpha // b, f.beta)
-        for f, part in zip(s.fibers, spec.partitions)
-        for b in part
-    )
+    fibers = _fibers([(f.alpha // b, f.beta) for f, part in zip(s.fibers, spec.partitions) for b in part])
     return SeifertData(genus, fibers, None)
 
 
@@ -130,9 +114,7 @@ def _adjust_for_prime(pairs, p: int):
         i = hit[0]
         others = [j for j in range(len(pairs)) if j != i]
         if not others:
-            raise InfeasibleBetaStar(
-                f"single slope divisible by {p} cannot be fixed without a partner"
-            )
+            raise InfeasibleBetaStar(f"single slope divisible by {p} cannot be fixed without a partner")
         j = others[0]
         if (betas[j] - alphas[j]) % p != 0:
             betas[i] += alphas[i]
@@ -236,19 +218,12 @@ def base_orbifold_cover(s: SeifertData) -> tuple[SeifertData, int]:
     slots = [(f.alpha, f.beta) for f in denormalize(n, ("free",) * 3, absorber_index=m % 3).fibers]
 
     stars = beta_star(slots, lam)
-    base = SeifertData(
-        0,
-        tuple(FiberInvariant(lam * a, star) for (a, _), star in zip(slots, stars)),
-        None,
-    )
-    return base, lam
+    return SeifertData(0, _fibers([(lam * a, star) for (a, _), star in zip(slots, stars)]), None), lam
 
 
 def positive_genus_bound(s: SeifertData) -> int:
     """Positive-diagram genus bound ``2g+2`` for at most three fibers."""
     n = normalize(s)
     if len(n.fibers) > 3:
-        raise TooManyFibers(
-            f"bound applies to at most three fibers, got {len(n.fibers)}"
-        )
+        raise TooManyFibers(f"bound applies to at most three fibers, got {len(n.fibers)}")
     return 2 * n.base_genus + 2

@@ -31,12 +31,40 @@ class FiberInvariant(Value):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: int, beta: int):
+        if type(alpha) is not int or type(beta) is not int:
+            want(alpha, int, "alpha")
+            want(beta, int, "beta")
         if alpha < 1:
             raise InvalidInvariant(f"alpha must be >= 1, got {alpha}")
         if gcd(alpha, beta) != 1:
             raise InvalidInvariant(f"fiber ({alpha}, {beta}) is not coprime")
-        init_field(self, "alpha", alpha)
-        init_field(self, "beta", beta)
+        _set_alpha(self, alpha)
+        _set_beta(self, beta)
+
+
+# the slots' own setters, about half the cost of init_field
+_set_alpha, _set_beta = FiberInvariant.alpha.__set__, FiberInvariant.beta.__set__
+
+
+def _fibers(pairs) -> tuple[FiberInvariant, ...]:
+    """The fibers of ``(alpha, beta)`` pairs of ``int``s, one :class:`FiberInvariant` per distinct pair, built
+    at its first occurrence: equal slopes share one object, and the first bad pair raises.  The dict lives
+    for this call only.  No pair may hold a bool or a float, since as a key ``(True, 1)`` finds ``(1, 1)``."""
+    kinds, out = {}, []
+    for pair in pairs:
+        f = kinds.get(pair)
+        if f is None:
+            f = kinds[pair] = FiberInvariant(*pair)
+        out.append(f)
+    return tuple(out)
+
+
+def _int_pairs(fibers):
+    """The ``(alpha, beta)`` pairs of ``fibers`` as each is reached; the constructor refuses one not of two ``int``s."""
+    for alpha, beta in fibers:
+        if type(alpha) is not int or type(beta) is not int:
+            FiberInvariant(alpha, beta)
+        yield alpha, beta
 
 
 class SeifertData(Value):
@@ -55,7 +83,7 @@ class SeifertData(Value):
             raise InvalidInvariant(f"base genus must be >= 0, got {base_genus}")
         if euler is not None:
             for f in fibers:
-                if f.alpha <= 1 or not (0 < f.beta < f.alpha):
+                if not 0 < f.beta < f.alpha:  # so alpha > 1
                     raise InvalidInvariant(f"fiber ({f.alpha}, {f.beta}) is not in normalized range")
         init_field(self, "base_genus", base_genus)
         init_field(self, "fibers", fibers)
@@ -67,11 +95,11 @@ class SeifertData(Value):
 
     @classmethod
     def normalized(cls, base_genus, fibers, euler) -> "SeifertData":
-        return cls(base_genus, tuple(FiberInvariant(a, b) for a, b in fibers), euler)
+        return cls(base_genus, _fibers(_int_pairs(fibers)), euler)
 
     @classmethod
     def non_normalized(cls, base_genus, fibers) -> "SeifertData":
-        return cls(base_genus, tuple(FiberInvariant(a, b) for a, b in fibers), None)
+        return cls(base_genus, _fibers(_int_pairs(fibers)), None)
 
     def to_json(self) -> dict:
         out = {
@@ -93,15 +121,22 @@ class SeifertData(Value):
             raise ValueError("normalized data requires an euler field")
         if mode == "non_normalized" and euler is not None:
             raise ValueError("non-normalized data must not carry an euler field")
-        fibers = []
-        for i, f in enumerate(want(data["fibers"], list, "$.fibers")):
-            alpha, beta = want(f, dict, "$.fibers[{}]", i)["alpha"], f["beta"]
-            if type(alpha) is not int or type(beta) is not int:
-                want(alpha, int, "$.fibers[{}].alpha", i)
-                want(beta, int, "$.fibers[{}].beta", i)
-            fibers.append(FiberInvariant(alpha, beta))
+        fibers, pairs = want(data["fibers"], list, "$.fibers"), []
+        try:  # inline checks; the index of fiber i is len(pairs)
+            for f in fibers:
+                if type(f) is not dict:
+                    want(f, dict, "$.fibers[{}]", len(pairs))
+                alpha, beta = pair = f["alpha"], f["beta"]
+                if type(alpha) is not int or type(beta) is not int:
+                    want(alpha, int, "$.fibers[{}].alpha", len(pairs))
+                    want(beta, int, "$.fibers[{}].beta", len(pairs))
+                pairs.append(pair)
+        except (KeyError, TypeError):
+            _fibers(pairs)  # a bad slope ahead of the unreadable fiber is reported first
+            raise
+        fibers = _fibers(pairs)
         euler = None if euler is None else want(euler, int, "$.euler")
-        return cls(want(data["base_genus"], int, "$.base_genus"), tuple(fibers), euler)
+        return cls(want(data["base_genus"], int, "$.base_genus"), fibers, euler)
 
 
 def normalize(s: SeifertData) -> SeifertData:
@@ -113,7 +148,7 @@ def normalize(s: SeifertData) -> SeifertData:
     """
     if s.is_normalized:
         return s
-    fibers = tuple(FiberInvariant(f.alpha, f.beta % f.alpha) for f in s.fibers if f.alpha > 1)
+    fibers = _fibers([(f.alpha, f.beta % f.alpha) for f in s.fibers if f.alpha > 1])
     e = -floor_sum((f.beta, f.alpha) for f in s.fibers)
     return SeifertData(s.base_genus, fibers, e)
 
@@ -196,7 +231,7 @@ def denormalize(
         for idx, i in enumerate(slots):
             reps[i] += (q + 1 if idx < rem else q) * alphas[i]
 
-    return SeifertData.non_normalized(s.base_genus, zip(alphas, reps))
+    return SeifertData(s.base_genus, _fibers(zip(alphas, reps)), None)
 
 
 def sfs_presentation(s: SeifertData) -> Presentation:
@@ -333,15 +368,7 @@ def horizontal_family(s: SeifertData) -> HorizontalFamily | None:
     return None
 
 
-_CASE_TAGS = (
-    "ThmA1",
-    "ThmA2",
-    "ThmA3",
-    "Generic_g0",
-    "Generic_gpos",
-    "ThmB_family",
-    "SmallLens_extension",
-)
+_CASE_TAGS = ("ThmA1", "ThmA2", "ThmA3", "Generic_g0", "Generic_gpos", "ThmB_family", "SmallLens_extension")
 
 class GenusReport(Value):
     """Heegaard genus and positive-Heegaard-genus classification."""

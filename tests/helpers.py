@@ -19,7 +19,10 @@ descending one that walks the chain run by run, the
 case-by-case slot representatives of ``denormalize``, the hand-written
 three slots of ``base_orbifold_cover``, the per-count branches of the
 ``beta_star`` shift, its pairwise stitch of the per-prime answers and the
-table of tied-family statuses stay here to compare against.
+table of tied-family statuses stay here to compare against, and so do the
+Seifert producers that build a fresh ``FiberInvariant`` for every fiber
+(``from_json_per_fiber``, ``normalize_per_fiber``, ``lift_seifert_per_fiber``)
+where the library builds one per distinct slope.
 ``hom_count`` counts homomorphisms of a presented group into a finite
 permutation group (``S3``) by brute force over the generator images, a
 homotopy invariant that abelianization cannot see.
@@ -38,7 +41,7 @@ from operator import mul, neg
 from sfsdiag import covers
 from sfsdiag.covers import beta_star
 from sfsdiag.diagram import Diagram, _CrossingIndex
-from sfsdiag.errors import BaseGenusUnsupported, InfeasibleBetaStar, TooManyFibers, UnsatisfiablePattern
+from sfsdiag.errors import BaseGenusUnsupported, InfeasibleBetaStar, TooManyFibers, UnsatisfiablePattern, want
 from sfsdiag.exactalg import IntMatrix, SnfResult, _snf, crt, floor_sum
 from sfsdiag.seifert import FiberInvariant, SeifertData, normalize
 
@@ -634,6 +637,48 @@ def beta_star_pairwise(pairs, lam: int):
     return tuple(out)
 
 
+def fibers_one_by_one(pairs) -> tuple:
+    """A fresh :class:`FiberInvariant` for each ``(alpha, beta)``, in order: no two share an object."""
+    return tuple(FiberInvariant(a, b) for a, b in pairs)
+
+
+def from_json_per_fiber(data: dict) -> SeifertData:
+    """:meth:`SeifertData.from_json` as it read fibers one by one, each checked through ``want`` and
+    built before the next is read."""
+    mode = data["mode"]
+    if mode not in ("normalized", "non_normalized"):
+        raise ValueError(f"unknown mode {mode!r}")
+    euler = data.get("euler")
+    if mode == "normalized" and euler is None:
+        raise ValueError("normalized data requires an euler field")
+    if mode == "non_normalized" and euler is not None:
+        raise ValueError("non-normalized data must not carry an euler field")
+    fibers = []
+    for i, f in enumerate(want(data["fibers"], list, "$.fibers")):
+        alpha, beta = want(f, dict, "$.fibers[{}]", i)["alpha"], f["beta"]
+        want(alpha, int, "$.fibers[{}].alpha", i)
+        want(beta, int, "$.fibers[{}].beta", i)
+        fibers.append(FiberInvariant(alpha, beta))
+    euler = None if euler is None else want(euler, int, "$.euler")
+    return SeifertData(want(data["base_genus"], int, "$.base_genus"), tuple(fibers), euler)
+
+
+def normalize_per_fiber(s: SeifertData) -> SeifertData:
+    """:func:`sfsdiag.seifert.normalize` with one new fiber per kept slot."""
+    if s.is_normalized:
+        return s
+    fibers = fibers_one_by_one((f.alpha, f.beta % f.alpha) for f in s.fibers if f.alpha > 1)
+    return SeifertData(s.base_genus, fibers, -floor_sum((f.beta, f.alpha) for f in s.fibers))
+
+
+def lift_seifert_per_fiber(s: SeifertData, spec) -> SeifertData:
+    """The slopes ``beta_i / (alpha_i / b_ij)`` of :func:`sfsdiag.covers.lift_seifert`, one new fiber
+    per boundary circle, on the genus it reports."""
+    genus = covers.lift_seifert(s, spec).base_genus
+    pairs = ((f.alpha // b, f.beta) for f, part in zip(s.fibers, spec.partitions) for b in part)
+    return SeifertData(genus, fibers_one_by_one(pairs), None)
+
+
 def outcome(call, *args, **kwargs):
     """The result of a call, or its error's type and message."""
     try:
@@ -687,7 +732,7 @@ def denormalize_by_cases(s, sign_pattern, absorber_index=None):
             q, rem = divmod(deficit, len(slots))
             for idx, i in enumerate(slots):
                 reps[i] += (q + 1 if idx < rem else q) * alphas[i]
-    return SeifertData(s.base_genus, tuple(FiberInvariant(a, b) for a, b in zip(alphas, reps)), None)
+    return SeifertData(s.base_genus, fibers_one_by_one(zip(alphas, reps)), None)
 
 
 def base_orbifold_cover_by_cases(s):
@@ -709,7 +754,7 @@ def base_orbifold_cover_by_cases(s):
         a0, b0 = slots[0]
         slots[0] = (a0, b0 - n.euler * a0)
     stars = beta_star(slots, lam)
-    return SeifertData(0, tuple(FiberInvariant(lam * a, star) for (a, _), star in zip(slots, stars)), None), lam
+    return SeifertData(0, fibers_one_by_one((lam * a, star) for (a, _), star in zip(slots, stars)), None), lam
 
 
 _SPACE = {"base_genus": 0, "mode": "normalized", "euler": 1,
