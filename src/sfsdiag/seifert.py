@@ -121,9 +121,9 @@ class SeifertData(Value):
             raise ValueError("normalized data requires an euler field")
         if mode == "non_normalized" and euler is not None:
             raise ValueError("non-normalized data must not carry an euler field")
-        fibers, pairs = want(data["fibers"], list, "$.fibers"), []
+        pairs = []
         try:  # inline checks; the index of fiber i is len(pairs)
-            for f in fibers:
+            for f in want(data["fibers"], list, "$.fibers"):
                 if type(f) is not dict:
                     want(f, dict, "$.fibers[{}]", len(pairs))
                 alpha, beta = pair = f["alpha"], f["beta"]

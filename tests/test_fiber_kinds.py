@@ -76,9 +76,8 @@ def test_readers_match_the_per_fiber_oracle(pairs, genus, euler):
     doc = doc_of(genus, pairs, euler)
     got = outcome(SeifertData.from_json, doc)
     assert got == outcome(from_json_per_fiber, doc)
-    build = (lambda: SeifertData.non_normalized(genus, pairs)) if euler is None else \
-        (lambda: SeifertData.normalized(genus, pairs, euler))
-    made = outcome(build)
+    made = (outcome(SeifertData.non_normalized, genus, pairs) if euler is None
+            else outcome(SeifertData.normalized, genus, pairs, euler))
     assert made == outcome(lambda: SeifertData(genus, fibers_one_by_one(pairs), euler))
     if isinstance(got, SeifertData):
         assert got.to_json() == doc and made.to_json() == doc
@@ -169,6 +168,7 @@ def test_json_missing_key_after_a_bad_fiber():
 ])
 def test_constructors_refuse_non_int_fibers(pairs, error):
     assert outcome(SeifertData.non_normalized, 0, pairs) == error
+    assert outcome(SeifertData.normalized, 0, pairs, 1) == error
     assert outcome(fibers_one_by_one, pairs) == error
 
 
