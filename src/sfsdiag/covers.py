@@ -15,8 +15,18 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import (BaseGenusUnsupported, IncompatibleSpec, InfeasibleBetaStar, ParityError, TooManyFibers, Value,
-                     WorkBudgetExceeded, init_field, want, want_ints)
+from .errors import (
+    BaseGenusUnsupported,
+    IncompatibleSpec,
+    InfeasibleBetaStar,
+    ParityError,
+    TooManyFibers,
+    Value,
+    WorkBudgetExceeded,
+    init_field,
+    want,
+    want_ints,
+)
 from .exactalg import crt, floor_sum
 from .seifert import SeifertData, _fibers, denormalize, normalize
 
@@ -37,7 +47,7 @@ class CoverSpec(Value):
         if sheets < 1:
             raise ValueError(f"sheet count must be >= 1, got {sheets}")
         for i, part in enumerate(partitions):
-            if not part or any(b < 1 for b in part):
+            if not part or any(want(b, int, "partitions[{}]", i) < 1 for b in part):
                 raise ValueError(f"partition {i} must consist of positive parts")
             if sum(part) != sheets:
                 raise IncompatibleSpec(f"partition {i} sums to {sum(part)}, not {sheets}")
@@ -84,7 +94,9 @@ def lift_seifert(s: SeifertData, spec: CoverSpec) -> SeifertData:
     if r < 1:
         raise ValueError("lift_seifert needs at least one filling slot")
     if len(spec.partitions) != r:
-        raise IncompatibleSpec(f"{r} filling slots but {len(spec.partitions)} boundary partitions")
+        raise IncompatibleSpec(
+            f"{r} filling slots but {len(spec.partitions)} boundary partitions"
+        )
     lam = spec.sheets
     for f, part in zip(s.fibers, spec.partitions):
         for b in part:
@@ -114,7 +126,9 @@ def _adjust_for_prime(pairs, p: int):
         i = hit[0]
         others = [j for j in range(len(pairs)) if j != i]
         if not others:
-            raise InfeasibleBetaStar(f"single slope divisible by {p} cannot be fixed without a partner")
+            raise InfeasibleBetaStar(
+                f"single slope divisible by {p} cannot be fixed without a partner"
+            )
         j = others[0]
         if (betas[j] - alphas[j]) % p != 0:
             betas[i] += alphas[i]
@@ -225,5 +239,7 @@ def positive_genus_bound(s: SeifertData) -> int:
     """Positive-diagram genus bound ``2g+2`` for at most three fibers."""
     n = normalize(s)
     if len(n.fibers) > 3:
-        raise TooManyFibers(f"bound applies to at most three fibers, got {len(n.fibers)}")
+        raise TooManyFibers(
+            f"bound applies to at most three fibers, got {len(n.fibers)}"
+        )
     return 2 * n.base_genus + 2

@@ -98,37 +98,8 @@ class Diagram(Value):
 
     @cached_property
     def _violations(self) -> tuple["DiagramViolation", ...]:
-        """Every structural defect, from the one exhaustive pass behind :func:`validate`."""
-        out: list[DiagramViolation] = []
-        if self.declared_genus < 0:
-            out.append(DiagramViolation("NegativeGenus", "declared genus is negative"))
-        if not self.x_curves:
-            out.append(DiagramViolation("EmptySide", "no X curves"))
-        if not self.y_curves:
-            out.append(DiagramViolation("EmptySide", "no Y curves"))
-
-        def side_ids(curves, dup_code):
-            seen = Counter(c for curve in curves for c in curve)
-            for c, count in sorted(seen.items()):
-                if count > 1:
-                    out.append(DiagramViolation(dup_code, f"crossing {c} appears {count} times"))
-            return set(seen)
-
-        on_x = side_ids(self.x_curves, "DuplicateOnX")
-        on_y = side_ids(self.y_curves, "DuplicateOnY")
-        for c in sorted(on_x - on_y):
-            out.append(DiagramViolation("MissingFromY", f"crossing {c} is only on an X curve"))
-        for c in sorted(on_y - on_x):
-            out.append(DiagramViolation("MissingFromX", f"crossing {c} is only on a Y curve"))
-        signed = side_ids([[k for k, _ in self.signs]], "DuplicateSign")
-        for c in sorted((on_x | on_y) - signed):
-            out.append(DiagramViolation("MissingSign", f"crossing {c} has no sign"))
-        for c in sorted(signed - (on_x | on_y)):
-            out.append(DiagramViolation("ExtraSign", f"sign for unknown crossing {c}"))
-        for c, v in self.signs:
-            if v not in (1, -1):
-                out.append(DiagramViolation("BadSign", f"crossing {c} has sign {v}"))
-        return tuple(out)
+        """Every structural defect, from one exhaustive pass."""
+        return tuple(_find_violations(self))
 
     def to_json(self) -> dict:
         return {
@@ -178,6 +149,40 @@ def validate(dg: Diagram) -> list[DiagramViolation]:
     once, with values +-1.  Each diagram caches the result of one pass.
     """
     return list(dg._violations)
+
+
+def _find_violations(dg: Diagram) -> list[DiagramViolation]:
+    """The exhaustive pass behind :func:`validate`."""
+    out: list[DiagramViolation] = []
+    if dg.declared_genus < 0:
+        out.append(DiagramViolation("NegativeGenus", "declared genus is negative"))
+    if not dg.x_curves:
+        out.append(DiagramViolation("EmptySide", "no X curves"))
+    if not dg.y_curves:
+        out.append(DiagramViolation("EmptySide", "no Y curves"))
+
+    def side_ids(curves, dup_code):
+        seen = Counter(c for curve in curves for c in curve)
+        for c, count in sorted(seen.items()):
+            if count > 1:
+                out.append(DiagramViolation(dup_code, f"crossing {c} appears {count} times"))
+        return set(seen)
+
+    on_x = side_ids(dg.x_curves, "DuplicateOnX")
+    on_y = side_ids(dg.y_curves, "DuplicateOnY")
+    for c in sorted(on_x - on_y):
+        out.append(DiagramViolation("MissingFromY", f"crossing {c} is only on an X curve"))
+    for c in sorted(on_y - on_x):
+        out.append(DiagramViolation("MissingFromX", f"crossing {c} is only on a Y curve"))
+    signed = side_ids([[k for k, _ in dg.signs]], "DuplicateSign")
+    for c in sorted((on_x | on_y) - signed):
+        out.append(DiagramViolation("MissingSign", f"crossing {c} has no sign"))
+    for c in sorted(signed - (on_x | on_y)):
+        out.append(DiagramViolation("ExtraSign", f"sign for unknown crossing {c}"))
+    for c, v in dg.signs:
+        if v not in (1, -1):
+            out.append(DiagramViolation("BadSign", f"crossing {c} has sign {v}"))
+    return out
 
 
 class _CrossingIndex:

@@ -30,7 +30,9 @@ def crt(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
             raise ValueError(f"modulus must be >= 1, got {m_i}")
         g = gcd(mod, m_i)
         if (r_i - res) % g != 0:
-            raise Incompatible(f"residues {res} (mod {mod}) and {r_i} (mod {m_i}) conflict")
+            raise Incompatible(
+                f"residues {res} (mod {mod}) and {r_i} (mod {m_i}) conflict"
+            )
         # res + mod*k = r_i (mod m_i) for k = (r_i-res)/g * inv(mod/g) mod m_i/g, below the lcm
         k = (r_i - res) // g * pow(mod // g, -1, m_i // g) % (m_i // g)
         res, mod = res + mod * k, mod // g * m_i

@@ -47,24 +47,10 @@ _set_alpha, _set_beta = FiberInvariant.alpha.__set__, FiberInvariant.beta.__set_
 
 
 def _fibers(pairs) -> tuple[FiberInvariant, ...]:
-    """The fibers of ``(alpha, beta)`` pairs of ``int``s, one :class:`FiberInvariant` per distinct pair, built
-    at its first occurrence: equal slopes share one object, and the first bad pair raises.  The dict lives
-    for this call only.  No pair may hold a bool or a float, since as a key ``(True, 1)`` finds ``(1, 1)``."""
-    kinds, out = {}, []
-    for pair in pairs:
-        f = kinds.get(pair)
-        if f is None:
-            f = kinds[pair] = FiberInvariant(*pair)
-        out.append(f)
-    return tuple(out)
-
-
-def _int_pairs(fibers):
-    """The ``(alpha, beta)`` pairs of ``fibers`` as each is reached; the constructor refuses one not of two ``int``s."""
-    for alpha, beta in fibers:
-        if type(alpha) is not int or type(beta) is not int:
-            FiberInvariant(alpha, beta)
-        yield alpha, beta
+    """The fibers of ``pairs``, one :class:`FiberInvariant` per distinct ``(alpha, beta)``, built at its first
+    occurrence from a dict that lives for this call.  Pairs hold ``int``s: as a key, ``(True, 1)`` is ``(1, 1)``."""
+    kinds = {}
+    return tuple([kinds.get(p) or kinds.setdefault(p, FiberInvariant(*p)) for p in pairs])
 
 
 class SeifertData(Value):
@@ -83,7 +69,7 @@ class SeifertData(Value):
             raise InvalidInvariant(f"base genus must be >= 0, got {base_genus}")
         if euler is not None:
             for f in fibers:
-                if not 0 < f.beta < f.alpha:  # so alpha > 1
+                if f.alpha <= 1 or not (0 < f.beta < f.alpha):
                     raise InvalidInvariant(f"fiber ({f.alpha}, {f.beta}) is not in normalized range")
         init_field(self, "base_genus", base_genus)
         init_field(self, "fibers", fibers)
@@ -95,11 +81,11 @@ class SeifertData(Value):
 
     @classmethod
     def normalized(cls, base_genus, fibers, euler) -> "SeifertData":
-        return cls(base_genus, _fibers(_int_pairs(fibers)), euler)
+        return cls(base_genus, tuple(FiberInvariant(a, b) for a, b in fibers), euler)
 
     @classmethod
     def non_normalized(cls, base_genus, fibers) -> "SeifertData":
-        return cls(base_genus, _fibers(_int_pairs(fibers)), None)
+        return cls(base_genus, tuple(FiberInvariant(a, b) for a, b in fibers), None)
 
     def to_json(self) -> dict:
         out = {
@@ -121,22 +107,17 @@ class SeifertData(Value):
             raise ValueError("normalized data requires an euler field")
         if mode == "non_normalized" and euler is not None:
             raise ValueError("non-normalized data must not carry an euler field")
-        pairs = []
-        try:  # inline checks; the index of fiber i is len(pairs)
-            for f in want(data["fibers"], list, "$.fibers"):
-                if type(f) is not dict:
-                    want(f, dict, "$.fibers[{}]", len(pairs))
-                alpha, beta = pair = f["alpha"], f["beta"]
-                if type(alpha) is not int or type(beta) is not int:
-                    want(alpha, int, "$.fibers[{}].alpha", len(pairs))
-                    want(beta, int, "$.fibers[{}].beta", len(pairs))
-                pairs.append(pair)
-        except (KeyError, TypeError):
-            _fibers(pairs)  # a bad slope ahead of the unreadable fiber is reported first
-            raise
-        fibers = _fibers(pairs)
+        kinds, fibers = {}, []  # one FiberInvariant per distinct slope, built at its first occurrence
+        for i, f in enumerate(want(data["fibers"], list, "$.fibers")):
+            if type(f) is not dict:
+                want(f, dict, "$.fibers[{}]", i)
+            alpha, beta = pair = f["alpha"], f["beta"]
+            if type(alpha) is not int or type(beta) is not int:  # before the lookup: (True, 1) == (1, 1)
+                want(alpha, int, "$.fibers[{}].alpha", i)
+                want(beta, int, "$.fibers[{}].beta", i)
+            fibers.append(kinds.get(pair) or kinds.setdefault(pair, FiberInvariant(alpha, beta)))
         euler = None if euler is None else want(euler, int, "$.euler")
-        return cls(want(data["base_genus"], int, "$.base_genus"), fibers, euler)
+        return cls(want(data["base_genus"], int, "$.base_genus"), tuple(fibers), euler)
 
 
 def normalize(s: SeifertData) -> SeifertData:
@@ -148,7 +129,7 @@ def normalize(s: SeifertData) -> SeifertData:
     """
     if s.is_normalized:
         return s
-    fibers = _fibers([(f.alpha, f.beta % f.alpha) for f in s.fibers if f.alpha > 1])
+    fibers = tuple(FiberInvariant(f.alpha, f.beta % f.alpha) for f in s.fibers if f.alpha > 1)
     e = -floor_sum((f.beta, f.alpha) for f in s.fibers)
     return SeifertData(s.base_genus, fibers, e)
 
@@ -368,7 +349,15 @@ def horizontal_family(s: SeifertData) -> HorizontalFamily | None:
     return None
 
 
-_CASE_TAGS = ("ThmA1", "ThmA2", "ThmA3", "Generic_g0", "Generic_gpos", "ThmB_family", "SmallLens_extension")
+_CASE_TAGS = (
+    "ThmA1",
+    "ThmA2",
+    "ThmA3",
+    "Generic_g0",
+    "Generic_gpos",
+    "ThmB_family",
+    "SmallLens_extension",
+)
 
 class GenusReport(Value):
     """Heegaard genus and positive-Heegaard-genus classification."""

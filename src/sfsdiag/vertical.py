@@ -202,7 +202,9 @@ def build_positive_vertical(s: SeifertData) -> Diagram:
     them read the diagram's one crossing index, built during synthesis.
     """
     if s.base_genus != 0:
-        raise BaseGenusUnsupported(f"vertical construction covers base genus 0 only, got {s.base_genus}")
+        raise BaseGenusUnsupported(
+            f"vertical construction covers base genus 0 only, got {s.base_genus}"
+        )
     n = normalize(s)
     plan = plan_decomposition(len(n.fibers))
     betas = assign_betas(n, plan)

@@ -21,8 +21,8 @@ three slots of ``base_orbifold_cover``, the per-count branches of the
 ``beta_star`` shift, its pairwise stitch of the per-prime answers and the
 table of tied-family statuses stay here to compare against, and so do the
 Seifert producers that build a fresh ``FiberInvariant`` for every fiber
-(``from_json_per_fiber``, ``normalize_per_fiber``, ``lift_seifert_per_fiber``)
-where the library builds one per distinct slope.
+(``from_json_per_fiber``, ``lift_seifert_per_fiber``) where the library
+builds one per distinct slope.
 ``hom_count`` counts homomorphisms of a presented group into a finite
 permutation group (``S3``) by brute force over the generator images, a
 homotopy invariant that abelianization cannot see.
@@ -661,14 +661,6 @@ def from_json_per_fiber(data: dict) -> SeifertData:
         fibers.append(FiberInvariant(alpha, beta))
     euler = None if euler is None else want(euler, int, "$.euler")
     return SeifertData(want(data["base_genus"], int, "$.base_genus"), tuple(fibers), euler)
-
-
-def normalize_per_fiber(s: SeifertData) -> SeifertData:
-    """:func:`sfsdiag.seifert.normalize` with one new fiber per kept slot."""
-    if s.is_normalized:
-        return s
-    fibers = fibers_one_by_one((f.alpha, f.beta % f.alpha) for f in s.fibers if f.alpha > 1)
-    return SeifertData(s.base_genus, fibers, -floor_sum((f.beta, f.alpha) for f in s.fibers))
 
 
 def lift_seifert_per_fiber(s: SeifertData, spec) -> SeifertData:

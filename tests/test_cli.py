@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from functools import cached_property
 
 import pytest
 
@@ -445,10 +444,8 @@ def test_diagram_verify_skips_validate_on_a_valid_diagram(tmp_path, capsys, monk
 
 def test_diagram_verify_runs_the_exhaustive_pass_once(tmp_path, capsys, monkeypatch):
     calls = []
-    real = Diagram.__dict__["_violations"].func
-    counted = cached_property(lambda dg: calls.append(dg) or real(dg))
-    counted.__set_name__(Diagram, "_violations")
-    monkeypatch.setattr(Diagram, "_violations", counted)
+    real = diagram._find_violations
+    monkeypatch.setattr(diagram, "_find_violations", lambda dg: calls.append(dg) or real(dg))
     bad = {"genus": 1, "x_curves": [[1, 1]], "y_curves": [[1]], "signs": {"1": 1}}
     code, out, _ = run_with_file(tmp_path, capsys, "diagram-verify", bad)
     assert code == 0 and len(calls) == 1
