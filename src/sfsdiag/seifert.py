@@ -107,14 +107,14 @@ class SeifertData(Value):
             raise ValueError("normalized data requires an euler field")
         if mode == "non_normalized" and euler is not None:
             raise ValueError("non-normalized data must not carry an euler field")
-        kinds, fibers = {}, []  # one FiberInvariant per distinct slope, built at its first occurrence
-        for i, f in enumerate(want(data["fibers"], list, "$.fibers")):
+        kinds, fibers = {}, []  # one FiberInvariant per distinct slope; fiber i is read at len(fibers) == i
+        for f in want(data["fibers"], list, "$.fibers"):
             if type(f) is not dict:
-                want(f, dict, "$.fibers[{}]", i)
+                want(f, dict, "$.fibers[{}]", len(fibers))
             alpha, beta = pair = f["alpha"], f["beta"]
             if type(alpha) is not int or type(beta) is not int:  # before the lookup: (True, 1) == (1, 1)
-                want(alpha, int, "$.fibers[{}].alpha", i)
-                want(beta, int, "$.fibers[{}].beta", i)
+                want(alpha, int, "$.fibers[{}].alpha", len(fibers))
+                want(beta, int, "$.fibers[{}].beta", len(fibers))
             fibers.append(kinds.get(pair) or kinds.setdefault(pair, FiberInvariant(alpha, beta)))
         euler = None if euler is None else want(euler, int, "$.euler")
         return cls(want(data["base_genus"], int, "$.base_genus"), tuple(fibers), euler)
