@@ -225,6 +225,18 @@ class TestPresentationAndHomology:
         assert p.n_generators == 3
         assert p.relators == ((1, 2, -1, -2), (1, 3, -1, -3), (2, 3, -2, -3))
 
+    def test_genus_one_two_fiber_presentation_word_by_word(self):
+        # (1; 1/2, 2/3; e = -1): generators a, b, x_1, x_2, t are 1..5; a relabelling of
+        # the x_i, which abelianization and homomorphism counts cannot see, changes these words
+        p = sfs_presentation(SeifertData.normalized(1, [(2, 1), (3, 2)], -1))
+        assert p.n_generators == 5
+        assert p.relators == (
+            (3, 3, 5),
+            (4, 4, 4, 5, 5),
+            (1, 2, -1, -2, 3, 4, -5),
+            (1, 5, -1, -5), (2, 5, -2, -5), (3, 5, -3, -5), (4, 5, -4, -5),
+        )
+
     def test_presentation_needs_normalized_input(self):
         with pytest.raises(ValueError, match="^sfs_presentation expects normalized input$"):
             sfs_presentation(SeifertData.non_normalized(0, [(2, 1)]))
