@@ -123,19 +123,15 @@ def _adjust_for_prime(pairs, p: int):
     alphas = [a for a, _ in pairs]
     hit = [i for i in range(len(pairs)) if betas[i] % p == 0]
     if len(hit) == 1:
-        i = hit[0]
-        others = [j for j in range(len(pairs)) if j != i]
-        if not others:
+        if len(pairs) == 1:
             raise InfeasibleBetaStar(
                 f"single slope divisible by {p} cannot be fixed without a partner"
             )
-        j = others[0]
-        if (betas[j] - alphas[j]) % p != 0:
-            betas[i] += alphas[i]
-            betas[j] -= alphas[j]
-        else:
-            betas[i] -= alphas[i]
-            betas[j] += alphas[j]
+        i = hit[0]
+        j = int(i == 0)  # the partner, the first other slot, steps down unless it lands on a multiple of p
+        step = 1 if (betas[j] - alphas[j]) % p else -1
+        betas[i] += step * alphas[i]
+        betas[j] -= step * alphas[j]
         return tuple(betas)
     # the first half step up and the rest down; an odd count leaves one step
     # down over, which the first slot balances by a second step up

@@ -136,7 +136,7 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
     row, column operations reduce the pivot row modulo the pivot and touch no
     other row.  Remainders, all below the pivot, move it to the shortest row
     after a row pass or the shortest column after a column pass, ties to the
-    least.  A pivot alone in its row and column joins the chain by :func:`_join`; a 1 is only counted.
+    least.  A pivot alone in its row and column goes to :func:`_join`; units are counted, not joined.
     """
     from heapq import heapify, heappop, heappush
 
@@ -153,7 +153,7 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
                     cols[j] = {i}
     heap = [(len(row), i) for i, row in rows.items()]
     heapify(heap)
-    chain, ones = [], 0
+    chain, rank = [], 0
     while rows:
         while (r := heap[0][1]) not in rows or len(rows[r]) != heap[0][0]:
             heappop(heap)
@@ -207,22 +207,22 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
                 heappush(heap, (len(row), r))
             c = move
         _join(chain, abs(p))
-        if chain[-1] == 1:
-            ones += chain.pop()
+        rank += 1
         del rows[r], cols[c]
-    return SnfResult((1,) * ones + tuple(reversed(chain)), ncols - ones - len(chain))
+    return SnfResult((1,) * (rank - len(chain)) + tuple(reversed(chain)), ncols - rank)
 
 
 def _join(chain: list[int], d: int) -> None:
     """Join the factor ``d >= 1`` to the descending divisibility ``chain`` in place by gcd/lcm
     exchanges from the largest.  Each factor divides the one before it, so ``d`` divides a prefix
     of the chain, which the exchange leaves unchanged: one ``bisect_right`` on ``x % d`` jumps to
-    the first factor ``d`` does not divide, and once ``d`` divides the last factor (always so for a
-    1) the last gcd is appended, shifting nothing."""
+    the first factor ``d`` does not divide, and once ``d`` divides the last factor the last gcd is
+    appended, shifting nothing, unless it is a 1: units are the caller's count, never joined."""
     i = 0
     while chain and chain[-1] % d:
         i = bisect_right(chain, 0, i, key=d.__rmod__)
         g = gcd(x := chain[i], d)
         chain[i], d = x // g * d, g
         i += 1
-    chain.append(d)
+    if d > 1:
+        chain.append(d)

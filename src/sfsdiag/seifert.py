@@ -227,18 +227,15 @@ def sfs_presentation(s: SeifertData) -> Presentation:
         raise ValueError("sfs_presentation expects normalized input")
     g, m, e = s.base_genus, len(s.fibers), s.euler
     t = 2 * g + m + 1
-
-    def x(i: int) -> int:
-        return 2 * g + 1 + i
-
+    x = 2 * g + 1
     relators: list[tuple[int, ...]] = []
     for i, f in enumerate(s.fibers):
-        relators.append((x(i),) * f.alpha + (t,) * f.beta)
+        relators.append((x + i,) * f.alpha + (t,) * f.beta)
     long_rel: list[int] = []
     for j in range(g):
         a, b = 2 * j + 1, 2 * j + 2
         long_rel += [a, b, -a, -b]
-    long_rel += [x(i) for i in range(m)]
+    long_rel += range(x, t)
     long_rel += [t] * e if e >= 0 else [-t] * (-e)
     relators.append(tuple(long_rel))
     for k in range(1, t):
@@ -257,16 +254,14 @@ def homology(s: SeifertData) -> SnfResult:
     ``c_1 ... c_{k-2}``, and the determinant is ``+-e_Q * prod(alpha_i)``.  So the invariant
     factors are ``min(m, 2)`` ones, then ``c_1 ... c_{m-2}``, then ``|num| c_{m-1} c_m / den``
     unless ``num = 0``, and the free rank is ``m + 1`` minus their count, plus ``2g``.
-    Nothing is eliminated: one :func:`_join` per fiber, 1s counted apart, and one pass for ``e_Q``.
+    Nothing is eliminated: one :func:`_join` per fiber, units counted not joined, one pass for ``e_Q``.
     """
     n = normalize(s)
     m = len(n.fibers)
-    chain, ones = [], 0
+    chain = []
     for f in n.fibers:
         _join(chain, f.alpha)
-        if chain[-1] == 1:
-            ones += chain.pop()
-    chain += [1] * ones
+    chain += [1] * (m - len(chain))
     num, den = _euler_terms(n)
     factors = [1] * min(m, 2) + chain[:1:-1]
     if num:
@@ -430,8 +425,7 @@ def genus_report(s: SeifertData) -> GenusReport:
     fam = horizontal_family(n)
 
     if g == 0 and m <= 2:
-        h = homology(n)
-        hg = 0 if (h.free_rank == 0 and not h.torsion) else 1
+        hg = 0 if homology(n).order() == 1 else 1
         return GenusReport(
             hg, hg, hg, "SmallLens_extension",
             notes="lens-space range (g = 0, m <= 2) reported by convention, outside the classifier's coverage",

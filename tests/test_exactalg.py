@@ -86,6 +86,8 @@ class TestJoin:
             _join(chain, d)
             join_by_runs(runs, d)
             join_ascending(oracle, d)
+        assert 1 not in chain
+        chain += [1] * (len(oracle) - len(chain))
         assert chain == runs == oracle[::-1]
         for descending in (chain, runs, oracle[::-1]):
             assert all(a % b == 0 for a, b in zip(descending, descending[1:]))
@@ -100,7 +102,8 @@ class TestJoin:
                 _join(chain, d)
                 join_ascending(oracle, d)
             total *= d ** k
-            assert chain == oracle[::-1]
+            assert 1 not in chain
+            assert chain + [1] * (len(oracle) - len(chain)) == oracle[::-1]
         assert all(a % b == 0 for a, b in zip(chain, chain[1:]))
         assert prod(chain) == total
 
@@ -110,7 +113,8 @@ class TestJoin:
         for d in factors:
             _join(chain, d)
             join_ascending(oracle, d)
-            assert chain == oracle[::-1]
+            assert 1 not in chain
+            assert chain + [1] * (len(oracle) - len(chain)) == oracle[::-1]
 
 
 @pytest.mark.parametrize("call,message", [

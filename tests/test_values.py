@@ -1,6 +1,7 @@
 """The frozen value classes and the lazy package surface."""
 
 import copy
+import glob
 import json
 import os
 import pickle
@@ -259,6 +260,14 @@ class TestPackage:
         assert not hasattr(sfsdiag, "Value")
         with pytest.raises(ImportError):
             exec("from sfsdiag import no_such_name", {})
+
+    def test_source_stays_under_its_line_ceiling(self):
+        # the newlines of `cat src/sfsdiag/*.py | wc -l`, against the net src/ baseline of 2,108
+        lines = 0
+        for path in glob.glob(os.path.join(SRC, "sfsdiag", "*.py")):
+            with open(path, "rb") as handle:
+                lines += handle.read().count(b"\n")
+        assert lines <= 2108, f"src/sfsdiag holds {lines} lines, over its 2,108-line ceiling"
 
 
 def new_modules(body: str, stdin: str = "", flags: tuple = ()) -> set:
