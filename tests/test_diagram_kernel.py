@@ -1,6 +1,7 @@
 """Differential tests of the crossing-index kernels against the dict
 tracer in ``helpers``, plus error parity with :func:`validate`."""
 
+from itertools import product
 from math import gcd
 
 import pytest
@@ -500,6 +501,14 @@ INVALID += [
 # ids 1..d in order with a repeat: the sign map is shorter than d
 INVALID.append((Diagram(1, ((1, 2),), ((1, 2),), ((1, 1), (1, 1))),
                 "invalid diagram: DuplicateSign: crossing 1 appears 2 times"))
+# repeats whose successor lists would sum to 1 + ... + d under a weaker sentinel for an
+# unset slot: under d = 4, -4 fills slot 1 and slot 2 keeps it (a -1 would cancel the
+# extra 4); under d = 3, -4 fills slot 0 and slots 1 and 2 keep it (a 0 would cancel)
+INVALID += [
+    (Diagram(1, *sides, PositiveSigns(d)), f"invalid diagram: DuplicateOn{side}: crossing {c} appears 2 times")
+    for curve, d, c in [((-4, 3, 4, 4), 4, 4), ((-4, 3, 3), 3, 3)]
+    for side, sides in [("X", ((curve,), (tuple(range(1, d + 1)),))), ("Y", ((tuple(range(1, d + 1)),), (curve,)))]
+]
 
 
 @pytest.mark.parametrize("dg,message", INVALID)
@@ -519,13 +528,16 @@ def test_error_parity(dg, message, query):
 
 @given(
     st.integers(-1, 1),
-    st.lists(st.lists(st.integers(0, 5), max_size=4), max_size=3),
-    st.lists(st.lists(st.integers(0, 5), max_size=4), max_size=3),
-    st.dictionaries(st.integers(0, 5), st.sampled_from((1, -1, 2))),
+    st.lists(st.lists(st.integers(-7, 7), max_size=4), max_size=3),
+    st.lists(st.lists(st.integers(-7, 7), max_size=4), max_size=3),
+    st.one_of(st.dictionaries(st.integers(-7, 7), st.sampled_from((1, -1, 2))), st.none()),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_index_rejects_exactly_what_validate_reports(genus, xs, ys, signs):
-    dg = build_diagram(genus, xs, ys, signs)
+    if signs is None:  # a run of +1 signs on as many ids as the X curves hold
+        dg = Diagram(genus, tuple(map(tuple, xs)), tuple(map(tuple, ys)), PositiveSigns(sum(map(len, xs))))
+    else:
+        dg = build_diagram(genus, xs, ys, signs)
     problems = validate(dg)
     index = _crossing_index(genus, dg.x_curves, dg.y_curves, dg.signs)
     assert (index is None) == bool(problems)
@@ -533,3 +545,14 @@ def test_index_rejects_exactly_what_validate_reports(genus, xs, ys, signs):
         with pytest.raises(ValueError) as exc:
             is_positive_diagram(dg)
         assert str(exc.value) == f"invalid diagram: {problems[0].code}: {problems[0].message}"
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_index_rejects_every_side_that_is_not_one_to_d(d):
+    """Every single curve over ids ``-(d+1)..d`` on either side, against the valid curve
+    ``1..d`` on the other under a run of +1 signs: the index is None iff validate faults."""
+    valid = (tuple(range(1, d + 1)),)
+    for curve in product(range(-d - 1, d + 1), repeat=d):
+        for xs, ys in (((curve,), valid), (valid, (curve,))):
+            dg = Diagram(1, xs, ys, PositiveSigns(d))
+            assert (_crossing_index(1, xs, ys, dg.signs) is None) == bool(validate(dg)), (xs, ys)
