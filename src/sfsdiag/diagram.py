@@ -198,9 +198,10 @@ class _CrossingIndex:
 
 
 def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
-    """Index of diagram data; None on any defect :func:`validate` reports.  Ids ``1..d`` are their own
-    ranks, each linked from the one before it, range-checked once per side after the fill; one above
-    ``d`` fails to index.  Rows count letters into plain dicts, but the longest is derived on every diagram."""
+    """Index of diagram data; None on any defect :func:`validate` reports.  Ids ``1..d`` are their own ranks, each
+    linked from the one before it; one outside ``-(d+1)..d`` fails to index.  A side's d ids fill its slots once as
+    indices and once as values, so they sum to ``d(d+1)/2`` iff the ids are ``1..d``: an unset slot (``2(d+1)**2``)
+    outweighs ``-(d+1)`` in each other; with none, each of ``1..d`` is filled once, less ``d + 1`` per negative id."""
     d = len(signs)
     if genus < 0 or not x_curves or not y_curves or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d:
         return None
@@ -218,8 +219,9 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
                 return None
             rank = {c: r for r, c in enumerate(sorted(sign_map), start=1)}
             values = [sign_map[c] for c in rank]
-    # the d listed ranks are distinct iff no slot keeps its -1; a negative id is also some successor
-    idx.x_next, idx.y_next, idx.letter = x_next, y_next, letter = [-1] * (d + 1), [-1] * (d + 1), [1] * (d + 1)
+    # a slot left unset outweighs the rest; with none left, ids fill 1..d once and sum to d(d+1)/2 iff none is < 0
+    unset = 2 * (d + 1) ** 2
+    idx.x_next, idx.y_next, idx.letter = x_next, y_next, letter = [unset] * (d + 1), [unset] * (d + 1), [1] * (d + 1)
     x_next[0] = y_next[0] = 0
     try:
         x_ranks, idx.y_ranks = (curves if rank is None else [[rank[c] for c in curve] for curve in curves]
@@ -235,7 +237,7 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
                 y_next[p] = p = r
     except (IndexError, KeyError, TypeError):
         return None
-    if min(x_next) < 0 or min(y_next) < 0:
+    if sum(x_next) != d * (d + 1) // 2 or sum(y_next) != d * (d + 1) // 2:
         return None
     if idx.negative:
         idx.letter = letter = list(map(mul, letter, [1] + values))
