@@ -502,8 +502,9 @@ INVALID += [
 INVALID.append((Diagram(1, ((1, 2),), ((1, 2),), ((1, 1), (1, 1))),
                 "invalid diagram: DuplicateSign: crossing 1 appears 2 times"))
 # repeats whose successor lists would sum to 1 + ... + d under a weaker sentinel for an
-# unset slot: under d = 4, -4 fills slot 1 and slot 2 keeps it (a -1 would cancel the
-# extra 4); under d = 3, -4 fills slot 0 and slots 1 and 2 keep it (a 0 would cancel)
+# unset slot: under d = 4, -4 fills slot 1, slot 2 stays unset and the set slots sum to 11
+# (an unset -1 makes 10); under d = 3, -4 fills slot 0, slots 1 and 2 stay unset and the
+# set slots already sum to 6 (an unset 0 passes)
 INVALID += [
     (Diagram(1, *sides, PositiveSigns(d)), f"invalid diagram: DuplicateOn{side}: crossing {c} appears 2 times")
     for curve, d, c in [((-4, 3, 4, 4), 4, 4), ((-4, 3, 3), 3, 3)]
