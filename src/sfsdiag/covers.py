@@ -11,8 +11,6 @@ exceptional fibers as a ``(2g+1)``-sheeted cover of a sphere base with
 three fibers.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from .errors import (
@@ -194,14 +192,14 @@ def beta_star(pairs, lam: int):
     out = (list(adjusted[0][0]) if len(adjusted) == 1
            else [crt((adj[i], a * q) for adj, q in adjusted)[0] for i, a in enumerate(alphas)])
 
-    drift = floor_sum(zip(out, alphas)) - floor_sum((b, a) for a, b in pairs)
+    drift = floor_sum(zip(out, alphas)) - (target := floor_sum((b, a) for a, b in pairs))
     assert drift % lam == 0, "per-prime congruences should drift by multiples of lam"
     out[0] -= (drift // lam) * alphas[0] * lam
 
     for (a, b), star in zip(pairs, out):
         assert (star - b) % a == 0
         assert gcd(star, lam) == 1
-    assert floor_sum(zip(out, alphas)) == floor_sum((b, a) for a, b in pairs)
+    assert floor_sum(zip(out, alphas)) == target
     return tuple(out)
 
 

@@ -18,8 +18,6 @@ for diagrams whose curve union is disconnected the encoding simply acts
 per component.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from functools import cached_property
 from itertools import count, repeat
@@ -113,11 +111,15 @@ class Diagram(Value):
     def from_json(cls, data: dict) -> "Diagram":
         genus = want(data["genus"], int, "$.genus")
         x_curves, y_curves = (
-            [want_ints(c, "$.{}[{}]", side, i) for i, c in enumerate(want(data[side], list, "$." + side))]
+            tuple(tuple(want_ints(c, "$.{}[{}]", side, i)) for i, c in enumerate(want(data[side], list, "$." + side)))
             for side in ("x_curves", "y_curves"))
         signs = data["signs"]
         if not isinstance(signs, dict):
             raise TypeError(f"signs: expected an object mapping crossing id to sign, got {type(signs).__name__}")
+        # the keys to_json writes, "1".."d" in order, are the ids 1..d: no parse and no sort.  The pairs go
+        # through a list: a tuple grown from an iterator reallocates as it grows, which fragments the heap
+        if list(signs) == list(map(str, range(1, len(signs) + 1))) and set(map(type, signs.values())) <= {int}:
+            return cls(genus, x_curves, y_curves, tuple(list(zip(count(1), signs.values()))))
         try:
             ids = list(map(int, signs))
         except ValueError:
@@ -128,7 +130,7 @@ class Diagram(Value):
                 if not (k.removeprefix("-").isdecimal() and str(int(k)) == k):
                     raise ValueError(f"$.signs: key {k!r} is not a crossing id")
                 want(v, int, "$.signs[{!r}]", k)
-        return cls(genus, tuple(map(tuple, x_curves)), tuple(map(tuple, y_curves)), tuple(sorted(zip(ids, signs.values()))))
+        return cls(genus, x_curves, y_curves, tuple(sorted(zip(ids, signs.values()))))
 
 
 class DiagramViolation(Value):
@@ -144,8 +146,8 @@ class DiagramViolation(Value):
 def validate(dg: Diagram) -> list[DiagramViolation]:
     """Check the structural invariants exhaustively; empty list means ok.
 
-    Every crossing id must occur exactly once across the X curves and once
-    across the Y curves, and the signs must name each of those ids exactly
+    Every crossing id must be an ``int`` found once across the X curves and
+    once across the Y curves, and the signs must name each of those ids exactly
     once, with values +-1.  Each diagram caches the result of one pass.
     """
     return list(dg._violations)
@@ -160,29 +162,33 @@ def _find_violations(dg: Diagram) -> list[DiagramViolation]:
         out.append(DiagramViolation("EmptySide", "no X curves"))
     if not dg.y_curves:
         out.append(DiagramViolation("EmptySide", "no Y curves"))
+    # an id that is no int (a float, a string) fails to index and is listed last; beside one, numbers sort first
+    ids = (c for curve in (*dg.x_curves, *dg.y_curves, [k for k, _ in dg.signs]) for c in curve)
+    odd = dict.fromkeys(c for c in ids if not isinstance(c, int))
+    key = (lambda c: (0, c) if isinstance(c, (int, float)) else (1, repr(c))) if odd else None
 
     def side_ids(curves, dup_code):
         seen = Counter(c for curve in curves for c in curve)
-        for c, count in sorted(seen.items()):
-            if count > 1:
-                out.append(DiagramViolation(dup_code, f"crossing {c} appears {count} times"))
+        for c in sorted(seen, key=key):
+            if seen[c] > 1:
+                out.append(DiagramViolation(dup_code, f"crossing {c!r} appears {seen[c]} times"))
         return set(seen)
 
     on_x = side_ids(dg.x_curves, "DuplicateOnX")
     on_y = side_ids(dg.y_curves, "DuplicateOnY")
-    for c in sorted(on_x - on_y):
-        out.append(DiagramViolation("MissingFromY", f"crossing {c} is only on an X curve"))
-    for c in sorted(on_y - on_x):
-        out.append(DiagramViolation("MissingFromX", f"crossing {c} is only on a Y curve"))
+    for c in sorted(on_x - on_y, key=key):
+        out.append(DiagramViolation("MissingFromY", f"crossing {c!r} is only on an X curve"))
+    for c in sorted(on_y - on_x, key=key):
+        out.append(DiagramViolation("MissingFromX", f"crossing {c!r} is only on a Y curve"))
     signed = side_ids([[k for k, _ in dg.signs]], "DuplicateSign")
-    for c in sorted((on_x | on_y) - signed):
-        out.append(DiagramViolation("MissingSign", f"crossing {c} has no sign"))
-    for c in sorted(signed - (on_x | on_y)):
-        out.append(DiagramViolation("ExtraSign", f"sign for unknown crossing {c}"))
+    for c in sorted((on_x | on_y) - signed, key=key):
+        out.append(DiagramViolation("MissingSign", f"crossing {c!r} has no sign"))
+    for c in sorted(signed - (on_x | on_y), key=key):
+        out.append(DiagramViolation("ExtraSign", f"sign for unknown crossing {c!r}"))
     for c, v in dg.signs:
         if v not in (1, -1):
-            out.append(DiagramViolation("BadSign", f"crossing {c} has sign {v}"))
-    return out
+            out.append(DiagramViolation("BadSign", f"crossing {c!r} has sign {v}"))
+    return out + [DiagramViolation("BadId", f"crossing id {c!r} is not an integer") for c in odd]
 
 
 class _CrossingIndex:
@@ -190,18 +196,25 @@ class _CrossingIndex:
     (``y_ranks``, the curves themselves for ids ``1..d``); per rank the next rank along X
     and Y and the letter ``+-(i + 1)`` of its X curve ``i``, signed by the crossing, rank 0
     a dummy with letter 1 whose curves close on themselves; the count ``negative`` of -1
-    crossings; the component count, 1 whenever one row meets every X curve; per Y curve its
-    nonzero intersection numbers by generator ``1..g`` (the matrix rows, plain dicts), counted
-    on every Y curve but the longest, whose row is derived from the signs on each X curve."""
+    crossings; the component count, 1 whenever one Y curve crosses every X curve; per Y curve
+    its nonzero intersection numbers by generator ``1..g`` (``matrix``, rows as plain dicts):
+    a positive diagram's counted with the index, a signed one's folded on first read."""
 
-    __slots__ = ("y_ranks", "letter", "negative", "x_next", "y_next", "components", "matrix")
+    __slots__ = ("y_ranks", "letter", "negative", "x_next", "y_next", "components", "_matrix")
+
+    @property
+    def matrix(self) -> list[dict[int, int]]:
+        if self._matrix is None:  # a signed diagram's exponent sums, folded from its signed letters once
+            self._matrix = [_exponent_sums(_letter_counts(map(self.letter.__getitem__, rs))) for rs in self.y_ranks]
+        return self._matrix
 
 
 def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
     """Index of diagram data; None on any defect :func:`validate` reports.  Ids ``1..d`` are their own ranks, each
     linked from the one before it; one outside ``-(d+1)..d`` fails to index.  A side's d ids fill its slots once as
     indices and once as values, so they sum to ``d(d+1)/2`` iff the ids are ``1..d``: an unset slot (``2(d+1)**2``)
-    outweighs ``-(d+1)`` in each other; with none, each of ``1..d`` is filled once, less ``d + 1`` per negative id."""
+    outweighs ``-(d+1)`` in each other; with none, each of ``1..d`` is filled once, less ``d + 1`` per negative id.
+    Every diagram's rows are counted on the unsigned letters, which give the component count; signs come after."""
     d = len(signs)
     if genus < 0 or not x_curves or not y_curves or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d:
         return None
@@ -239,23 +252,18 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
         return None
     if sum(x_next) != d * (d + 1) // 2 or sum(y_next) != d * (d + 1) // 2:
         return None
-    if idx.negative:
-        idx.letter = letter = list(map(mul, letter, [1] + values))
-
-    # per Y curve its letter counts: the matrix row of a positive diagram, folded to its
-    # exponent sums on a signed one.  Each rank lies on one X and one Y curve, so column gen
-    # sums to the signs on X_gen, its letters over gen: the longest Y curve (most crossings of
-    # a build) goes uncounted, its row that sum less the other rows, zeros dropped
+    # per Y curve the X curves it crosses, counted by generator: each rank lies on one X and one
+    # Y curve, so column gen sums to the length of X_gen.  The longest Y curve (most crossings of a
+    # build) goes uncounted, its row that length less the other rows, zeros dropped
     lens = [len(rs) for rs in idx.y_ranks]
     longest = lens.index(max(lens))
-    counts = [{} if k == longest else _letter_counts(map(letter.__getitem__, rs)) for k, rs in enumerate(idx.y_ranks)]
-    rows = list(map(_exponent_sums, counts)) if idx.negative else counts[:]
-    left = [0] + [sum(map(letter.__getitem__, rs)) // gen if idx.negative else len(rs) for gen, rs in enumerate(x_ranks, 1)]
+    rows = [{} if k == longest else _letter_counts(map(letter.__getitem__, rs)) for k, rs in enumerate(idx.y_ranks)]
+    left = [0, *map(len, x_ranks)]
     for row in rows:
         for gen, v in row.items():
             left[gen] -= v
     rows[longest] = {gen: v for gen, v in enumerate(left) if v}
-    if len(x_curves) in map(len, rows):  # a row meets every X curve, as Y_1 of a build does
+    if len(x_curves) in map(len, rows):  # a Y curve crosses every X curve, as Y_1 of a build does
         idx.components = 1
     else:
         parent = list(range(len(x_curves) + 1))
@@ -266,14 +274,15 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
                 a = parent[a]
             return a
 
-        counts[longest] = _letter_counts(map(letter.__getitem__, idx.y_ranks[longest]))
-        for row in counts:  # the X curves one Y curve crosses, cancelled or not, lie in one component
+        for row in rows:  # the X curves one Y curve crosses lie in one component
             if row:
-                root = find(abs(next(iter(row))))
+                root = find(next(iter(row)))
                 for gen in row:
-                    parent[find(abs(gen))] = root
+                    parent[find(gen)] = root
         idx.components = len({find(gen) for gen, curve in enumerate(x_curves, start=1) if curve})
-    idx.matrix = rows
+    if idx.negative:  # signs go on the letters only now, and a signed diagram's rows fold when first read
+        idx.letter, rows = list(map(mul, letter, [1] + values)), None
+    idx._matrix = rows
     return idx
 
 
@@ -414,16 +423,14 @@ def montesinos_encode(dg: Diagram) -> PermutationPair:
 
 
 def _cycles(sigma: tuple[int, ...]) -> list[tuple[int, ...]]:
-    seen = bytearray(len(sigma) + 1)
-    cycles = []
-    for start in range(1, len(sigma) + 1):
-        if not seen[start]:  # a start already seen lies on an earlier cycle
-            cycle, c = [], start
-            while not seen[c]:
-                seen[c] = 1
-                cycle.append(c)
-                c = sigma[c - 1]
-            cycles.append(tuple(cycle))
+    seen, cycles, start = bytearray(len(sigma) + 1), [], 0
+    while (start := seen.find(0, start + 1)) > 0:  # the least crossing on no earlier cycle
+        cycle, c = [], start
+        while not seen[c]:
+            seen[c] = 1
+            cycle.append(c)
+            c = sigma[c - 1]
+        cycles.append(tuple(cycle))
     return cycles
 
 

@@ -7,8 +7,6 @@ package has an overflow contract.  Floors are always toward minus infinity
 depends on.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from itertools import compress

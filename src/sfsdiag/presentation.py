@@ -7,8 +7,6 @@ at the cost of a single extra generator and relator, and that rewriting
 preserves the group (the tests check it through abelianization and S3 counts).
 """
 
-from __future__ import annotations
-
 from collections import _count_elements
 
 from .errors import Value, WorkBudgetExceeded, init_field, want, want_ints
@@ -105,7 +103,10 @@ def _letter_counts(word) -> dict[int, int]:
 
 
 def _exponent_sums(counts: dict[int, int]) -> dict[int, int]:
-    """The nonzero exponent sums ``counts[k] - counts[-k]`` of a word's letter counts, by generator ``k``."""
+    """The nonzero exponent sums ``counts[k] - counts[-k]`` of a word's letter counts, by generator ``k``:
+    ``counts`` itself when no letter is an inverse, as after :func:`positivize`."""
+    if min(counts, default=1) > 0:
+        return counts
     return {k: v for k in set(map(abs, counts)) if (v := counts.get(k, 0) - counts.get(-k, 0))}
 
 

@@ -15,8 +15,6 @@ where the two agree, the sporadic horizontal families where they may not,
 and a lens-space range handled by convention.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from math import gcd, prod
 
@@ -134,7 +132,7 @@ def normalize(s: SeifertData) -> SeifertData:
     return SeifertData(s.base_genus, fibers, e)
 
 
-def rational_euler(s: SeifertData) -> Fraction:
+def rational_euler(s: SeifertData) -> "Fraction":
     """The rational Euler number ``e - sum(beta_i/alpha_i)``.
 
     In non-normalized coordinates ``e`` is 0, giving ``-sum(beta'_i/alpha_i)``;

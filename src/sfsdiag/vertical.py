@@ -24,8 +24,6 @@ Exact oracles pin the result: the algebraic intersection matrix must
 present the same first homology as the input invariants.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
 from math import gcd
 

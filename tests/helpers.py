@@ -11,7 +11,8 @@ successor maps and a union-find over the crossings, and the faces of a
 signed crossing index are also walked on its X-darts with no trivial
 handles; the crossing index itself is rebuilt by pairing each rank with
 its successor and counting the letters of every Y curve, the longest
-too; chain diagrams are assembled through per-family id dicts,
+too, and a permutation's cycles are found by testing every start in turn;
+chain diagrams are assembled through per-family id dicts,
 with each torus curve's strand order found by walking its switch, and
 that order is also kept as the tagged strand rotation.  The
 ascending chain join that inserts each last gcd at the bottom and the
@@ -301,7 +302,7 @@ def crossing_index_by_zip(genus, x_curves, y_curves, signs):
         return None
     idx.letter = letter = list(map(mul, letter, [1] + values))
     counts = [Counter(map(letter.__getitem__, rs)) for rs in idx.y_ranks]
-    idx.matrix = [{gen: v for gen in set(map(abs, row)) if (v := row[gen] - row[-gen])} for row in counts]
+    idx._matrix = [{gen: v for gen in set(map(abs, row)) if (v := row[gen] - row[-gen])} for row in counts]
     parent = list(range(len(x_curves) + 1))
 
     def find(a):
@@ -314,6 +315,23 @@ def crossing_index_by_zip(genus, x_curves, y_curves, signs):
             parent[find(abs(k))] = find(abs(next(iter(row))))
     idx.components = len({find(gen) for gen, curve in enumerate(x_curves, start=1) if curve})
     return idx
+
+
+def cycles_by_scan(sigma):
+    """The cycles of a permutation ``sigma`` of ``1..len(sigma)``, each listed from its least
+    crossing, in order of that crossing: every start is tested in turn, and one already seen
+    lies on an earlier cycle."""
+    seen = bytearray(len(sigma) + 1)
+    cycles = []
+    for start in range(1, len(sigma) + 1):
+        if not seen[start]:
+            cycle, c = [], start
+            while not seen[c]:
+                seen[c] = 1
+                cycle.append(c)
+                c = sigma[c - 1]
+            cycles.append(tuple(cycle))
+    return cycles
 
 
 def crt_by_scan(pairs):

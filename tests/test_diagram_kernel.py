@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     build_diagram,
     crossing_index_by_zip,
+    cycles_by_scan,
     dart_face_count,
     dict_components,
     dict_face_count,
@@ -25,6 +26,7 @@ from sfsdiag.diagram import (
     PositiveSigns,
     _crossing_index,
     _CrossingIndex,
+    _cycles,
     _face_count,
     _trivial_handles,
     diagram_homology,
@@ -36,7 +38,7 @@ from sfsdiag.diagram import (
     validate,
 )
 from sfsdiag.errors import Disconnected
-from sfsdiag.presentation import abelianization
+from sfsdiag.presentation import _exponent_sums, abelianization
 from sfsdiag.seifert import SeifertData
 from sfsdiag.vertical import build_positive_vertical
 
@@ -312,16 +314,18 @@ def test_a_cancelled_generator_still_links_its_x_curve(case):
         check_rows_and_walks(dg)
 
 
-# the component count is 1 when some matrix row meets every X curve, with no union-find;
-# otherwise the raw letters of every Y curve are joined.  Per case: curves, the -1 crossings,
-# whether a row meets every X curve, and the component count
+# the component count is 1, with no union-find, when some Y curve crosses every X curve, as
+# its unsigned row shows; otherwise the X curves each Y curve crosses are joined.  Per case:
+# curves, the -1 crossings, whether a row of the matrix, folded to its exponent sums, meets
+# every X curve, and the component count
 CONNECTIVITY_CASES = {
     # Y_1 crosses every X curve, as in every build
     "one-row-meets-all": ([[1, 4], [2], [3, 5]], [[1, 2, 3], [4, 5]], (), True, 1),
     # the longest Y curve misses X_3, which the other Y curve links to X_1
     "longest-misses-one": ([[1, 5], [2, 3], [4]], [[1, 2, 3], [4, 5]], (), False, 1),
     "intransitive": ([[1, 2], [3], [4]], [[1, 3, 2], [4]], (), False, 2),
-    # Y_1 meets every X curve, but X_1 twice with opposite signs: its folded row loses X_1
+    # Y_1 meets every X curve, X_1 twice with opposite signs: its folded row loses X_1, but the
+    # count is taken on the unsigned rows, where Y_1 still meets every X curve, with no union-find
     "folded-row-loses-one": ([[1, 2], [3], [4]], [[1, 3, 2, 4]], (2,), False, 1),
 }
 
@@ -421,10 +425,11 @@ def index_inputs(draw):
 
 
 def index_slots(idx):
-    """Every slot of a crossing index, the curves and rows as plain lists and dicts."""
+    """Every slot of a crossing index, the curves and rows as plain lists and dicts; the rows
+    read through ``matrix``, which folds a signed diagram's, not through its private slot."""
     if idx is None:
         return None
-    slots = {s: getattr(idx, s) for s in _CrossingIndex.__slots__}
+    slots = {s: getattr(idx, s.lstrip("_")) for s in _CrossingIndex.__slots__}
     slots["y_ranks"] = [list(rs) for rs in idx.y_ranks]
     slots["matrix"] = [dict(row) for row in idx.matrix]
     return slots
@@ -436,6 +441,51 @@ def test_index_matches_the_zip_oracle_slot_by_slot(case):
     genus, xs, ys, signs = case
     for signs in (signs, tuple((c, -v) for c, v in signs)):  # and the mirror
         assert index_slots(_crossing_index(genus, xs, ys, signs)) == index_slots(crossing_index_by_zip(genus, xs, ys, signs))
+
+
+@given(st.one_of(signed_pair_diagrams(), shared_sign_pair_diagrams(), decoded_pairs()))
+@settings(max_examples=150, deadline=None)
+def test_a_signed_matrix_is_folded_once_when_first_read(dg):
+    folds = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagram, "_exponent_sums", lambda counts: folds.append(counts) or _exponent_sums(counts))
+        idx = dg._index
+        assert not folds and (idx._matrix is None) == bool(idx.negative)
+        first = diagram_homology(dg)
+        assert len(folds) == (len(dg.y_curves) if idx.negative else 0)
+        # the folded rows are kept: a second Smith form folds nothing new
+        assert diagram_homology(dg) == first and len(folds) == (len(dg.y_curves) if idx.negative else 0)
+    assert idx.matrix is idx.matrix
+    zipped = crossing_index_by_zip(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs)
+    assert [dict(row) for row in idx.matrix] == [dict(row) for row in zipped.matrix]
+
+
+@given(st.integers(0, 60).flatmap(lambda d: st.permutations(range(1, d + 1))))
+@settings(max_examples=200, deadline=None)
+def test_cycles_match_the_scan_over_every_start(sigma):
+    assert _cycles(tuple(sigma)) == cycles_by_scan(tuple(sigma))
+
+
+# one sign entry made bad: a key that is no canonical id (kept, with None), or a value that is no int
+BAD_SIGN_ENTRIES = [("01", 1), ("1_0", 1), (" 1", 1), ("+1", 1), ("a", 1), ("-0", 1), ("1.0", 1),
+                    (None, 1.0), (None, True), (None, "1"), (None, None)]
+
+
+@given(st.one_of(signed_pair_diagrams(), relabelled_pair_diagrams()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_from_json_reads_shuffled_sign_keys_alike(dg, data):
+    # the keys to_json writes for ids 1..d are read in order; shuffled, they are parsed and sorted
+    doc = dg.to_json()
+    items = list(doc["signs"].items())
+    if bad := data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(items) - 1))
+        key, value = data.draw(st.sampled_from(BAD_SIGN_ENTRIES))
+        items[at] = (key or items[at][0], value)
+    shuffled = dict(doc, signs=dict(data.draw(st.permutations(items))))
+    doc = dict(doc, signs=dict(items))
+    read = outcome(Diagram.from_json, doc)
+    assert outcome(Diagram.from_json, shuffled) == read
+    assert type(read) is tuple if bad else read == dg
 
 
 def test_large_built_diagram_matches_dict_tracer():
@@ -510,6 +560,14 @@ INVALID += [
     for curve, d, c in [((-4, 3, 4, 4), 4, 4), ((-4, 3, 3), 3, 3)]
     for side, sides in [("X", ((curve,), (tuple(range(1, d + 1)),))), ("Y", ((tuple(range(1, d + 1)),), (curve,)))]
 ]
+# ids that are no int, under a run and under the tuple it stands for: 2.0 equals crossing 2,
+# so only its type gives it away, and "2" does not sort among the int ids
+INVALID += [
+    (Diagram(1, ((1, c),), ((1, 2),), signs), "invalid diagram: " + message)
+    for c, message in [(2.0, "BadId: crossing id 2.0 is not an integer"),
+                       ("2", "MissingFromY: crossing '2' is only on an X curve")]
+    for signs in (PositiveSigns(2), ((1, 1), (2, 1)))
+]
 
 
 @pytest.mark.parametrize("dg,message", INVALID)
@@ -525,6 +583,18 @@ def test_error_parity(dg, message, query):
     with pytest.raises(ValueError) as exc:
         query(dg)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("signs", [PositiveSigns(3), ((1, 1), (2, 1), (3, 1))])
+def test_every_id_that_is_no_int_is_listed_last(signs):
+    dg = Diagram(1, ((1, "2", 3.0),), ((1, 2, 3),), signs)
+    assert [(v.code, v.message) for v in validate(dg)] == [
+        ("MissingFromY", "crossing '2' is only on an X curve"),
+        ("MissingFromX", "crossing 2 is only on a Y curve"),
+        ("MissingSign", "crossing '2' has no sign"),
+        ("BadId", "crossing id '2' is not an integer"),
+        ("BadId", "crossing id 3.0 is not an integer"),
+    ]
 
 
 @given(

@@ -155,6 +155,14 @@ class TestAbelianization:
         assert result.free_rank == 0
         assert result.torsion == ()
 
+    @given(st.lists(st.integers(-4, 4).filter(bool), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_exponent_sums_keep_the_counts_of_a_positive_word(self, word):
+        counts = presentation._letter_counts(word)
+        sums = presentation._exponent_sums(counts)
+        assert sums == {k: v for k in range(1, 5) if (v := word.count(k) - word.count(-k))}
+        assert (sums is counts) == all(letter > 0 for letter in word)
+
     def test_json_round_trip(self):
         p = Presentation(2, ((1, -2), (2, 2)))
         assert Presentation.from_json(p.to_json()) == p
