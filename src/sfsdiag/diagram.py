@@ -209,49 +209,48 @@ class _CrossingIndex:
         return self._matrix
 
 
-def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
+def _crossing_index(genus, x_curves, y_curves, signs, links=None) -> _CrossingIndex | None:
     """Index of diagram data; None on any defect :func:`validate` reports.  Ids ``1..d`` are their own ranks, each
     linked from the one before it; one outside ``-(d+1)..d`` fails to index.  A side's d ids fill its slots once as
     indices and once as values, so they sum to ``d(d+1)/2`` iff the ids are ``1..d``: an unset slot (``2(d+1)**2``)
     outweighs ``-(d+1)`` in each other; with none, each of ``1..d`` is filled once, less ``d + 1`` per negative id.
     Every diagram's rows are counted on the unsigned letters, which give the component count; signs come after."""
-    d = len(signs)
-    if genus < 0 or not x_curves or not y_curves or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d:
-        return None
-    idx = _CrossingIndex()
-    idx.negative, rank = 0, None
-    # a run of positive signs on 1..d is trusted; its curves are checked below
-    if type(signs) is not PositiveSigns:
-        values = [v for _, v in signs]
-        idx.negative = values.count(-1)
-        if values.count(1) + idx.negative != d:
+    d, idx, negative, rank = len(signs), _CrossingIndex(), 0, None
+    if links:  # a positive diagram's successor lists, already proved permutations, and its X curve numbers
+        (x_next, y_next, letter), x_ranks, idx.y_ranks = links, x_curves, y_curves
+    else:
+        if genus < 0 or not x_curves or not y_curves or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d:
             return None
-        if [c for c, _ in signs] != list(range(1, d + 1)):
-            sign_map = dict(signs)
-            if len(sign_map) != d:
+        # a run of positive signs on 1..d is trusted; its curves are checked below
+        if type(signs) is not PositiveSigns:
+            values = [v for _, v in signs]
+            negative = values.count(-1)
+            if values.count(1) + negative != d:
                 return None
-            rank = {c: r for r, c in enumerate(sorted(sign_map), start=1)}
-            values = [sign_map[c] for c in rank]
-    # a slot left unset outweighs the rest; with none left, ids fill 1..d once and sum to d(d+1)/2 iff none is < 0
-    unset = 2 * (d + 1) ** 2
-    idx.x_next, idx.y_next, idx.letter = x_next, y_next, letter = [unset] * (d + 1), [unset] * (d + 1), [1] * (d + 1)
-    x_next[0] = y_next[0] = 0
-    try:
-        x_ranks, idx.y_ranks = (curves if rank is None else [[rank[c] for c in curve] for curve in curves]
-                                for curves in (x_curves, y_curves))
-        for gen, rs in enumerate(x_ranks, start=1):
-            p = rs[-1] if rs else 0
-            for r in rs:  # link each rank from the one before it, the last closing the curve
-                x_next[p] = p = r
-                letter[r] = gen
-        for rs in idx.y_ranks:
-            p = rs[-1] if rs else 0
-            for r in rs:
-                y_next[p] = p = r
-    except (IndexError, KeyError, TypeError):
-        return None
-    if sum(x_next) != d * (d + 1) // 2 or sum(y_next) != d * (d + 1) // 2:
-        return None
+            if [c for c, _ in signs] != list(range(1, d + 1)):  # int ids only; a repeat leaves slot d unset
+                sign_map = dict(signs)
+                rank = {c: r for r, c in enumerate(sorted(c for c in sign_map if isinstance(c, int)), start=1)}
+                values = [sign_map[c] for c in rank]
+        # a slot left unset outweighs the rest; with none left, ids fill 1..d once and sum to d(d+1)/2 iff none is < 0
+        unset = 2 * (d + 1) ** 2
+        x_next, y_next, letter = [unset] * (d + 1), [unset] * (d + 1), [1] * (d + 1)
+        x_next[0] = y_next[0] = 0
+        try:
+            x_ranks, idx.y_ranks = (curves if rank is None else [[rank[c] for c in curve] for curve in curves]
+                                    for curves in (x_curves, y_curves))
+            for gen, rs in enumerate(x_ranks, start=1):
+                p = rs[-1] if rs else 0
+                for r in rs:  # link each rank from the one before it, the last closing the curve
+                    x_next[p] = p = r
+                    letter[r] = gen
+            for rs in idx.y_ranks:
+                p = rs[-1] if rs else 0
+                for r in rs:
+                    y_next[p] = p = r
+        except (IndexError, KeyError, TypeError):
+            return None
+        if sum(x_next) != d * (d + 1) // 2 or sum(y_next) != d * (d + 1) // 2:
+            return None
     # per Y curve the X curves it crosses, counted by generator: each rank lies on one X and one
     # Y curve, so column gen sums to the length of X_gen.  The longest Y curve (most crossings of a
     # build) goes uncounted, its row that length less the other rows, zeros dropped
@@ -280,9 +279,9 @@ def _crossing_index(genus, x_curves, y_curves, signs) -> _CrossingIndex | None:
                 for gen in row:
                     parent[find(gen)] = root
         idx.components = len({find(gen) for gen, curve in enumerate(x_curves, start=1) if curve})
-    if idx.negative:  # signs go on the letters only now, and a signed diagram's rows fold when first read
-        idx.letter, rows = list(map(mul, letter, [1] + values)), None
-    idx._matrix = rows
+    if negative:  # signs go on the letters only now, and a signed diagram's rows fold when first read
+        letter, rows = list(map(mul, letter, [1] + values)), None
+    idx.x_next, idx.y_next, idx.letter, idx.negative, idx._matrix = x_next, y_next, letter, negative, rows
     return idx
 
 
@@ -383,7 +382,7 @@ class PermutationPair(Value):
     def __init__(self, sigma_x: tuple[int, ...], sigma_y: tuple[int, ...]):
         ids = list(range(1, len(sigma_x) + 1))
         for name, sigma in (("sigma_x", sigma_x), ("sigma_y", sigma_y)):
-            if sorted(sigma) != ids:
+            if set(map(type, sigma)) - {int} or sorted(sigma) != ids:  # a bool or a float is no crossing
                 raise ValueError(f"{name} is not a permutation of 1..{len(ids)}")
         init_field(self, "sigma_x", sigma_x)
         init_field(self, "sigma_y", sigma_y)
@@ -418,20 +417,22 @@ def montesinos_encode(dg: Diagram) -> PermutationPair:
     idx = dg._index
     if idx.negative:
         raise NotPositive("the permutation encoding needs an all-positive diagram")
-    sigma_x, sigma_y = (tuple(nxt[1:]) for nxt in (idx.x_next, idx.y_next))
-    return PermutationPair(sigma_x, sigma_y)
+    pair = object.__new__(PermutationPair)  # the index's successor lists, proved permutations: no re-sort
+    init_field(pair, "sigma_x", tuple(idx.x_next[1:]))
+    init_field(pair, "sigma_y", tuple(idx.y_next[1:]))
+    return pair
 
 
-def _cycles(sigma: tuple[int, ...]) -> list[tuple[int, ...]]:
-    seen, cycles, start = bytearray(len(sigma) + 1), [], 0
-    while (start := seen.find(0, start + 1)) > 0:  # the least crossing on no earlier cycle
-        cycle, c = [], start
-        while not seen[c]:
-            seen[c] = 1
+def _cycles(sigma: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    cycle_of, cycles, start = [1, *repeat(0, len(sigma)), 0], [], 0  # per crossing 0..d its cycle's number, 0's 1
+    while (start := cycle_of.index(0, start + 1)) <= len(sigma):  # the least crossing on no cycle yet, or the last 0
+        cycle, c, n = [], start, len(cycles) + 1
+        while not cycle_of[c]:
+            cycle_of[c] = n
             cycle.append(c)
             c = sigma[c - 1]
         cycles.append(tuple(cycle))
-    return cycles
+    return tuple(cycles), cycle_of[:-1]
 
 
 def montesinos_decode(p: PermutationPair) -> Diagram:
@@ -441,12 +442,11 @@ def montesinos_decode(p: PermutationPair) -> Diagram:
     crossing), all signs are +1, and the declared genus is the forced
     rotation genus, summed over components when the pair is intransitive.
     """
-    x_curves = tuple(_cycles(p.sigma_x))
-    y_curves = tuple(_cycles(p.sigma_y))
+    (x_curves, x_of), (y_curves, _) = _cycles(p.sigma_x), _cycles(p.sigma_y)
     signs = PositiveSigns(p.degree)
     if not p.degree:
         return Diagram(0, x_curves, y_curves, signs)
-    index = _crossing_index(0, x_curves, y_curves, signs)
+    index = _crossing_index(0, x_curves, y_curves, signs, ([0, *p.sigma_x], [0, *p.sigma_y], x_of))
     dg = Diagram(_forced_genus(index), x_curves, y_curves, signs)
     dg.__dict__["_index"] = index  # fills the cache of Diagram._index; no entry of it reads the genus
     return dg

@@ -281,7 +281,7 @@ def crossing_index_by_zip(genus, x_curves, y_curves, signs):
         sign_map = dict(signs)
         if len(sign_map) != d:
             return None
-        rank = {c: r for r, c in enumerate(sorted(sign_map), start=1)}
+        rank = {c: r for r, c in enumerate(sorted(c for c in sign_map if isinstance(c, int)), start=1)}
         values = [sign_map[c] for c in rank]
     idx.negative = values.count(-1)
     idx.x_next, idx.y_next = x_next, y_next = [0] + [-1] * d, [0] + [-1] * d

@@ -169,6 +169,13 @@ class TestMontesinosCodec:
         with pytest.raises(NotPositive):
             montesinos_encode(dg)
 
+    @pytest.mark.parametrize("sx,sy,name", [((True,), (1,), "sigma_x"), ((1, 2), (1, 2.0), "sigma_y"),
+                                            ((2.0, 1), (1, 2), "sigma_x")])
+    def test_rejects_entries_that_are_no_int(self, sx, sy, name):
+        # decode hands the pair's entries to the crossing index as proved successor lists
+        with pytest.raises(ValueError, match=f"^{name} is not a permutation of 1..{len(sx)}$"):
+            PermutationPair(sx, sy)
+
     def test_decode_identity_pair(self):
         dg = montesinos_decode(PermutationPair((1,), (1,)))
         assert dg.x_curves == ((1,),)

@@ -165,14 +165,23 @@ def test_diagram_homology_is_the_presentation_abelianization(dg):
     assert diagram_homology(dg) == abelianization(diagram_presentation(dg))
 
 
-def test_decode_builds_one_crossing_index(monkeypatch):
+@st.composite
+def permutation_pairs(draw):
+    """Random permutation pairs of degree 1..60; several blocks make the pair intransitive."""
+    sizes = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
+    return PermutationPair(draw(block_permutation(sizes)), draw(block_permutation(sizes)))
+
+
+@given(permutation_pairs())
+@settings(max_examples=150, deadline=None)
+def test_decode_builds_one_crossing_index(pair):
     calls = []
-    monkeypatch.setattr(diagram, "_crossing_index", lambda *args: calls.append(args) or _crossing_index(*args))
-    pair = PermutationPair((2, 3, 4, 1), (3, 1, 4, 2))
-    dg = montesinos_decode(pair)
-    assert montesinos_encode(dg) == pair and rotation_genus(dg) == dg.declared_genus
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagram, "_crossing_index", lambda *args: calls.append(args) or _crossing_index(*args))
+        dg = montesinos_decode(pair)
+        assert montesinos_encode(dg) == pair and dg.declared_genus == dict_genus_sum(dg)
     assert len(calls) == 1
-    # the kept index equals the one the decoded diagram would build itself
+    # the kept index, built on the pair's own successor lists, equals the one the decoded diagram would build itself
     fresh = _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs)
     assert {s: getattr(fresh, s) for s in fresh.__slots__} == {s: getattr(dg._index, s) for s in fresh.__slots__}
 
@@ -208,6 +217,22 @@ def test_built_diagrams_match_dict_tracer(fibers, euler):
 @settings(max_examples=40, deadline=None)
 def test_positive_and_signed_face_walks_agree(fibers, euler):
     check_face_walks_agree(build_positive_vertical(SeifertData.normalized(0, fibers, euler)))
+
+
+@given(st.one_of(
+    st.builds(lambda fibers, euler: build_positive_vertical(SeifertData.normalized(0, fibers, euler)),
+              st.lists(st.sampled_from(COPRIME_FIBERS), max_size=6), st.integers(-6, 6)),
+    relabelled_pair_diagrams().map(lambda dg: build_diagram(0, dg.x_curves, dg.y_curves, {c: 1 for c, _ in dg.signs})),
+    permutation_pairs().map(montesinos_decode),
+))
+@settings(max_examples=150, deadline=None)
+def test_encode_hands_over_the_pair_the_constructor_proves(dg):
+    # encode wraps the index's successor lists without the constructor's sorts: the pair is the one the
+    # constructor builds from the zip oracle's lists, with tuple fields, on built, relabelled and decoded diagrams
+    zipped = crossing_index_by_zip(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs)
+    pair, proved = montesinos_encode(dg), PermutationPair(tuple(zipped.x_next[1:]), tuple(zipped.y_next[1:]))
+    assert pair == proved and hash(pair) == hash(proved) and pair.to_json() == proved.to_json()
+    assert type(pair.sigma_x) is type(pair.sigma_y) is tuple
 
 
 def check_face_walks_agree(dg):
@@ -463,7 +488,12 @@ def test_a_signed_matrix_is_folded_once_when_first_read(dg):
 @given(st.integers(0, 60).flatmap(lambda d: st.permutations(range(1, d + 1))))
 @settings(max_examples=200, deadline=None)
 def test_cycles_match_the_scan_over_every_start(sigma):
-    assert _cycles(tuple(sigma)) == cycles_by_scan(tuple(sigma))
+    scanned = cycles_by_scan(tuple(sigma))
+    cycles, number = _cycles(tuple(sigma))
+    assert cycles == tuple(scanned)
+    # each crossing's cycle number is the place of its cycle in the scan, the dummy 0's is 1
+    of = {c: n for n, cycle in enumerate(scanned, start=1) for c in cycle}
+    assert number == [1] + [of[c] for c in range(1, len(sigma) + 1)]
 
 
 # one sign entry made bad: a key that is no canonical id (kept, with None), or a value that is no int
@@ -568,6 +598,14 @@ INVALID += [
                        ("2", "MissingFromY: crossing '2' is only on an X curve")]
     for signs in (PositiveSigns(2), ((1, 1), (2, 1)))
 ]
+# ids that are no int under tuple signs, which are ranked: only int ids take a rank, so
+# none of these indexes, and None never meets an int id in a sort
+INVALID += [
+    (Diagram(1, (("2",),), (("2",),), (("2", -1),)), "invalid diagram: BadId: crossing id '2' is not an integer"),
+    (Diagram(1, ((-0.5,),), ((-0.5,),), ((-0.5, 1),)), "invalid diagram: BadId: crossing id -0.5 is not an integer"),
+    (Diagram(1, ((1, None),), ((1, None),), ((1, 1), (None, 1))),
+     "invalid diagram: BadId: crossing id None is not an integer"),
+]
 
 
 @pytest.mark.parametrize("dg,message", INVALID)
@@ -597,21 +635,43 @@ def test_every_id_that_is_no_int_is_listed_last(signs):
     ]
 
 
-@given(
-    st.integers(-1, 1),
-    st.lists(st.lists(st.integers(-7, 7), max_size=4), max_size=3),
-    st.lists(st.lists(st.integers(-7, 7), max_size=4), max_size=3),
-    st.one_of(st.dictionaries(st.integers(-7, 7), st.sampled_from((1, -1, 2))), st.none()),
-)
+# ids that are no int, or a bool, beside the ints -7..7
+ODD_IDS = (2.5, -0.5, "2", None, True, 2.0)
+CROSSING_IDS = st.one_of(st.integers(-7, 7), st.sampled_from(ODD_IDS))
+
+
+@st.composite
+def raw_diagrams(draw):
+    """Curves of ids -7..7 or no int, and signs as a dict on ints, as a run of +1 signs on as many
+    ids as the X curves hold, or as a tuple of pairs on any ids, in any order, as drawn."""
+    genus = draw(st.integers(-1, 1))
+    xs, ys = (tuple(map(tuple, draw(st.lists(st.lists(CROSSING_IDS, max_size=4), max_size=3)))) for _ in "xy")
+    signs = draw(st.one_of(st.dictionaries(st.integers(-7, 7), st.sampled_from((1, -1, 2))), st.none(),
+                           st.lists(st.tuples(CROSSING_IDS, st.sampled_from((1, -1, 2))), max_size=8).map(tuple)))
+    if signs is None:
+        return Diagram(genus, xs, ys, PositiveSigns(sum(map(len, xs))))
+    return Diagram(genus, xs, ys, signs) if type(signs) is tuple else build_diagram(genus, xs, ys, signs)
+
+
+@st.composite
+def renamed_pair_diagrams(draw):
+    """Signed pair diagrams with their ids renamed alike on the curves and in the tuple signs,
+    to distinct ints or ``ODD_IDS``: only an id that is no int is at fault."""
+    dg = draw(signed_pair_diagrams())
+    ids = st.one_of(st.integers(-100, 100), st.sampled_from(ODD_IDS))
+    new = draw(st.lists(ids, min_size=dg.crossing_count, max_size=dg.crossing_count, unique=True))
+    to = dict(zip((c for c, _ in dg.signs), new))
+    x_curves, y_curves = (tuple(tuple(map(to.get, curve)) for curve in curves) for curves in (dg.x_curves, dg.y_curves))
+    return Diagram(0, x_curves, y_curves, tuple((to[c], v) for c, v in dg.signs))
+
+
+@given(st.one_of(raw_diagrams(), renamed_pair_diagrams()))
 @settings(max_examples=400, deadline=None)
-def test_index_rejects_exactly_what_validate_reports(genus, xs, ys, signs):
-    if signs is None:  # a run of +1 signs on as many ids as the X curves hold
-        dg = Diagram(genus, tuple(map(tuple, xs)), tuple(map(tuple, ys)), PositiveSigns(sum(map(len, xs))))
-    else:
-        dg = build_diagram(genus, xs, ys, signs)
+def test_index_rejects_exactly_what_validate_reports(dg):
     problems = validate(dg)
-    index = _crossing_index(genus, dg.x_curves, dg.y_curves, dg.signs)
+    index = _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs)
     assert (index is None) == bool(problems)
+    assert (crossing_index_by_zip(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs) is None) == bool(problems)
     if problems:
         with pytest.raises(ValueError) as exc:
             is_positive_diagram(dg)
