@@ -8,8 +8,8 @@ stored; when a surface is needed (genus verification) it is recovered from
 the rotation system the signs force at each crossing.
 
 Every query reads one crossing index, built lazily once per diagram.
-Building it is the structural validation: a defective diagram raises the
-first violation of :func:`validate`, whose exhaustive pass runs once per diagram.
+Building it is the structural validation, which :func:`validate` reads: only a
+defective diagram runs the exhaustive pass, once, and raises its first violation.
 
 Positive diagrams admit the classical encoding by a pair of permutations
 of the crossings: flow along X (respectively Y) from one crossing to the
@@ -87,17 +87,18 @@ class Diagram(Value):
 
     @cached_property
     def _index(self) -> "_CrossingIndex":
-        """The crossing index; raises ``ValueError`` on a defective diagram."""
-        index = _crossing_index(self.declared_genus, self.x_curves, self.y_curves, self.signs)
-        if index is None:
-            first = self._violations[0]
-            raise ValueError(f"invalid diagram: {first.code}: {first.message}")
-        return index
+        """The crossing index that ``_violations`` kept; raises ``ValueError`` on a defective diagram."""
+        if self._violations:
+            raise ValueError(f"invalid diagram: {self._violations[0].code}: {self._violations[0].message}")
+        return self.__dict__["_index"]
 
     @cached_property
     def _violations(self) -> tuple["DiagramViolation", ...]:
-        """Every structural defect, from one exhaustive pass."""
-        return tuple(_find_violations(self))
+        """Empty when the crossing index builds, kept as ``_index``; else every defect, from one exhaustive pass."""
+        if (index := _crossing_index(self.declared_genus, self.x_curves, self.y_curves, self.signs)) is None:
+            return tuple(_find_violations(self))
+        self.__dict__["_index"] = index
+        return ()
 
     def to_json(self) -> dict:
         return {
@@ -144,11 +145,11 @@ class DiagramViolation(Value):
 
 
 def validate(dg: Diagram) -> list[DiagramViolation]:
-    """Check the structural invariants exhaustively; empty list means ok.
+    """Check the structural invariants; empty list means ok.
 
-    Every crossing id must be an ``int`` found once across the X curves and
-    once across the Y curves, and the signs must name each of those ids exactly
-    once, with values +-1.  Each diagram caches the result of one pass.
+    Every crossing id must be an ``int`` found once across the X curves and once across the Y
+    curves, and the signs must name each of those ids exactly once, with values +-1.  Building the
+    crossing index proves them; only a defective diagram runs the exhaustive pass, once per diagram.
     """
     return list(dg._violations)
 
@@ -448,7 +449,7 @@ def montesinos_decode(p: PermutationPair) -> Diagram:
         return Diagram(0, x_curves, y_curves, signs)
     index = _crossing_index(0, x_curves, y_curves, signs, ([0, *p.sigma_x], [0, *p.sigma_y], x_of))
     dg = Diagram(_forced_genus(index), x_curves, y_curves, signs)
-    dg.__dict__["_index"] = index  # fills the cache of Diagram._index; no entry of it reads the genus
+    dg.__dict__.update(_index=index, _violations=())  # fills both caches; no entry of the index reads the genus
     return dg
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfsdiag import diagram
 from sfsdiag.diagram import (
     Diagram,
     PermutationPair,
@@ -17,6 +18,8 @@ from sfsdiag.diagram import (
     validate,
 )
 from sfsdiag.errors import Disconnected, IsolatedCurve, NotPositive
+from sfsdiag.seifert import SeifertData
+from sfsdiag.vertical import build_positive_vertical
 
 from helpers import build_diagram
 
@@ -60,6 +63,44 @@ class TestValidate:
         assert [(v.code, v.message) for v in validate(dg)] == [
             ("DuplicateSign", "crossing 1 appears 2 times")
         ]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the crossing index builds and the exhaustive passes made through the module."""
+    made = {"index": 0, "pass": 0}
+
+    def count(key, real):
+        def call(*args):
+            made[key] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(diagram, "_crossing_index", count("index", diagram._crossing_index))
+    monkeypatch.setattr(diagram, "_find_violations", count("pass", diagram._find_violations))
+    return made
+
+
+class TestValidateOnce:
+    def test_a_valid_diagram_is_validated_by_its_index(self, calls):
+        built = build_positive_vertical(SeifertData.normalized(0, [(3, 1), (5, 2), (7, 3)], -1))
+        assert calls == {"index": 1, "pass": 0}  # the build's own index, which validate then reads
+        assert validate(built) == [] and calls == {"index": 1, "pass": 0}
+        read = Diagram.from_json(built.to_json())
+        assert validate(read) == [] and calls == {"index": 2, "pass": 0}
+        assert rotation_genus(read) == rotation_genus(built) == 2 and calls == {"index": 2, "pass": 0}
+
+    def test_a_defective_diagram_runs_the_exhaustive_pass_once(self, calls):
+        dg = build_diagram(1, [[1, 2], [1]], [[1, 2]], {1: 1, 2: 1})
+        first = validate(dg)
+        with pytest.raises(ValueError, match="invalid diagram: DuplicateOnX: crossing 1 appears 2 times"):
+            rotation_genus(dg)
+        assert validate(dg) == first and first and calls == {"index": 1, "pass": 1}
+
+    def test_a_decoded_diagram_needs_no_second_validation(self, calls):
+        dg = montesinos_decode(PermutationPair((2, 3, 1), (3, 1, 2)))
+        assert calls == {"index": 1, "pass": 0}
+        assert validate(dg) == [] and calls == {"index": 1, "pass": 0}
 
 
 class TestPositivity:

@@ -28,6 +28,7 @@ from sfsdiag.diagram import (
     _CrossingIndex,
     _cycles,
     _face_count,
+    _find_violations,
     _trivial_handles,
     diagram_homology,
     diagram_presentation,
@@ -668,10 +669,13 @@ def renamed_pair_diagrams(draw):
 @given(st.one_of(raw_diagrams(), renamed_pair_diagrams()))
 @settings(max_examples=400, deadline=None)
 def test_index_rejects_exactly_what_validate_reports(dg):
-    problems = validate(dg)
+    """Two independent validators, the crossing index and the exhaustive pass, agree; ``validate``
+    lists what the pass lists, though it runs the pass only when the index is None."""
+    problems = _find_violations(dg)
     index = _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs)
     assert (index is None) == bool(problems)
     assert (crossing_index_by_zip(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs) is None) == bool(problems)
+    assert validate(dg) == problems
     if problems:
         with pytest.raises(ValueError) as exc:
             is_positive_diagram(dg)
@@ -681,9 +685,9 @@ def test_index_rejects_exactly_what_validate_reports(dg):
 @pytest.mark.parametrize("d", range(1, 5))
 def test_index_rejects_every_side_that_is_not_one_to_d(d):
     """Every single curve over ids ``-(d+1)..d`` on either side, against the valid curve
-    ``1..d`` on the other under a run of +1 signs: the index is None iff validate faults."""
+    ``1..d`` on the other under a run of +1 signs: the index is None iff the exhaustive pass faults."""
     valid = (tuple(range(1, d + 1)),)
     for curve in product(range(-d - 1, d + 1), repeat=d):
         for xs, ys in (((curve,), valid), (valid, (curve,))):
             dg = Diagram(1, xs, ys, PositiveSigns(d))
-            assert (_crossing_index(1, xs, ys, dg.signs) is None) == bool(validate(dg)), (xs, ys)
+            assert (_crossing_index(1, xs, ys, dg.signs) is None) == bool(_find_violations(dg)), (xs, ys)
