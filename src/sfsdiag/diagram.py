@@ -228,17 +228,17 @@ def _crossing_index(genus, x_curves, y_curves, signs, links=None) -> _CrossingIn
             negative = values.count(-1)
             if values.count(1) + negative != d:
                 return None
-            if [c for c, _ in signs] != list(range(1, d + 1)):  # int ids only; a repeat leaves slot d unset
+            if [c for c, _ in signs if isinstance(c, int)] != list(range(1, d + 1)):  # a repeat leaves slot d unset
                 sign_map = dict(signs)
                 rank = {c: r for r, c in enumerate(sorted(c for c in sign_map if isinstance(c, int)), start=1)}
                 values = [sign_map[c] for c in rank]
-        # a slot left unset outweighs the rest; with none left, ids fill 1..d once and sum to d(d+1)/2 iff none is < 0
+        # an unset slot outweighs the rest; an id no int is not ranked, and numpy's sum to no int: int.__ne__ refuses
         unset = 2 * (d + 1) ** 2
         x_next, y_next, letter = [unset] * (d + 1), [unset] * (d + 1), [1] * (d + 1)
         x_next[0] = y_next[0] = 0
         try:
-            x_ranks, idx.y_ranks = (curves if rank is None else [[rank[c] for c in curve] for curve in curves]
-                                    for curves in (x_curves, y_curves))
+            x_ranks, idx.y_ranks = (curves if rank is None else [[rank[c] for c in cs if isinstance(c, int)]
+                                                                 for cs in curves] for curves in (x_curves, y_curves))
             for gen, rs in enumerate(x_ranks, start=1):
                 p = rs[-1] if rs else 0
                 for r in rs:  # link each rank from the one before it, the last closing the curve
@@ -248,9 +248,9 @@ def _crossing_index(genus, x_curves, y_curves, signs, links=None) -> _CrossingIn
                 p = rs[-1] if rs else 0
                 for r in rs:
                     y_next[p] = p = r
+            if int.__ne__(sum(x_next), d * (d + 1) // 2) or int.__ne__(sum(y_next), d * (d + 1) // 2):
+                return None
         except (IndexError, KeyError, TypeError):
-            return None
-        if sum(x_next) != d * (d + 1) // 2 or sum(y_next) != d * (d + 1) // 2:
             return None
     # per Y curve the X curves it crosses, counted by generator: each rank lies on one X and one
     # Y curve, so column gen sums to the length of X_gen.  The longest Y curve (most crossings of a

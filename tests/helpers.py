@@ -273,6 +273,9 @@ def crossing_index_by_zip(genus, x_curves, y_curves, signs):
     d = len(signs)
     if genus < 0 or not x_curves or not y_curves or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d:
         return None
+    ids = [c for curve in (*x_curves, *y_curves) for c in curve] + [c for c, _ in signs]
+    if not all(isinstance(c, int) for c in ids):  # 2.0 or a numpy integer is no crossing id
+        return None
     idx, rank = _CrossingIndex(), None
     values = [v for _, v in signs]
     if values.count(1) + values.count(-1) != d:

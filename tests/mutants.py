@@ -11,11 +11,9 @@ runner, must be reported as a survivor, and fails the run if its tests fail.
 
 Not collected by pytest.  Run from anywhere:
 
-    python tests/mutants.py                          # every mutant
-    python tests/mutants.py identity index-rebuilt   # only these
+    python tests/mutants.py
 """
 
-import argparse
 import os
 import resource
 import shutil
@@ -48,8 +46,8 @@ MUTANTS = [
     *((name, "diagram.py", old, new, AGREEMENT_TESTS) for name, old, new in (
         ("sentinel-minus-1", "unset = 2 * (d + 1) ** 2", "unset = -1"),
         ("sentinel-0", "unset = 2 * (d + 1) ** 2", "unset = 0"),
-        ("y-sum-dropped", " or sum(y_next) != d * (d + 1) // 2:", ":"),
-        ("x-sum-dropped", "if sum(x_next) != d * (d + 1) // 2 or ", "if "))),
+        ("y-sum-dropped", " or int.__ne__(sum(y_next), d * (d + 1) // 2):", ":"),
+        ("x-sum-dropped", "if int.__ne__(sum(x_next), d * (d + 1) // 2) or ", "if "))),
     # the Montesinos codec on the crossing index's own proof
     ("encode-slices-from-0", "diagram.py", "tuple(idx.x_next[1:])", "tuple(idx.x_next[0:])", DIAGRAM_TESTS),
     ("links-without-leading-0", "diagram.py", "([0, *p.sigma_x], [0, *p.sigma_y], x_of)",
@@ -58,6 +56,14 @@ MUTANTS = [
      "sorted(c for c in sign_map)", DIAGRAM_TESTS),
     ("cycle-numbers-from-2", "diagram.py", "n = [], start, len(cycles) + 1", "n = [], start, len(cycles) + 2",
      DIAGRAM_TESTS),
+    # an id that is no int never indexes: sign keys equal to 1..d, ranked curve ids, ids that index a list
+    ("own-rank-int-check-dropped", "diagram.py", "if [c for c, _ in signs if isinstance(c, int)] != ",
+     "if [c for c, _ in signs] != ", DIAGRAM_TESTS),
+    ("ranked-curve-int-check-dropped", "diagram.py", "[[rank[c] for c in cs if isinstance(c, int)]",
+     "[[rank[c] for c in cs]", DIAGRAM_TESTS),
+    ("sum-type-unchecked", "diagram.py",
+     "if int.__ne__(sum(x_next), d * (d + 1) // 2) or int.__ne__(sum(y_next), d * (d + 1) // 2):",
+     "if sum(x_next) != d * (d + 1) // 2 or sum(y_next) != d * (d + 1) // 2:", DIAGRAM_TESTS),
 ]
 
 
@@ -93,18 +99,11 @@ def run(mutant) -> str:
     return {0: "survived", 1: "caught", 2: "caught"}.get(code, f"error (exit {code})")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants (default: all)")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m[0] for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    mutants = [m for m in MUTANTS if not args.names or m[0] in args.names]
-    failed = stale(mutants)
+def main() -> int:
+    failed = stale(MUTANTS)
     for name in failed:
         print(f"stale     {name}: its old text does not occur exactly once")
-    for mutant in (m for m in mutants if m[0] not in failed):
+    for mutant in (m for m in MUTANTS if m[0] not in failed):
         name, _, old, new, _ = mutant
         start = time.perf_counter()
         outcome = run(mutant)
@@ -113,7 +112,7 @@ def main(argv=None) -> int:
               + ("" if outcome == expected else f"  FAIL: expected {expected}"), flush=True)
         if outcome != expected:
             failed.append(name)
-    print(f"{len(mutants) - len(failed)} of {len(mutants)} as expected"
+    print(f"{len(MUTANTS) - len(failed)} of {len(MUTANTS)} as expected"
           + (f"; failed: {', '.join(failed)}" if failed else ""))
     return 1 if failed else 0
 

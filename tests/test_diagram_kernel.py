@@ -1,6 +1,8 @@
 """Differential tests of the crossing-index kernels against the dict
 tracer in ``helpers``, plus error parity with :func:`validate`."""
 
+from decimal import Decimal
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -609,6 +611,53 @@ INVALID += [
 ]
 
 
+class IndexId:
+    """A crossing id that indexes a list as the int it holds, yet is no int."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.v})"
+
+
+class NumpyLikeId(IndexId):
+    """An :class:`IndexId` that also equals, hashes and adds as its int, as numpy's integers do;
+    a sum that meets one is a ``NumpyLikeId``."""
+
+    def __eq__(self, other):
+        return self.v == other
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __add__(self, other):
+        return NumpyLikeId(self.v + other)
+
+    __radd__ = __add__
+
+
+# ids that are no int but equal an int: a sign key at its own rank (the tuple signs equal 1..d),
+# a curve id under ranked signs (5, 7), or a curve id that indexes a list as crossing 2
+INVALID += [
+    (dg, f"invalid diagram: BadId: crossing id {c!r} is not an integer")
+    for c, dg in [(2.0, Diagram(1, ((1, 2),), ((1, 2),), ((1, 1), (2.0, 1)))),
+                  (Fraction(2), Diagram(1, ((1, 2),), ((1, 2),), ((1, 1), (Fraction(2), 1)))),
+                  (Decimal(2), Diagram(1, ((1, 2),), ((1, 2),), ((1, 1), (Decimal(2), 1)))),
+                  (7.0, Diagram(1, ((5, 7.0),), ((5, 7),), ((5, 1), (7, 1)))),
+                  (Fraction(7), Diagram(1, ((5, 7),), ((Fraction(7), 5),), ((5, 1), (7, 1)))),
+                  (NumpyLikeId(7), Diagram(1, ((5, NumpyLikeId(7)),), ((5, 7),), ((5, 1), (7, 1)))),
+                  (NumpyLikeId(2), Diagram(1, ((1, NumpyLikeId(2)),), ((1, 2),), ((1, 1), (2, 1)))),
+                  (NumpyLikeId(2), Diagram(1, ((1, 2),), ((NumpyLikeId(2), 1),), PositiveSigns(2)))]
+]
+# an id that indexes a list but neither equals nor adds as an int: its sum raises TypeError
+INVALID.append((Diagram(1, ((1, IndexId(2)),), ((1, 2),), PositiveSigns(2)),
+                "invalid diagram: MissingFromY: crossing IndexId(2) is only on an X curve"))
+
+
 @pytest.mark.parametrize("dg,message", INVALID)
 def test_error_is_the_first_violation(dg, message):
     first = validate(dg)[0]
@@ -666,7 +715,23 @@ def renamed_pair_diagrams(draw):
     return Diagram(0, x_curves, y_curves, tuple((to[c], v) for c, v in dg.signs))
 
 
-@given(st.one_of(raw_diagrams(), renamed_pair_diagrams()))
+@st.composite
+def own_rank_key_diagrams(draw):
+    """Signed pair diagrams, their ids shifted by 0 (ids ``1..d``) or 10 (ranked), with one id made
+    a value that equals it or indexes a list as it but is no int, among the sign keys, the X curves,
+    the Y curves or several of them (``True`` for id 1 passes as the int 1)."""
+    dg = draw(signed_pair_diagrams())
+    shift = draw(st.sampled_from((0, 10)))
+    r = draw(st.integers(1, dg.crossing_count)) + shift
+    odd = draw(st.sampled_from((float(r), Fraction(r), Decimal(r), NumpyLikeId(r), IndexId(r)) + ((True,) * (r == 1))))
+    where = draw(st.sets(st.sampled_from(("signs", "x", "y")), min_size=1))
+    x_curves, y_curves = (tuple(tuple(odd if c + shift == r and side in where else c + shift for c in curve)
+                                for curve in curves) for side, curves in (("x", dg.x_curves), ("y", dg.y_curves)))
+    return Diagram(0, x_curves, y_curves,
+                   tuple((odd if c + shift == r and "signs" in where else c + shift, v) for c, v in dg.signs))
+
+
+@given(st.one_of(raw_diagrams(), renamed_pair_diagrams(), own_rank_key_diagrams()))
 @settings(max_examples=400, deadline=None)
 def test_index_rejects_exactly_what_validate_reports(dg):
     """Two independent validators, the crossing index and the exhaustive pass, agree; ``validate``
