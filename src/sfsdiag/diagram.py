@@ -3,9 +3,9 @@
 A diagram stores two transverse systems of oriented curves on a closed
 oriented surface purely combinatorially: each curve is the cyclic sequence
 of crossing ids met along its orientation, and every crossing carries the
-intersection sign of the X curve with the Y curve there.  No embedding is
-stored; when a surface is needed (genus verification) it is recovered from
-the rotation system the signs force at each crossing.
+intersection sign of the X curve with the Y curve there (read or built on
+ids ``1..d``, a :class:`SignRun` of the -1 ids).  No embedding is stored; a
+surface is recovered from the rotation system the signs force at each crossing.
 
 Every query reads one crossing index, built lazily once per diagram.
 Building it is the structural validation, which :func:`validate` reads: only a
@@ -20,38 +20,39 @@ per component.
 
 from collections import Counter
 from functools import cached_property
-from itertools import count, repeat
-from operator import mul
+from itertools import compress, count, repeat
+from operator import eq
 
 from .errors import Disconnected, IsolatedCurve, NotPositive, Value, init_field, want, want_ints
 from .exactalg import SnfResult, _snf
 from .presentation import Presentation, _exponent_sums, _letter_counts
 
 
-class PositiveSigns(Value):
-    """The signs ``((1, 1), ..., (d, 1))`` of an all-positive diagram on ids
-    ``1..d``, kept as ``d``: it equals, hashes, prints, iterates and slices
-    as that tuple, and the crossing index reads it without a pass."""
+class SignRun(Value):
+    """The signs ``((1, s_1), ..., (d, s_d))`` of a diagram on ids ``1..d``, kept as ``d`` and the
+    increasing tuple of its -1 ids: it equals, hashes, prints, iterates and slices as that tuple,
+    and the crossing index reads it without a pass."""
 
-    __slots__ = ("d",)
+    __slots__ = ("d", "negatives")
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, negatives: tuple[int, ...] = ()):
         init_field(self, "d", d)
+        init_field(self, "negatives", negatives)
 
     def __len__(self):
         return self.d
 
     def __iter__(self):
-        return zip(range(1, self.d + 1), repeat(1))
+        values = [1] * self.d
+        for c in self.negatives:
+            values[c - 1] = -1
+        return zip(range(1, self.d + 1), values)
 
     def __getitem__(self, key):
-        ids = range(1, self.d + 1)[key]
-        return tuple(zip(ids, repeat(1))) if type(key) is slice else (ids, 1)
+        return tuple(self)[key]
 
     def __eq__(self, other):
-        if isinstance(other, tuple):
-            return len(other) == self.d and tuple(self) == other
-        return super().__eq__(other)
+        return tuple(self) == other if isinstance(other, tuple) else super().__eq__(other)
 
     def __hash__(self):
         return hash(tuple(self))
@@ -60,11 +61,16 @@ class PositiveSigns(Value):
         return repr(tuple(self))
 
 
+def _negatives(values) -> tuple[int, ...]:
+    """Places 1.. of the -1 values by eq ((-1).__eq__("x") is truthy), via a list: growing tuples fragment the heap."""
+    return tuple(list(compress(count(1), map(eq, values, repeat(-1))))) if -1 in values else ()
+
+
 class Diagram(Value):
     """Oriented curve systems as cyclic crossing sequences plus signs.
 
     ``signs`` is a tuple of ``(crossing_id, sign)`` pairs sorted by id, or a
-    :class:`PositiveSigns` run that equals, hashes and prints as one, so
+    :class:`SignRun` on ids ``1..d`` that equals, hashes and prints as one, so
     that equal diagrams compare equal and serialize identically.
     """
 
@@ -117,21 +123,16 @@ class Diagram(Value):
         signs = data["signs"]
         if not isinstance(signs, dict):
             raise TypeError(f"signs: expected an object mapping crossing id to sign, got {type(signs).__name__}")
-        # the keys to_json writes, "1".."d" in order, are the ids 1..d: no parse and no sort.  The pairs go
-        # through a list: a tuple grown from an iterator reallocates as it grows, which fragments the heap
-        if list(signs) == list(map(str, range(1, len(signs) + 1))) and set(map(type, signs.values())) <= {int}:
-            return cls(genus, x_curves, y_curves, tuple(list(zip(count(1), signs.values()))))
-        try:
-            ids = list(map(int, signs))
-        except ValueError:
-            ids = []
-        # canonical decimal keys only: int() alone also takes " 1", "+1" and "1_0"
-        if list(map(str, ids)) != list(signs) or not set(map(type, signs.values())) <= {int}:
-            for k, v in signs.items():
-                if not (k.removeprefix("-").isdecimal() and str(int(k)) == k):
-                    raise ValueError(f"$.signs: key {k!r} is not a crossing id")
-                want(v, int, "$.signs[{!r}]", k)
-        return cls(genus, x_curves, y_curves, tuple(sorted(zip(ids, signs.values()))))
+        # keys "1".."d" in order with int values +-1 are a run, no parse or sort; types first: a list keeps want's error
+        if list(signs) == list(map(str, range(1, len(signs) + 1))) and set(map(type, signs.values())) <= {int} \
+                and set(signs.values()) <= {1, -1}:
+            return cls(genus, x_curves, y_curves, SignRun(len(signs), _negatives(signs.values())))
+        pairs = []
+        for k, v in signs.items():  # canonical decimal keys only: int() alone also takes " 1", "+1" and "1_0"
+            if not (k.removeprefix("-").isdecimal() and str(c := int(k)) == k):
+                raise ValueError(f"$.signs: key {k!r} is not a crossing id")
+            pairs.append((c, v if type(v) is int else want(v, int, "$.signs[{!r}]", k)))
+        return cls(genus, x_curves, y_curves, tuple(sorted(pairs)))
 
 
 class DiagramViolation(Value):
@@ -194,7 +195,7 @@ def _find_violations(dg: Diagram) -> list[DiagramViolation]:
 
 class _CrossingIndex:
     """The crossings of a valid diagram ranked ``1..d`` by id, and its Y curves as ranks
-    (``y_ranks``, the curves themselves for ids ``1..d``); per rank the next rank along X
+    (``y_ranks``, the curves themselves under a :class:`SignRun`); per rank the next rank along X
     and Y and the letter ``+-(i + 1)`` of its X curve ``i``, signed by the crossing, rank 0
     a dummy with letter 1 whose curves close on themselves; the count ``negative`` of -1
     crossings; the component count, 1 whenever one Y curve crosses every X curve; per Y curve
@@ -211,27 +212,25 @@ class _CrossingIndex:
 
 
 def _crossing_index(genus, x_curves, y_curves, signs, links=None) -> _CrossingIndex | None:
-    """Index of diagram data; None on any defect :func:`validate` reports.  Ids ``1..d`` are their own ranks, each
-    linked from the one before it; one outside ``-(d+1)..d`` fails to index.  A side's d ids fill its slots once as
+    """Index of diagram data; None on any defect :func:`validate` reports.  A run's ids ``1..d`` are their own ranks,
+    each linked from the one before it; one outside ``-(d+1)..d`` fails to index.  A side's d ids fill its slots once as
     indices and once as values, so they sum to ``d(d+1)/2`` iff the ids are ``1..d``: an unset slot (``2(d+1)**2``)
     outweighs ``-(d+1)`` in each other; with none, each of ``1..d`` is filled once, less ``d + 1`` per negative id.
     Every diagram's rows are counted on the unsigned letters, which give the component count; signs come after."""
-    d, idx, negative, rank = len(signs), _CrossingIndex(), 0, None
+    d, idx, negatives, rank = len(signs), _CrossingIndex(), (), None
     if links:  # a positive diagram's successor lists, already proved permutations, and its X curve numbers
         (x_next, y_next, letter), x_ranks, idx.y_ranks = links, x_curves, y_curves
     else:
         if genus < 0 or not x_curves or not y_curves or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d:
             return None
-        # a run of positive signs on 1..d is trusted; its curves are checked below
-        if type(signs) is not PositiveSigns:
-            values = [v for _, v in signs]
-            negative = values.count(-1)
-            if values.count(1) + negative != d:
+        if type(signs) is SignRun:  # a run on 1..d is trusted; its curves are checked below
+            negatives = signs.negatives
+        else:  # pairs are ranked, ids 1..d too; only an int id takes a rank, and a repeat leaves fewer than d
+            rank = dict(signs)  # each id's sign until the signs are read, then each id's rank
+            values = list(map(rank.__getitem__, ids := sorted(c for c in rank if isinstance(c, int))))
+            if values.count(1) + len(negatives := _negatives(values)) != d:
                 return None
-            if [c for c, _ in signs if isinstance(c, int)] != list(range(1, d + 1)):  # a repeat leaves slot d unset
-                sign_map = dict(signs)
-                rank = {c: r for r, c in enumerate(sorted(c for c in sign_map if isinstance(c, int)), start=1)}
-                values = [sign_map[c] for c in rank]
+            rank.update(zip(ids, count(1)))  # the d signs came from int ids, so every key takes a rank
         # an unset slot outweighs the rest; an id no int is not ranked, and numpy's sum to no int: int.__ne__ refuses
         unset = 2 * (d + 1) ** 2
         x_next, y_next, letter = [unset] * (d + 1), [unset] * (d + 1), [1] * (d + 1)
@@ -280,9 +279,9 @@ def _crossing_index(genus, x_curves, y_curves, signs, links=None) -> _CrossingIn
                 for gen in row:
                     parent[find(gen)] = root
         idx.components = len({find(gen) for gen, curve in enumerate(x_curves, start=1) if curve})
-    if negative:  # signs go on the letters only now, and a signed diagram's rows fold when first read
-        letter, rows = list(map(mul, letter, [1] + values)), None
-    idx.x_next, idx.y_next, idx.letter, idx.negative, idx._matrix = x_next, y_next, letter, negative, rows
+    for r in negatives:  # signs go on the letters only now, and a signed diagram's rows fold when first read
+        letter[r], rows = -letter[r], None
+    idx.x_next, idx.y_next, idx.letter, idx.negative, idx._matrix = x_next, y_next, letter, len(negatives), rows
     return idx
 
 
@@ -444,7 +443,7 @@ def montesinos_decode(p: PermutationPair) -> Diagram:
     rotation genus, summed over components when the pair is intransitive.
     """
     (x_curves, x_of), (y_curves, _) = _cycles(p.sigma_x), _cycles(p.sigma_y)
-    signs = PositiveSigns(p.degree)
+    signs = SignRun(p.degree)
     if not p.degree:
         return Diagram(0, x_curves, y_curves, signs)
     index = _crossing_index(0, x_curves, y_curves, signs, ([0, *p.sigma_x], [0, *p.sigma_y], x_of))

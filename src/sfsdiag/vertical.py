@@ -27,7 +27,7 @@ present the same first homology as the input invariants.
 from itertools import accumulate
 from math import gcd
 
-from .diagram import Diagram, PositiveSigns, diagram_homology, is_positive_diagram, rotation_genus
+from .diagram import Diagram, SignRun, diagram_homology, is_positive_diagram, rotation_genus
 from .errors import BaseGenusUnsupported, CrossingBudgetExceeded, SynthesisInvariantViolation, Value, init_field
 from .seifert import FiberInvariant, SeifertData, denormalize, homology, normalize
 
@@ -174,7 +174,7 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
         else:
             y_curves.append((*ids[mid - 1:c0[q] - 1:-1], *ids[mid:c0[q + 1]]))
 
-    dg = Diagram(beads, tuple(x_curves), tuple(y_curves), PositiveSigns(d))
+    dg = Diagram(beads, tuple(x_curves), tuple(y_curves), SignRun(d))
 
     try:
         got = dg._index.matrix

@@ -267,7 +267,7 @@ def intersection_matrix(dg: Diagram) -> IntMatrix:
 def crossing_index_by_zip(genus, x_curves, y_curves, signs):
     """The crossing index of ``sfsdiag.diagram._crossing_index`` slot by slot, None on the same
     defects: each rank paired with its successor by ``zip(rs, rs[1:] + rs[:1])``, every sign
-    read from the pairs (a ``PositiveSigns`` run too), every Y curve's letters counted into a
+    read from the pairs (a ``SignRun``'s too), every Y curve's letters counted into a
     ``Counter`` and folded to its exponent sums, the longest curve's too, and the component
     count from a union-find over the raw letters of every Y curve."""
     d = len(signs)

@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 300  # seconds per mutant
 MEMORY = 2 << 30  # bytes of address space per mutant: one that loops while it allocates dies alone
 DIAGRAM_TESTS = ("tests/test_diagram.py", "tests/test_diagram_kernel.py")
+RUN_TESTS = (*DIAGRAM_TESTS, "tests/test_values.py")
 AGREEMENT_TESTS = ("tests/test_diagram_kernel.py::test_index_rejects_exactly_what_validate_reports",
                    "tests/test_diagram_kernel.py::test_index_rejects_every_side_that_is_not_one_to_d")
 
@@ -52,18 +53,21 @@ MUTANTS = [
     ("encode-slices-from-0", "diagram.py", "tuple(idx.x_next[1:])", "tuple(idx.x_next[0:])", DIAGRAM_TESTS),
     ("links-without-leading-0", "diagram.py", "([0, *p.sigma_x], [0, *p.sigma_y], x_of)",
      "(list(p.sigma_x), list(p.sigma_y), x_of)", DIAGRAM_TESTS),
-    ("rank-filter-dropped", "diagram.py", "sorted(c for c in sign_map if isinstance(c, int))",
-     "sorted(c for c in sign_map)", DIAGRAM_TESTS),
+    ("rank-filter-dropped", "diagram.py", "sorted(c for c in rank if isinstance(c, int))",
+     "sorted(c for c in rank)", DIAGRAM_TESTS),
     ("cycle-numbers-from-2", "diagram.py", "n = [], start, len(cycles) + 1", "n = [], start, len(cycles) + 2",
      DIAGRAM_TESTS),
-    # an id that is no int never indexes: sign keys equal to 1..d, ranked curve ids, ids that index a list
-    ("own-rank-int-check-dropped", "diagram.py", "if [c for c, _ in signs if isinstance(c, int)] != ",
-     "if [c for c, _ in signs] != ", DIAGRAM_TESTS),
+    # an id that is no int never indexes: ranked curve ids, ids that index a list
     ("ranked-curve-int-check-dropped", "diagram.py", "[[rank[c] for c in cs if isinstance(c, int)]",
      "[[rank[c] for c in cs]", DIAGRAM_TESTS),
     ("sum-type-unchecked", "diagram.py",
      "if int.__ne__(sum(x_next), d * (d + 1) // 2) or int.__ne__(sum(y_next), d * (d + 1) // 2):",
      "if sum(x_next) != d * (d + 1) // 2 or sum(y_next) != d * (d + 1) // 2:", DIAGRAM_TESTS),
+    # signs on ids 1..d are one run of their -1 ids: read only from values +-1, kept by the index and by iteration
+    ("reader-sign-clause-dropped", "diagram.py", "and set(signs.values()) <= {1, -1}:", "and True:", RUN_TESTS),
+    ("negatives-by-int-eq", "diagram.py", "map(eq, values, repeat(-1))", "map((-1).__eq__, values)", RUN_TESTS),
+    ("index-ignores-run-negatives", "diagram.py", "negatives = signs.negatives", "negatives = ()", RUN_TESTS),
+    ("run-iter-ignores-negatives", "diagram.py", "            values[c - 1] = -1\n", "            pass\n", RUN_TESTS),
 ]
 
 

@@ -303,11 +303,25 @@ def test_json_round_trip():
      ValueError, "$.signs: key '+1' is not a crossing id"),
     ({"genus": 0, "x_curves": [[0]], "y_curves": [[0]], "signs": {"-0": 1}},
      ValueError, "$.signs: key '-0' is not a crossing id"),
+    # keys "1".."d" with a value no set can hold: the types are checked before the values +-1
+    ({"genus": 1, "x_curves": [[1, 2]], "y_curves": [[1, 2]], "signs": {"1": 1, "2": [-1]}},
+     TypeError, "$.signs['2']: expected integer, got list"),
 ])
 def test_json_types_are_checked(doc, error, message):
     with pytest.raises(error) as exc:
         Diagram.from_json(doc)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_json_keeps_a_bad_sign_on_ids_one_to_d_as_pairs(bad):
+    # keys "1".."d" with a value other than +-1 are no run: the pairs are read, and validate lists the value
+    dg = Diagram.from_json({"genus": 1, "x_curves": [[1, 2, 3]], "y_curves": [[3, 2, 1]],
+                            "signs": {"1": -1, "2": bad, "3": 1}})
+    assert type(dg.signs) is tuple and dg.signs == ((1, -1), (2, bad), (3, 1))
+    assert [(v.code, v.message) for v in validate(dg)] == [("BadSign", f"crossing 2 has sign {bad}")]
+    with pytest.raises(ValueError, match=f"^invalid diagram: BadSign: crossing 2 has sign {bad}$"):
+        rotation_genus(dg)
 
 
 def test_json_reads_negative_ids():

@@ -25,7 +25,7 @@ from sfsdiag import diagram
 from sfsdiag.diagram import (
     Diagram,
     PermutationPair,
-    PositiveSigns,
+    SignRun,
     _crossing_index,
     _CrossingIndex,
     _cycles,
@@ -313,7 +313,7 @@ def test_derived_row_matches_reference(case):
     built = build_diagram(0, xs, ys, {c: -1 if c in negative else 1 for c in range(1, d + 1)})
     variants = [built, relabel(built, [7 * c - 20 for c in range(d)])]
     if not negative:
-        variants.append(Diagram(0, built.x_curves, built.y_curves, PositiveSigns(d)))
+        variants.append(Diagram(0, built.x_curves, built.y_curves, SignRun(d)))
     for dg in variants:
         assert is_positive_diagram(dg) == (not negative)
         # every variant's longest row is derived, from the signs on each X curve when some
@@ -405,12 +405,12 @@ def test_positive_and_signed_face_walks_agree_on_decoded_pairs(dg):
 
 
 def check_index_parity(dg):
-    """Every slot of the index read off a run equals the one the tuple path builds."""
-    assert type(dg.signs) is PositiveSigns
-    d = dg.crossing_count
-    run = _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, PositiveSigns(d))
-    tup = _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, tuple(PositiveSigns(d)))
-    assert {s: getattr(run, s) for s in _CrossingIndex.__slots__} == {s: getattr(tup, s) for s in _CrossingIndex.__slots__}
+    """Every slot of the index read off a run equals the one the ranked path builds for the tuple it
+    stands for (which keeps ``y_ranks`` as lists, so the slots are compared as ``index_slots``)."""
+    assert type(dg.signs) is SignRun
+    run = _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs)
+    tup = _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, tuple(dg.signs))
+    assert run is not None and index_slots(run) == index_slots(tup)
 
 
 @given(
@@ -428,10 +428,40 @@ def test_index_of_a_decoded_run_matches_the_tuple_path(dg):
     check_index_parity(dg)
 
 
+@given(st.one_of(signed_pair_diagrams(), signed_pair_diagrams().map(mirror), shared_sign_pair_diagrams()))
+@settings(max_examples=100, deadline=None)
+def test_index_of_a_signed_read_matches_the_tuple_path(dg):
+    # pair diagrams on ids 1..d, signed as drawn, mirrored or with any share of -1 crossings, read back as runs
+    if [c for c, _ in dg.signs] == list(range(1, dg.crossing_count + 1)):
+        check_index_parity(Diagram.from_json(dg.to_json()))
+
+
+@pytest.mark.parametrize("minus", ["every-third", "all"])
+def test_index_of_a_signed_built_read_matches_the_tuple_path(minus):
+    built = build_positive_vertical(SeifertData.normalized(0, [(11, 3), (7, 2), (9, 4)], -1))
+    doc = built.to_json()
+    doc["signs"] = {k: -1 if minus == "all" or int(k) % 3 == 0 else 1 for k in doc["signs"]}
+    read = Diagram.from_json(doc)
+    assert read.signs.negatives == tuple(c for c in range(1, built.crossing_count + 1) if minus == "all" or c % 3 == 0)
+    check_index_parity(read)
+    assert rotation_genus(read) == dict_genus_sum(read)
+
+
+@given(st.one_of(signed_pair_diagrams(), relabelled_pair_diagrams(), shared_sign_pair_diagrams()))
+@settings(max_examples=200, deadline=None)
+def test_from_json_reads_ids_one_to_d_as_a_run(dg):
+    read = Diagram.from_json(dg.to_json())
+    assert read == dg and dg == read and hash(read) == hash(dg) and read.to_json() == dg.to_json()
+    # the signs are a run iff the ids are 1..d, whatever their signs; the run keeps the -1 ids in order
+    assert (type(read.signs) is SignRun) == ([c for c, _ in dg.signs] == list(range(1, dg.crossing_count + 1)))
+    if type(read.signs) is SignRun:
+        assert read.signs.negatives == tuple(c for c, v in dg.signs if v == -1)
+
+
 @st.composite
 def index_inputs(draw):
     """Curves and signs of permutation-pair diagrams, relabelled or with any share of -1
-    crossings (none in a quarter of the draws, as a run of +1 signs in half of those on
+    crossings (none in a quarter of the draws; as a run of their -1 ids in half of those on
     ids ``1..d``), empty X and Y curves inserted, and in half the draws one id on one
     curve corrupted to 0, -k, d + 1 or a repeat."""
     dg = draw(st.one_of(signed_pair_diagrams(), relabelled_pair_diagrams(), shared_sign_pair_diagrams()))
@@ -447,8 +477,8 @@ def index_inputs(draw):
         curve[at] = draw(st.sampled_from(
             [0, d + 1, -draw(st.integers(1, d + 1)), curve[at] - d - 1, draw(st.sampled_from(ids))]))
     signs = tuple((c, 1) for c in ids) if draw(st.integers(0, 3)) == 0 else dg.signs
-    if signs == PositiveSigns(d) and draw(st.booleans()):
-        signs = PositiveSigns(d)
+    if ids == list(range(1, d + 1)) and draw(st.booleans()):
+        signs = SignRun(d, tuple(c for c, v in signs if v == -1))
     return dg.declared_genus, tuple(map(tuple, sides[0])), tuple(map(tuple, sides[1])), signs
 
 
@@ -557,13 +587,13 @@ INVALID = [
     (Diagram(1, ((2, 5),), ((5, 2),), ((2, 1), (2, 1), (5, 1))),
      "invalid diagram: DuplicateSign: crossing 2 appears 2 times"),
     # a run of positive signs is trusted, its curves are not
-    (Diagram(1, ((1, 1),), ((1, 2),), PositiveSigns(2)),
+    (Diagram(1, ((1, 1),), ((1, 2),), SignRun(2)),
      "invalid diagram: DuplicateOnX: crossing 1 appears 2 times"),
-    (Diagram(1, ((1, 3),), ((3, 1),), PositiveSigns(2)),
+    (Diagram(1, ((1, 3),), ((3, 1),), SignRun(2)),
      "invalid diagram: MissingSign: crossing 3 has no sign"),
-    (Diagram(1, ((0, 1),), ((1, 0),), PositiveSigns(2)),
+    (Diagram(1, ((0, 1),), ((1, 0),), SignRun(2)),
      "invalid diagram: MissingSign: crossing 0 has no sign"),
-    (Diagram(1, ((1,),), ((1, 2),), PositiveSigns(2)),
+    (Diagram(1, ((1,),), ((1, 2),), SignRun(2)),
      "invalid diagram: MissingFromX: crossing 2 is only on a Y curve"),
 ]
 # ids that are not ranks 1..d, under a run and under the tuple it stands for;
@@ -579,7 +609,7 @@ INVALID += [
         ((1, 2, 4), (1, 2, 4), 3, "MissingSign: crossing 4 has no sign"),
         ((1, 2, 3), (1, 3, 3), 3, "DuplicateOnY: crossing 3 appears 2 times"),
     ]
-    for signs in (PositiveSigns(d), tuple(PositiveSigns(d)))
+    for signs in (SignRun(d), tuple(SignRun(d)))
 ]
 # ids 1..d in order with a repeat: the sign map is shorter than d
 INVALID.append((Diagram(1, ((1, 2),), ((1, 2),), ((1, 1), (1, 1))),
@@ -589,7 +619,7 @@ INVALID.append((Diagram(1, ((1, 2),), ((1, 2),), ((1, 1), (1, 1))),
 # (an unset -1 makes 10); under d = 3, -4 fills slot 0, slots 1 and 2 stay unset and the
 # set slots already sum to 6 (an unset 0 passes)
 INVALID += [
-    (Diagram(1, *sides, PositiveSigns(d)), f"invalid diagram: DuplicateOn{side}: crossing {c} appears 2 times")
+    (Diagram(1, *sides, SignRun(d)), f"invalid diagram: DuplicateOn{side}: crossing {c} appears 2 times")
     for curve, d, c in [((-4, 3, 4, 4), 4, 4), ((-4, 3, 3), 3, 3)]
     for side, sides in [("X", ((curve,), (tuple(range(1, d + 1)),))), ("Y", ((tuple(range(1, d + 1)),), (curve,)))]
 ]
@@ -599,7 +629,7 @@ INVALID += [
     (Diagram(1, ((1, c),), ((1, 2),), signs), "invalid diagram: " + message)
     for c, message in [(2.0, "BadId: crossing id 2.0 is not an integer"),
                        ("2", "MissingFromY: crossing '2' is only on an X curve")]
-    for signs in (PositiveSigns(2), ((1, 1), (2, 1)))
+    for signs in (SignRun(2), ((1, 1), (2, 1)))
 ]
 # ids that are no int under tuple signs, which are ranked: only int ids take a rank, so
 # none of these indexes, and None never meets an int id in a sort
@@ -640,7 +670,7 @@ class NumpyLikeId(IndexId):
     __radd__ = __add__
 
 
-# ids that are no int but equal an int: a sign key at its own rank (the tuple signs equal 1..d),
+# ids that are no int but equal an int: a sign key among ids 1..d (whose pairs are ranked too),
 # a curve id under ranked signs (5, 7), or a curve id that indexes a list as crossing 2
 INVALID += [
     (dg, f"invalid diagram: BadId: crossing id {c!r} is not an integer")
@@ -651,11 +681,18 @@ INVALID += [
                   (Fraction(7), Diagram(1, ((5, 7),), ((Fraction(7), 5),), ((5, 1), (7, 1)))),
                   (NumpyLikeId(7), Diagram(1, ((5, NumpyLikeId(7)),), ((5, 7),), ((5, 1), (7, 1)))),
                   (NumpyLikeId(2), Diagram(1, ((1, NumpyLikeId(2)),), ((1, 2),), ((1, 1), (2, 1)))),
-                  (NumpyLikeId(2), Diagram(1, ((1, 2),), ((NumpyLikeId(2), 1),), PositiveSigns(2)))]
+                  (NumpyLikeId(2), Diagram(1, ((1, 2),), ((NumpyLikeId(2), 1),), SignRun(2)))]
 ]
 # an id that indexes a list but neither equals nor adds as an int: its sum raises TypeError
-INVALID.append((Diagram(1, ((1, IndexId(2)),), ((1, 2),), PositiveSigns(2)),
+INVALID.append((Diagram(1, ((1, IndexId(2)),), ((1, 2),), SignRun(2)),
                 "invalid diagram: MissingFromY: crossing IndexId(2) is only on an X curve"))
+# a sign that is a string, under tuple signs on ids 1..d and on ranked ids, alone and beside a -1:
+# -1 == "x" is False, but (-1).__eq__("x") is NotImplemented, which is truthy
+INVALID += [
+    (Diagram(1, ((a, b),), ((a, b),), signs), f"invalid diagram: BadSign: crossing {b} has sign x")
+    for a, b in [(1, 2), (5, 7)]
+    for signs in (((a, 1), (b, "x")), ((a, -1), (b, "x")))
+]
 
 
 @pytest.mark.parametrize("dg,message", INVALID)
@@ -673,7 +710,7 @@ def test_error_parity(dg, message, query):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("signs", [PositiveSigns(3), ((1, 1), (2, 1), (3, 1))])
+@pytest.mark.parametrize("signs", [SignRun(3), ((1, 1), (2, 1), (3, 1))])
 def test_every_id_that_is_no_int_is_listed_last(signs):
     dg = Diagram(1, ((1, "2", 3.0),), ((1, 2, 3),), signs)
     assert [(v.code, v.message) for v in validate(dg)] == [
@@ -699,7 +736,7 @@ def raw_diagrams(draw):
     signs = draw(st.one_of(st.dictionaries(st.integers(-7, 7), st.sampled_from((1, -1, 2))), st.none(),
                            st.lists(st.tuples(CROSSING_IDS, st.sampled_from((1, -1, 2))), max_size=8).map(tuple)))
     if signs is None:
-        return Diagram(genus, xs, ys, PositiveSigns(sum(map(len, xs))))
+        return Diagram(genus, xs, ys, SignRun(sum(map(len, xs))))
     return Diagram(genus, xs, ys, signs) if type(signs) is tuple else build_diagram(genus, xs, ys, signs)
 
 
@@ -754,5 +791,5 @@ def test_index_rejects_every_side_that_is_not_one_to_d(d):
     valid = (tuple(range(1, d + 1)),)
     for curve in product(range(-d - 1, d + 1), repeat=d):
         for xs, ys in (((curve,), valid), (valid, (curve,))):
-            dg = Diagram(1, xs, ys, PositiveSigns(d))
+            dg = Diagram(1, xs, ys, SignRun(d))
             assert (_crossing_index(1, xs, ys, dg.signs) is None) == bool(_find_violations(dg)), (xs, ys)

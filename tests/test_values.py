@@ -26,7 +26,7 @@ from sfsdiag import (
     build_positive_vertical,
     rotation_genus,
 )
-from sfsdiag.diagram import DiagramViolation, PositiveSigns
+from sfsdiag.diagram import DiagramViolation, SignRun
 
 from helpers import SRC, VERB_PAYLOADS
 
@@ -166,48 +166,61 @@ def test_a_diagram_pickles_after_its_index_is_cached():
 @pytest.fixture(scope="module")
 def large_built():
     dg = build_positive_vertical(SeifertData.normalized(0, [(59, 37), (53, 29), (47, 31)], -3))
-    assert dg.crossing_count > 10_000 and type(dg.signs) is PositiveSigns
+    assert dg.crossing_count > 10_000 and type(dg.signs) is SignRun
     return dg
+
+
+def negative_runs(d):
+    """The -1 ids of runs on ``1..d``: none, every one, every third, the first and the last."""
+    return [(), tuple(range(1, d + 1)), tuple(range(3, d + 1, 3)), (1,)[:d], (d,)[:d]]
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 5, 53, "built"])
 def test_a_positive_run_acts_as_the_tuple_it_stands_for(d, request):
-    run = request.getfixturevalue("large_built").signs if d == "built" else PositiveSigns(d)
-    d = len(run)
-    twin = tuple((c, 1) for c in range(1, d + 1))
-    assert run == twin and twin == run and not run != twin and not twin != run
-    assert hash(run) == hash(twin) and repr(run) == repr(twin) == str(run)
-    assert len(run) == len(twin) and list(run) == list(twin) and tuple(run) == twin
-    for i in {0, 1, d // 2, d - 1, -1, -d} & set(range(-d, d)):
-        assert run[i] == twin[i]
-    for i in (d, -d - 1):
-        with pytest.raises(IndexError):
-            run[i]
-    for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1), slice(2, d // 2, 3)):
-        assert type(run[cut]) is tuple and run[cut] == twin[cut]
-    with pytest.raises(AttributeError):
-        run.d = d + 1
-    copies = [pickle.loads(pickle.dumps(run, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-    for copied in (*copies, copy.copy(run), copy.deepcopy(run)):
-        assert type(copied) is PositiveSigns and copied == run and copied == twin
-        assert hash(copied) == hash(twin) and repr(copied) == repr(twin)
+    # a run of +1 signs, and runs on the same ids with -1 ids
+    built = request.getfixturevalue("large_built").signs if d == "built" else SignRun(d)
+    d = len(built)
+    for negatives in negative_runs(d):
+        run = SignRun(d, negatives) if negatives else built
+        twin = tuple((c, -1 if c in negatives else 1) for c in range(1, d + 1))
+        assert run.negatives == negatives
+        assert run == twin and twin == run and not run != twin and not twin != run
+        assert hash(run) == hash(twin) and repr(run) == repr(twin) == str(run)
+        assert len(run) == len(twin) and list(run) == list(twin) and tuple(run) == twin
+        for i in {0, 1, d // 2, d - 1, -1, -d} & set(range(-d, d)):
+            assert run[i] == twin[i]
+        for i in (d, -d - 1):
+            with pytest.raises(IndexError):
+                run[i]
+        for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1), slice(2, d // 2, 3)):
+            assert type(run[cut]) is tuple and run[cut] == twin[cut]
+        for field, value in (("d", d + 1), ("negatives", ())):
+            with pytest.raises(AttributeError):
+                setattr(run, field, value)
+        copies = [pickle.loads(pickle.dumps(run, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in (*copies, copy.copy(run), copy.deepcopy(run)):
+            assert type(copied) is SignRun and copied == run and copied == twin
+            assert copied.negatives == negatives and hash(copied) == hash(twin) and repr(copied) == repr(twin)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 53])
 def test_a_positive_run_differs_from_other_signs(d):
-    run, twin = PositiveSigns(d), tuple(PositiveSigns(d))
-    for other in (PositiveSigns(d - 1), PositiveSigns(d + 1), twin[:-1], twin + ((d + 1, 1),),
-                  ((0, 1), *twin[1:]), list(twin), [*map(list, twin)], d, None):
-        assert run != other and other != run and not run == other
-    for i in range(d):
-        flipped = (*twin[:i], (i + 1, -1), *twin[i + 1:])
-        assert run != flipped and flipped != run
+    # a run of +1 signs, and runs with -1 ids, against other runs, other tuples and other types
+    for negatives in negative_runs(d):
+        run, twin = SignRun(d, negatives), tuple(SignRun(d, negatives))
+        for other in (SignRun(d - 1), SignRun(d + 1), twin[:-1], twin + ((d + 1, 1),),
+                      ((0, twin[0][1]), *twin[1:]), list(twin), [*map(list, twin)], d, None,
+                      *(SignRun(d, others) for others in negative_runs(d) if others != negatives)):
+            assert run != other and other != run and not run == other
+        for i in range(d):
+            flipped = (*twin[:i], (i + 1, -twin[i][1]), *twin[i + 1:])
+            assert run != flipped and flipped != run
 
 
 def test_a_built_diagram_equals_its_tuple_signs_twin(large_built):
     dg = large_built
     decoded = Diagram.from_json(dg.to_json())
-    assert type(decoded.signs) is tuple
+    assert type(decoded.signs) is SignRun
     for twin in (Diagram(dg.declared_genus, dg.x_curves, dg.y_curves, tuple(dg.signs)), decoded):
         assert twin == dg and dg == twin and not twin != dg
         assert hash(twin) == hash(dg) and repr(twin) == repr(dg)
