@@ -34,6 +34,7 @@ from .seifert import FiberInvariant, SeifertData, denormalize, homology, normali
 
 #: Largest crossing count :func:`synthesize_diagram` will allocate.
 MAX_CROSSINGS = 1_000_000
+_IDS = [[]]  # ids 0..d of the largest d built so far: every build slices the same int objects
 
 
 class ChainPlan(Value):
@@ -111,7 +112,7 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
     * rectangle q meets the horizontal strands of X_q, then of X_{q+1},
       from ``c0[q]`` on (``alpha_q + alpha_{q+1}``).
 
-    Every curve is a run of slices of the id range from these offsets, an X
+    Every curve is a run of slices at these offsets of one id list, kept and shared by all builds, an X
     curve's in the :func:`_strand_order` of its ``(alpha, |beta'|)``, found once
     per pair, so the crossing count is known before anything is allocated; above
     :data:`MAX_CROSSINGS` it raises :class:`CrossingBudgetExceeded`.  The
@@ -139,8 +140,8 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
     if d > MAX_CROSSINGS:
         raise CrossingBudgetExceeded(f"the diagram needs {d} crossings, above the limit of {MAX_CROSSINGS}")
 
-    # slices of one list of ids, so every curve shares its int objects
-    ids = list(range(d + 1))
+    if len(ids := _IDS[0]) <= d:  # grown by binding a new list, never in place: a concurrent build keeps its own
+        ids = _IDS[0] = list(range(d + 1))
     orders = {pair: _strand_order(*pair) for pair in dict.fromkeys(zip(alphas, bmag))}
     x_curves = []
     for i in range(beads):

@@ -24,6 +24,9 @@ table of tied-family statuses stay here to compare against, and so do the
 Seifert producers that build a fresh ``FiberInvariant`` for every fiber
 (``from_json_per_fiber``, ``lift_seifert_per_fiber``) where the library
 builds one per distinct slope.
+``positivize_by_handles`` trades each -1 crossing of a diagram for the
+paper's trivial handle on its curves, where the library rewrites successor
+lists.
 ``hom_count`` counts homomorphisms of a presented group into a finite
 permutation group (``S3``) by brute force over the generator images, a
 homotopy invariant that abelianization cannot see.
@@ -359,6 +362,19 @@ def _successors(curves):
             nxt[c] = curve[(i + 1) % k]
             prv[c] = curve[(i - 1) % k]
     return nxt, prv
+
+
+def positivize_by_handles(dg: Diagram) -> Diagram:
+    """``dg`` with each -1 crossing ``p`` traded for the paper's trivial handle, drawn as curves: two new
+    ids ``b`` and ``c = b + 1`` above every id, ``c`` takes ``p``'s place on its Y curve, a new Y curve
+    ``(p, b)`` and a new X curve ``(b, c)``.  Every sign is +1, and the declared genus rises by one per
+    handle."""
+    top = max((c for c, _ in dg.signs), default=0)
+    c_of = {p: top + 2 * k + 2 for k, p in enumerate(c for c, v in dg.signs if v == -1)}
+    x_curves = [*dg.x_curves, *((c - 1, c) for c in c_of.values())]
+    y_curves = [[c_of.get(c, c) for c in curve] for curve in dg.y_curves] + [(p, c - 1) for p, c in c_of.items()]
+    signs = dict.fromkeys([*(c for c, _ in dg.signs), *range(top + 1, top + 2 * len(c_of) + 1)], 1)
+    return build_diagram(dg.declared_genus + len(c_of), x_curves, y_curves, signs)
 
 
 def dict_components(dg):

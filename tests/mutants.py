@@ -68,6 +68,11 @@ MUTANTS = [
     ("negatives-by-int-eq", "diagram.py", "map(eq, values, repeat(-1))", "map((-1).__eq__, values)", RUN_TESTS),
     ("index-ignores-run-negatives", "diagram.py", "negatives = signs.negatives", "negatives = ()", RUN_TESTS),
     ("run-iter-ignores-negatives", "diagram.py", "            values[c - 1] = -1\n", "            pass\n", RUN_TESTS),
+    # every build slices one id list that the module keeps, grown past the largest d built
+    ("ids-pool-short", "vertical.py", "if len(ids := _IDS[0]) <= d:", "if len(ids := _IDS[0]) < d:",
+     ("tests/test_vertical.py::TestSharedIds::test_a_list_of_d_ids_is_grown_and_one_of_d_plus_one_is_sliced",)),
+    ("ids-pool-not-kept", "vertical.py", "ids = _IDS[0] = list(range(d + 1))", "ids = list(range(d + 1))",
+     ("tests/test_vertical.py::TestSharedIds::test_consecutive_builds_hold_the_same_int_objects",)),
 ]
 
 

@@ -20,6 +20,7 @@ from helpers import (
     dict_genus_sum,
     intersection_matrix,
     outcome,
+    positivize_by_handles,
 )
 from sfsdiag import diagram
 from sfsdiag.diagram import (
@@ -260,6 +261,30 @@ def test_trivial_handles_make_a_positive_diagram_one_genus_up_per_negative_cross
     assert positive.declared_genus == dict_genus_sum(positive) == dict_genus_sum(dg) + n
     assert dict_face_count(range(1, len(x_next)), positive) == dict_face_count([c for c, _ in dg.signs], dg)
     assert len(dict_components(positive)) == len(dict_components(dg))
+
+
+@st.composite
+def signed_builds(draw):
+    """Built diagrams of 3-5 fibers with alpha at most 9, with 1-4 of their crossings made -1."""
+    fibers = draw(st.lists(st.sampled_from([f for f in COPRIME_FIBERS if f[0] <= 9]), min_size=3, max_size=5))
+    built = build_positive_vertical(SeifertData.normalized(0, fibers, draw(st.integers(-3, 3))))
+    d = built.crossing_count
+    negatives = draw(st.lists(st.integers(1, d), min_size=1, max_size=4, unique=True))
+    return Diagram(built.declared_genus, built.x_curves, built.y_curves, SignRun(d, tuple(sorted(negatives))))
+
+
+@given(signed_builds())
+@settings(max_examples=100, deadline=None)
+def test_handles_drawn_as_curves_make_a_positive_diagram_of_the_same_space(dg):
+    # the paper's move on curves, checked through the positive path: one genus up per -1 crossing,
+    # the same faces and the same first homology
+    n, positive = len(dg.signs.negatives), positivize_by_handles(dg)
+    assert validate(positive) == [] and is_positive_diagram(positive)
+    assert rotation_genus(positive) == rotation_genus(dg) + n
+    assert diagram_homology(positive).same_group(diagram_homology(dg))
+    pair = montesinos_encode(positive)
+    decoded = montesinos_decode(pair)
+    assert decoded.declared_genus == rotation_genus(positive) and montesinos_encode(decoded) == pair
 
 
 @given(st.one_of(signed_pair_diagrams(), relabelled_pair_diagrams()))

@@ -1,5 +1,9 @@
+import hashlib
 import json
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 from math import gcd
 
 import pytest
@@ -200,6 +204,89 @@ def test_wide_synthesis_matches_dict_assembly(s):
     """100-140 fibers with alpha 2-7, as ``build-wide`` draws them: most
     X curves meet a rectangle on either side."""
     check_synthesis_matches_dict_assembly(s)
+
+
+@cache
+def deep_cases() -> tuple:
+    """Twenty seeded spaces of 3-6 fibers with alpha 30-60 (d about 4,600-21,300), by increasing d,
+    each with its plan, slopes and the dict assembly's diagram (equal diagrams write equal JSON)."""
+    rng, cases = random.Random(31), []
+    for _ in range(20):
+        alphas = [rng.randint(30, 60) for _ in range(rng.randint(3, 6))]
+        fibers = [(a, rng.choice([b for b in range(1, a) if gcd(a, b) == 1])) for a in alphas]
+        s = SeifertData.normalized(0, fibers, rng.randint(-5, 5))
+        plan = plan_decomposition(len(fibers))
+        betas = assign_betas(normalize(s), plan)
+        dg = dict_synthesize(plan, betas)
+        cases.append((dg.crossing_count, s, plan, betas, dg))
+    return tuple(sorted(cases, key=lambda case: case[0]))
+
+
+def crossing_orders(cases) -> dict:
+    """``cases`` by decreasing, increasing and interleaved d (largest, smallest, next largest, ...)."""
+    interleaved = [case for pair in zip(cases[::-1], cases) for case in pair][:len(cases)]
+    return {"descending": cases[::-1], "ascending": cases, "interleaved": interleaved}
+
+
+def curve_ids(dg) -> list[int]:
+    return [c for curves in (dg.x_curves, dg.y_curves) for curve in curves for c in curve]
+
+
+class TestSharedIds:
+    """Every build slices one id list that the module keeps and grows to the largest d built."""
+
+    def test_consecutive_builds_hold_the_same_int_objects(self):
+        # the larger build first, so the second slices the list the first kept; ids up to 256 are
+        # CPython's cached small ints and prove nothing
+        big, small = (build_positive_vertical(deep_cases()[k][1]) for k in (-1, 0))
+        kept = {c: c for c in curve_ids(big)}
+        shared = [c for c in curve_ids(small) if c > 256]
+        assert len(shared) == 2 * (small.crossing_count - 256)
+        assert all(c is kept[c] and c is vertical._IDS[0][c] for c in shared)
+
+    @pytest.mark.parametrize("order", ["descending", "ascending", "interleaved"])
+    def test_builds_in_any_crossing_order_match_dict_assembly(self, order, monkeypatch):
+        monkeypatch.setattr(vertical, "_IDS", [[]])
+        for d, _, plan, betas, want in crossing_orders(deep_cases())[order]:
+            assert synthesize_diagram(plan, betas) == want
+            assert len(vertical._IDS[0]) > d
+
+    @pytest.mark.parametrize("spare", [-1, 0, 1])
+    def test_a_list_of_d_ids_is_grown_and_one_of_d_plus_one_is_sliced(self, spare, monkeypatch):
+        # ids 0..d-1 miss the last crossing; ids 0..d and 0..d+1 hold every one
+        for d, _, plan, betas, want in deep_cases()[:3]:
+            pool = list(range(d + 1 + spare))
+            monkeypatch.setattr(vertical, "_IDS", [pool])
+            assert synthesize_diagram(plan, betas) == want
+            assert (vertical._IDS[0] is pool) == (spare >= 0)
+
+    def test_concurrent_builds_match_serial_builds(self, monkeypatch):
+        # four threads race to grow the list, each in its own crossing order; the dict assembly is
+        # what a serial build gives (test_builds_in_any_crossing_order_match_dict_assembly)
+        cases = deep_cases()
+        orders = [*crossing_orders(cases).values(), random.Random(37).sample(cases, len(cases))]
+        monkeypatch.setattr(vertical, "_IDS", [[]])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                built = list(pool.map(lambda order: [(synthesize_diagram(plan, betas), want)
+                                                     for _, _, plan, betas, want in order], orders, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(got == want for pairs in built for got, want in pairs)
+
+    def test_a_build_after_a_larger_one_keeps_its_pinned_bytes(self, monkeypatch):
+        # the deep space's console-script output is pinned by CI, which builds once per process
+        monkeypatch.setattr(vertical, "_IDS", [[]])
+        big = build_positive_vertical(
+            SeifertData.normalized(0, [(97, 50), (89, 40), (83, 41), (79, 30), (73, 20), (71, 33)], -5))
+        assert big.crossing_count == 61_525 and len(vertical._IDS[0]) > 61_525
+        dg = build_positive_vertical(SeifertData.normalized(0, [(59, 37), (53, 29), (47, 31), (41, 17), (43, 20)], -3))
+        text = json.dumps(dg.to_json(), separators=(",", ":")) + "\n"
+        assert dg.crossing_count == 18_121
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "b66ad0da2133555bf4171ba61860b53438b3e3e0f4b0aa0b82c766f03e8b8a79"
 
 
 class TestBuild:
