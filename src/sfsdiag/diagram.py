@@ -20,8 +20,8 @@ per component.
 
 from collections import Counter
 from functools import cached_property
-from itertools import compress, count, repeat
-from operator import eq
+from itertools import chain, compress, count, repeat
+from operator import eq, lt
 
 from .errors import Disconnected, IsolatedCurve, NotPositive, Value, init_field, want, want_ints
 from .exactalg import SnfResult, _snf
@@ -30,12 +30,15 @@ from .presentation import Presentation, _exponent_sums, _letter_counts
 
 class SignRun(Value):
     """The signs ``((1, s_1), ..., (d, s_d))`` of a diagram on ids ``1..d``, kept as ``d`` and the
-    increasing tuple of its -1 ids: it equals, hashes, prints, iterates and slices as that tuple,
-    and the crossing index reads it without a pass."""
+    increasing tuple of its -1 ids, both ints its constructor checks: it equals, hashes, prints,
+    iterates and slices as that tuple, and the crossing index reads it without a pass."""
 
     __slots__ = ("d", "negatives")
 
     def __init__(self, d: int, negatives: tuple[int, ...] = ()):
+        if type(d) is not int or d < 0 or negatives and not (
+                {*map(type, negatives)} == {int} and all(map(lt, (0, *negatives), (*negatives, d + 1)))):
+            raise ValueError(f"a sign run takes an int d >= 0 and increasing int -1 ids in 1..d, not {d!r}, {negatives!r}")
         init_field(self, "d", d)
         init_field(self, "negatives", negatives)
 
@@ -62,7 +65,7 @@ class SignRun(Value):
 
 
 def _negatives(values) -> tuple[int, ...]:
-    """Places 1.. of the -1 values by eq ((-1).__eq__("x") is truthy), via a list: growing tuples fragment the heap."""
+    """Places 1.. of the -1 values, which are ints, via a list: growing tuples fragment the heap."""
     return tuple(list(compress(count(1), map(eq, values, repeat(-1))))) if -1 in values else ()
 
 
@@ -100,8 +103,9 @@ class Diagram(Value):
 
     @cached_property
     def _violations(self) -> tuple["DiagramViolation", ...]:
-        """Empty when the crossing index builds, kept as ``_index``; else every defect, from one exhaustive pass."""
-        if (index := _crossing_index(self.declared_genus, self.x_curves, self.y_curves, self.signs)) is None:
+        """Empty when the index builds, kept as ``_index``, on ints: scanned unless marked ``_ints``; else every defect."""
+        if not (self.__dict__.pop("_ints", 0) or {*map(type, chain(*self.x_curves, *self.y_curves, *self.signs))} <= {int}) \
+                or (index := _crossing_index(self.declared_genus, self.x_curves, self.y_curves, self.signs)) is None:
             return tuple(_find_violations(self))
         self.__dict__["_index"] = index
         return ()
@@ -126,13 +130,16 @@ class Diagram(Value):
         # keys "1".."d" in order with int values +-1 are a run, no parse or sort; types first: a list keeps want's error
         if list(signs) == list(map(str, range(1, len(signs) + 1))) and set(map(type, signs.values())) <= {int} \
                 and set(signs.values()) <= {1, -1}:
-            return cls(genus, x_curves, y_curves, SignRun(len(signs), _negatives(signs.values())))
-        pairs = []
-        for k, v in signs.items():  # canonical decimal keys only: int() alone also takes " 1", "+1" and "1_0"
-            if not (k.removeprefix("-").isdecimal() and str(c := int(k)) == k):
-                raise ValueError(f"$.signs: key {k!r} is not a crossing id")
-            pairs.append((c, v if type(v) is int else want(v, int, "$.signs[{!r}]", k)))
-        return cls(genus, x_curves, y_curves, tuple(sorted(pairs)))
+            signs = SignRun(len(signs), _negatives(signs.values()))
+        else:
+            pairs = []
+            for k, v in signs.items():  # canonical decimal keys only: int() alone also takes " 1", "+1" and "1_0"
+                if not (k.removeprefix("-").isdecimal() and str(c := int(k)) == k):
+                    raise ValueError(f"$.signs: key {k!r} is not a crossing id")
+                pairs.append((c, v if type(v) is int else want(v, int, "$.signs[{!r}]", k)))
+            signs = tuple(sorted(pairs))
+        (dg := cls(genus, x_curves, y_curves, signs)).__dict__["_ints"] = True  # every id and sign was read as an int
+        return dg
 
 
 class DiagramViolation(Value):
@@ -148,9 +155,9 @@ class DiagramViolation(Value):
 def validate(dg: Diagram) -> list[DiagramViolation]:
     """Check the structural invariants; empty list means ok.
 
-    Every crossing id must be an ``int`` found once across the X curves and once across the Y
-    curves, and the signs must name each of those ids exactly once, with values +-1.  Building the
-    crossing index proves them; only a defective diagram runs the exhaustive pass, once per diagram.
+    Every crossing id must be an ``int`` (a bool is none) found once across the X curves and once across
+    the Y curves, and the signs must name each of those ids exactly once, with int values +-1.  A type scan
+    and the crossing index prove them; only a defective diagram runs the exhaustive pass, once per diagram.
     """
     return list(dg._violations)
 
@@ -164,9 +171,9 @@ def _find_violations(dg: Diagram) -> list[DiagramViolation]:
         out.append(DiagramViolation("EmptySide", "no X curves"))
     if not dg.y_curves:
         out.append(DiagramViolation("EmptySide", "no Y curves"))
-    # an id that is no int (a float, a string) fails to index and is listed last; beside one, numbers sort first
+    # an id that is no int (a bool, a float, a string) is listed last; beside one, numbers sort first
     ids = (c for curve in (*dg.x_curves, *dg.y_curves, [k for k, _ in dg.signs]) for c in curve)
-    odd = dict.fromkeys(c for c in ids if not isinstance(c, int))
+    odd = dict.fromkeys(c for c in ids if type(c) is not int)
     key = (lambda c: (0, c) if isinstance(c, (int, float)) else (1, repr(c))) if odd else None
 
     def side_ids(curves, dup_code):
@@ -188,7 +195,7 @@ def _find_violations(dg: Diagram) -> list[DiagramViolation]:
     for c in sorted(signed - (on_x | on_y), key=key):
         out.append(DiagramViolation("ExtraSign", f"sign for unknown crossing {c!r}"))
     for c, v in dg.signs:
-        if v not in (1, -1):
+        if type(v) is not int or v not in (1, -1):
             out.append(DiagramViolation("BadSign", f"crossing {c!r} has sign {v}"))
     return out + [DiagramViolation("BadId", f"crossing id {c!r} is not an integer") for c in odd]
 
@@ -212,7 +219,7 @@ class _CrossingIndex:
 
 
 def _crossing_index(genus, x_curves, y_curves, signs, links=None) -> _CrossingIndex | None:
-    """Index of diagram data; None on any defect :func:`validate` reports.  A run's ids ``1..d`` are their own ranks,
+    """Index of diagram data of ints; None on any defect :func:`validate` reports.  A run's ids ``1..d`` are their own ranks,
     each linked from the one before it; one outside ``-(d+1)..d`` fails to index.  A side's d ids fill its slots once as
     indices and once as values, so they sum to ``d(d+1)/2`` iff the ids are ``1..d``: an unset slot (``2(d+1)**2``)
     outweighs ``-(d+1)`` in each other; with none, each of ``1..d`` is filled once, less ``d + 1`` per negative id.
@@ -225,19 +232,17 @@ def _crossing_index(genus, x_curves, y_curves, signs, links=None) -> _CrossingIn
             return None
         if type(signs) is SignRun:  # a run on 1..d is trusted; its curves are checked below
             negatives = signs.negatives
-        else:  # pairs are ranked, ids 1..d too; only an int id takes a rank, and a repeat leaves fewer than d
+        else:  # pairs are ranked, ids 1..d too; a repeat leaves fewer than d
             rank = dict(signs)  # each id's sign until the signs are read, then each id's rank
-            values = list(map(rank.__getitem__, ids := sorted(c for c in rank if isinstance(c, int))))
+            values = list(map(rank.__getitem__, ids := sorted(rank)))
             if values.count(1) + len(negatives := _negatives(values)) != d:
                 return None
-            rank.update(zip(ids, count(1)))  # the d signs came from int ids, so every key takes a rank
-        # an unset slot outweighs the rest; an id no int is not ranked, and numpy's sum to no int: int.__ne__ refuses
+            rank.update(zip(ids, count(1)))
         unset = 2 * (d + 1) ** 2
         x_next, y_next, letter = [unset] * (d + 1), [unset] * (d + 1), [1] * (d + 1)
         x_next[0] = y_next[0] = 0
         try:
-            x_ranks, idx.y_ranks = (curves if rank is None else [[rank[c] for c in cs if isinstance(c, int)]
-                                                                 for cs in curves] for curves in (x_curves, y_curves))
+            x_ranks, idx.y_ranks = ([[*map(rank.__getitem__, c)] for c in cs] if rank else cs for cs in (x_curves, y_curves))
             for gen, rs in enumerate(x_ranks, start=1):
                 p = rs[-1] if rs else 0
                 for r in rs:  # link each rank from the one before it, the last closing the curve
@@ -247,9 +252,9 @@ def _crossing_index(genus, x_curves, y_curves, signs, links=None) -> _CrossingIn
                 p = rs[-1] if rs else 0
                 for r in rs:
                     y_next[p] = p = r
-            if int.__ne__(sum(x_next), d * (d + 1) // 2) or int.__ne__(sum(y_next), d * (d + 1) // 2):
+            if sum(x_next) != d * (d + 1) // 2 or sum(y_next) != d * (d + 1) // 2:
                 return None
-        except (IndexError, KeyError, TypeError):
+        except (IndexError, KeyError):
             return None
     # per Y curve the X curves it crosses, counted by generator: each rank lies on one X and one
     # Y curve, so column gen sums to the length of X_gen.  The longest Y curve (most crossings of a

@@ -25,7 +25,6 @@ present the same first homology as the input invariants.
 """
 
 from itertools import accumulate
-from math import gcd
 
 from .diagram import Diagram, SignRun, diagram_homology, is_positive_diagram, rotation_genus
 from .errors import BaseGenusUnsupported, CrossingBudgetExceeded, SynthesisInvariantViolation, Value, init_field
@@ -80,7 +79,7 @@ def assign_betas(s: SeifertData, plan: ChainPlan) -> tuple[FiberInvariant, ...]:
 
 
 def _strand_order(a: int, b: int) -> list[int]:
-    """Traversal order of the ``a + b`` strands of an (a, b) torus curve.
+    """Traversal order of the ``a + b`` strands of an (a, b) torus curve, ``a`` and ``b`` positive and coprime.
 
     The curve is laid out as ``a`` horizontal strands (levels 0..a-1,
     bottom to top) and ``b`` vertical strands (slots 0..b-1, left to
@@ -90,10 +89,6 @@ def _strand_order(a: int, b: int) -> list[int]:
     from 0, level ``s`` if ``s < a``, else slot ``a+b-1-s`` when the levels
     travel rightward and ``s-a`` when leftward; coprimality makes it one cycle.
     """
-    if a < 1 or b < 1:
-        raise ValueError("strand counts must be positive")
-    if gcd(a, b) != 1:
-        raise ValueError("strand counts must be coprime")
     n = a + b
     return [k * b % n for k in range(n)]
 
@@ -175,7 +170,7 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
         else:
             y_curves.append((*ids[mid - 1:c0[q] - 1:-1], *ids[mid:c0[q + 1]]))
 
-    dg = Diagram(beads, tuple(x_curves), tuple(y_curves), SignRun(d))
+    (dg := Diagram(beads, tuple(x_curves), tuple(y_curves), SignRun(d))).__dict__["_ints"] = True  # int ids: no scan
 
     try:
         got = dg._index.matrix

@@ -268,16 +268,13 @@ def intersection_matrix(dg: Diagram) -> IntMatrix:
 
 
 def crossing_index_by_zip(genus, x_curves, y_curves, signs):
-    """The crossing index of ``sfsdiag.diagram._crossing_index`` slot by slot, None on the same
-    defects: each rank paired with its successor by ``zip(rs, rs[1:] + rs[:1])``, every sign
-    read from the pairs (a ``SignRun``'s too), every Y curve's letters counted into a
-    ``Counter`` and folded to its exponent sums, the longest curve's too, and the component
-    count from a union-find over the raw letters of every Y curve."""
+    """The crossing index of ``sfsdiag.diagram._crossing_index`` slot by slot, on the same data of
+    ints, and None on the same defects: each rank paired with its successor by
+    ``zip(rs, rs[1:] + rs[:1])``, every sign read from the pairs (a ``SignRun``'s too), every Y
+    curve's letters counted into a ``Counter`` and folded to its exponent sums, the longest
+    curve's too, and the component count from a union-find over the raw letters of every Y curve."""
     d = len(signs)
     if genus < 0 or not x_curves or not y_curves or sum(map(len, x_curves)) != d or sum(map(len, y_curves)) != d:
-        return None
-    ids = [c for curve in (*x_curves, *y_curves) for c in curve] + [c for c, _ in signs]
-    if not all(isinstance(c, int) for c in ids):  # 2.0 or a numpy integer is no crossing id
         return None
     idx, rank = _CrossingIndex(), None
     values = [v for _, v in signs]
@@ -302,7 +299,7 @@ def crossing_index_by_zip(genus, x_curves, y_curves, signs):
         for rs in idx.y_ranks:
             for r, n in zip(rs, rs[1:] + rs[:1]):
                 y_next[r] = n
-    except (IndexError, KeyError, TypeError):
+    except (IndexError, KeyError):
         return None
     if min(x_next) < 0 or min(y_next) < 0:
         return None

@@ -47,25 +47,27 @@ MUTANTS = [
     *((name, "diagram.py", old, new, AGREEMENT_TESTS) for name, old, new in (
         ("sentinel-minus-1", "unset = 2 * (d + 1) ** 2", "unset = -1"),
         ("sentinel-0", "unset = 2 * (d + 1) ** 2", "unset = 0"),
-        ("y-sum-dropped", " or int.__ne__(sum(y_next), d * (d + 1) // 2):", ":"),
-        ("x-sum-dropped", "if int.__ne__(sum(x_next), d * (d + 1) // 2) or ", "if "))),
+        ("y-sum-dropped", " or sum(y_next) != d * (d + 1) // 2:", ":"),
+        ("x-sum-dropped", "if sum(x_next) != d * (d + 1) // 2 or ", "if "))),
     # the Montesinos codec on the crossing index's own proof
     ("encode-slices-from-0", "diagram.py", "tuple(idx.x_next[1:])", "tuple(idx.x_next[0:])", DIAGRAM_TESTS),
     ("links-without-leading-0", "diagram.py", "([0, *p.sigma_x], [0, *p.sigma_y], x_of)",
      "(list(p.sigma_x), list(p.sigma_y), x_of)", DIAGRAM_TESTS),
-    ("rank-filter-dropped", "diagram.py", "sorted(c for c in rank if isinstance(c, int))",
-     "sorted(c for c in rank)", DIAGRAM_TESTS),
     ("cycle-numbers-from-2", "diagram.py", "n = [], start, len(cycles) + 1", "n = [], start, len(cycles) + 2",
      DIAGRAM_TESTS),
-    # an id that is no int never indexes: ranked curve ids, ids that index a list
-    ("ranked-curve-int-check-dropped", "diagram.py", "[[rank[c] for c in cs if isinstance(c, int)]",
-     "[[rank[c] for c in cs]", DIAGRAM_TESTS),
-    ("sum-type-unchecked", "diagram.py",
-     "if int.__ne__(sum(x_next), d * (d + 1) // 2) or int.__ne__(sum(y_next), d * (d + 1) // 2):",
-     "if sum(x_next) != d * (d + 1) // 2 or sum(y_next) != d * (d + 1) // 2:", DIAGRAM_TESTS),
+    # one type boundary: a hand-built diagram's ids and signs are scanned, a reader's and a build's are
+    # not, the exhaustive pass lists a sign value that is no int, and a run checks its own -1 ids
+    ("scan-bypassed", "diagram.py", "or {*map(type, chain(*self.x_curves, *self.y_curves, *self.signs))} <= {int})",
+     "or True)", ("tests/test_diagram_kernel.py::test_error_is_the_first_violation",)),
+    ("mark-ignored", "diagram.py", 'self.__dict__.pop("_ints", 0) or', 'self.__dict__.pop("_ints", 0) and 0 or',
+     ("tests/test_diagram_kernel.py::TestScanOnce",)),
+    ("bad-sign-type-dropped", "diagram.py", "if type(v) is not int or v not in (1, -1):", "if v not in (1, -1):",
+     ("tests/test_diagram_kernel.py::test_error_is_the_first_violation",)),
+    ("run-check-dropped", "diagram.py", "if type(d) is not int or d < 0 or negatives and not (", "if False and (",
+     ("tests/test_diagram_kernel.py::test_a_run_refuses_malformed_negatives",
+      "tests/test_diagram_kernel.py::test_a_hand_built_run_is_refused_or_validated_as_its_tuple")),
     # signs on ids 1..d are one run of their -1 ids: read only from values +-1, kept by the index and by iteration
     ("reader-sign-clause-dropped", "diagram.py", "and set(signs.values()) <= {1, -1}:", "and True:", RUN_TESTS),
-    ("negatives-by-int-eq", "diagram.py", "map(eq, values, repeat(-1))", "map((-1).__eq__, values)", RUN_TESTS),
     ("index-ignores-run-negatives", "diagram.py", "negatives = signs.negatives", "negatives = ()", RUN_TESTS),
     ("run-iter-ignores-negatives", "diagram.py", "            values[c - 1] = -1\n", "            pass\n", RUN_TESTS),
     # every build slices one id list that the module keeps, grown past the largest d built

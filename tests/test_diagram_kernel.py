@@ -3,7 +3,7 @@ tracer in ``helpers``, plus error parity with :func:`validate`."""
 
 from decimal import Decimal
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd
 
 import pytest
@@ -656,8 +656,7 @@ INVALID += [
                        ("2", "MissingFromY: crossing '2' is only on an X curve")]
     for signs in (SignRun(2), ((1, 1), (2, 1)))
 ]
-# ids that are no int under tuple signs, which are ranked: only int ids take a rank, so
-# none of these indexes, and None never meets an int id in a sort
+# ids that are no int under tuple signs, refused by the type scan; None never meets an int id in a sort
 INVALID += [
     (Diagram(1, (("2",),), (("2",),), (("2", -1),)), "invalid diagram: BadId: crossing id '2' is not an integer"),
     (Diagram(1, ((-0.5,),), ((-0.5,),), ((-0.5, 1),)), "invalid diagram: BadId: crossing id -0.5 is not an integer"),
@@ -708,11 +707,10 @@ INVALID += [
                   (NumpyLikeId(2), Diagram(1, ((1, NumpyLikeId(2)),), ((1, 2),), ((1, 1), (2, 1)))),
                   (NumpyLikeId(2), Diagram(1, ((1, 2),), ((NumpyLikeId(2), 1),), SignRun(2)))]
 ]
-# an id that indexes a list but neither equals nor adds as an int: its sum raises TypeError
+# an id that indexes a list but neither equals nor adds as an int, so it is also missing from Y
 INVALID.append((Diagram(1, ((1, IndexId(2)),), ((1, 2),), SignRun(2)),
                 "invalid diagram: MissingFromY: crossing IndexId(2) is only on an X curve"))
-# a sign that is a string, under tuple signs on ids 1..d and on ranked ids, alone and beside a -1:
-# -1 == "x" is False, but (-1).__eq__("x") is NotImplemented, which is truthy
+# a sign that is a string, under tuple signs on ids 1..d and on ranked ids, alone and beside a -1
 INVALID += [
     (Diagram(1, ((a, b),), ((a, b),), signs), f"invalid diagram: BadSign: crossing {b} has sign x")
     for a, b in [(1, 2), (5, 7)]
@@ -720,11 +718,61 @@ INVALID += [
 ]
 
 
+class RaddId(IndexId):
+    """An :class:`IndexId` that equals and hashes as its int, and whose sum with an int is a plain int:
+    no sum of a successor list tells it from the int it stands for."""
+
+    def __eq__(self, other):
+        return self.v == other
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __radd__(self, other):
+        return other + self.v
+
+
+DECODED = montesinos_decode(PermutationPair((2, 3, 1), (3, 1, 2)))
+# ids and a sign that equal the ints they stand for and that only the type scan refuses: a True sign
+# key, a True curve id under tuple signs and under a decoded diagram's own run, a RaddId under a run,
+# and a True sign value
+INVALID += [
+    (dg, f"invalid diagram: BadId: crossing id {c!r} is not an integer")
+    for c, dg in [(True, Diagram(1, ((1, 2),), ((2, 1),), ((True, 1), (2, 1)))),
+                  (True, Diagram(1, ((True,),), ((1,),), ((1, 1),))),
+                  (True, Diagram(1, ((True, *DECODED.x_curves[0][1:]),), DECODED.y_curves, DECODED.signs)),
+                  (RaddId(2), Diagram(1, ((1, RaddId(2)),), ((1, 2),), SignRun(2)))]
+]
+INVALID.append((Diagram(1, ((1,),), ((1,),), ((1, True),)), "invalid diagram: BadSign: crossing 1 has sign True"))
+
+
+def all_ints(dg):
+    """Whether every curve id, sign key and sign value of ``dg`` is an int (a bool is none): the only
+    data the crossing index and its zip oracle take, as the type scan of ``validate`` refuses the rest."""
+    return all(type(c) is int for c in chain(*dg.x_curves, *dg.y_curves, *dg.signs))
+
+
+def check_validate(dg):
+    """``validate`` lists what the exhaustive pass lists, and on a first validation the pass finds a fault
+    whenever ``validate`` builds no index (the type scan refused) or the index is None: else ``_index``
+    would miss its key.  A decoded diagram comes validated."""
+    fresh, built = "_violations" not in dg.__dict__, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagram, "_crossing_index", lambda *args: built.append(_crossing_index(*args)) or built[-1])
+        problems = validate(dg)
+    assert problems == _find_violations(dg)
+    if fresh:
+        assert bool(problems) == (built in ([], [None]))
+    return problems
+
+
 @pytest.mark.parametrize("dg,message", INVALID)
 def test_error_is_the_first_violation(dg, message):
-    first = validate(dg)[0]
+    first = check_validate(dg)[0]
     assert message == f"invalid diagram: {first.code}: {first.message}"
-    assert _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs) is None
+    if all_ints(dg):
+        assert _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs) is None
+        assert crossing_index_by_zip(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs) is None
 
 
 @pytest.mark.parametrize("dg,message", INVALID)
@@ -780,12 +828,13 @@ def renamed_pair_diagrams(draw):
 @st.composite
 def own_rank_key_diagrams(draw):
     """Signed pair diagrams, their ids shifted by 0 (ids ``1..d``) or 10 (ranked), with one id made
-    a value that equals it or indexes a list as it but is no int, among the sign keys, the X curves,
-    the Y curves or several of them (``True`` for id 1 passes as the int 1)."""
+    a value that equals it or indexes a list as it but is no int (``True`` for id 1), among the sign
+    keys, the X curves, the Y curves or several of them."""
     dg = draw(signed_pair_diagrams())
     shift = draw(st.sampled_from((0, 10)))
     r = draw(st.integers(1, dg.crossing_count)) + shift
-    odd = draw(st.sampled_from((float(r), Fraction(r), Decimal(r), NumpyLikeId(r), IndexId(r)) + ((True,) * (r == 1))))
+    odd = draw(st.sampled_from((float(r), Fraction(r), Decimal(r), NumpyLikeId(r), IndexId(r), RaddId(r))
+                               + ((True,) * (r == 1))))
     where = draw(st.sets(st.sampled_from(("signs", "x", "y")), min_size=1))
     x_curves, y_curves = (tuple(tuple(odd if c + shift == r and side in where else c + shift for c in curve)
                                 for curve in curves) for side, curves in (("x", dg.x_curves), ("y", dg.y_curves)))
@@ -796,17 +845,25 @@ def own_rank_key_diagrams(draw):
 @given(st.one_of(raw_diagrams(), renamed_pair_diagrams(), own_rank_key_diagrams()))
 @settings(max_examples=400, deadline=None)
 def test_index_rejects_exactly_what_validate_reports(dg):
-    """Two independent validators, the crossing index and the exhaustive pass, agree; ``validate``
-    lists what the pass lists, though it runs the pass only when the index is None."""
-    problems = _find_violations(dg)
-    index = _crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs)
-    assert (index is None) == bool(problems)
-    assert (crossing_index_by_zip(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs) is None) == bool(problems)
-    assert validate(dg) == problems
+    """Two independent validators, the type scan with the crossing index and the exhaustive pass, agree;
+    ``validate`` lists what the pass lists, though it runs the pass only when the scan or the index
+    refuses.  The index and its zip oracle, which take ints only, agree with the pass on ints."""
+    problems = check_validate(dg)
+    if all_ints(dg):
+        assert (_crossing_index(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs) is None) == bool(problems)
+        assert (crossing_index_by_zip(dg.declared_genus, dg.x_curves, dg.y_curves, dg.signs) is None) == bool(problems)
     if problems:
         with pytest.raises(ValueError) as exc:
             is_positive_diagram(dg)
         assert str(exc.value) == f"invalid diagram: {problems[0].code}: {problems[0].message}"
+
+
+@given(st.one_of(signed_pair_diagrams(), relabelled_pair_diagrams(), shared_sign_pair_diagrams(), decoded_pairs(),
+                 signed_builds(), index_inputs().map(lambda case: Diagram(*case))))
+@settings(max_examples=200, deadline=None)
+def test_validate_lists_what_the_exhaustive_pass_lists(dg):
+    # the kernel's other strategies: valid diagrams, and index_inputs' corrupted ids and empty curves
+    check_validate(dg)
 
 
 @pytest.mark.parametrize("d", range(1, 5))
@@ -818,3 +875,96 @@ def test_index_rejects_every_side_that_is_not_one_to_d(d):
         for xs, ys in (((curve,), valid), (valid, (curve,))):
             dg = Diagram(1, xs, ys, SignRun(d))
             assert (_crossing_index(1, xs, ys, dg.signs) is None) == bool(_find_violations(dg)), (xs, ys)
+
+
+# a run's d and -1 ids that are not an int d >= 0 with increasing int ids in 1..d: out of range,
+# repeated, out of order, a bool or a float among the ids, or a d that is no int or negative
+MALFORMED_RUNS = [(2, (0,)), (2, (3,)), (2, (2, 2)), (3, (2, 1)), (2, (True,)), (2, (2.0,)), (2, ("1",)),
+                  (True, ()), (2.0, ()), (-1, ()), ("2", (1,))]
+
+
+@pytest.mark.parametrize("d,negatives", MALFORMED_RUNS)
+def test_a_run_refuses_malformed_negatives(d, negatives):
+    with pytest.raises(ValueError, match="a sign run takes an int d >= 0 and increasing int -1 ids in 1..d"):
+        SignRun(d, negatives)
+
+
+def well_formed_run(d, negatives):
+    """Whether ``SignRun(d, negatives)`` stands for signs on ids ``1..d``: an int d >= 0, and
+    -1 ids that are ints, each in ``1..d``, in increasing order."""
+    return (type(d) is int and d >= 0 and all(type(c) is int and 1 <= c <= d for c in negatives)
+            and list(negatives) == sorted(set(negatives)))
+
+
+@st.composite
+def hand_built_runs(draw):
+    """A run's ``d`` (0..8, or in a quarter of the draws one that is no int or negative) and any -1 ids
+    (a sorted subset of ``1..d`` in half the draws, else any of -1..d + 1, True, 2.0 and "1", in any
+    order, with repeats), and curves for it to sign: in three draws of four those of a permutation pair
+    on ``1..d``, one id of them corrupted in a third of those, else any curves of ``raw_diagrams``' ids."""
+    d = draw(st.sampled_from((True, 2.0, -1))) if draw(st.integers(0, 3)) == 0 else draw(st.integers(0, 8))
+    top = d if type(d) is int and d >= 0 else 2
+    if draw(st.booleans()):
+        negatives = tuple(sorted(draw(st.sets(st.integers(1, max(top, 1)), max_size=top))))
+    else:
+        negatives = tuple(draw(st.lists(st.one_of(st.integers(-1, top + 1), st.sampled_from((True, 2.0, "1"))),
+                                        max_size=4)))
+    if top > 0 and draw(st.integers(0, 3)):
+        sides = [cycles(draw(st.permutations(range(1, top + 1)))) for _ in "xy"]
+        if draw(st.integers(0, 2)) == 0:
+            curve = draw(st.sampled_from(sides[0] + sides[1]))
+            curve[draw(st.integers(0, len(curve) - 1))] = draw(st.sampled_from((0, top + 1, True, 2.0, curve[0])))
+    else:
+        sides = [draw(st.lists(st.lists(CROSSING_IDS, max_size=4), max_size=3)) for _ in "xy"]
+    return d, negatives, *(tuple(map(tuple, curves)) for curves in sides)
+
+
+@given(hand_built_runs())
+@settings(max_examples=300, deadline=None)
+def test_a_hand_built_run_is_refused_or_validated_as_its_tuple(case):
+    """A run is refused exactly when its d or -1 ids are malformed; a well-formed one stands for its
+    tuple of signs, and ``validate`` lists for it what the exhaustive pass lists."""
+    d, negatives, xs, ys = case
+    if not well_formed_run(d, negatives):
+        with pytest.raises(ValueError):
+            SignRun(d, negatives)
+        return
+    run = SignRun(d, negatives)
+    assert run == tuple((c, -1 if c in negatives else 1) for c in range(1, d + 1))
+    dg, twin = Diagram(1, xs, ys, run), Diagram(1, xs, ys, tuple(run))
+    assert check_validate(dg) == validate(twin)
+    for query in (is_positive_diagram, rotation_genus, diagram_homology):
+        assert outcome(query, dg) == outcome(query, twin)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Each type scan of ``Diagram._violations``, seen as its call of ``chain``, the module's only one."""
+    made = []
+    monkeypatch.setattr(diagram, "chain", lambda *its: made.append(its) or chain(*its))
+    return made
+
+
+class TestScanOnce:
+    def test_a_hand_built_diagram_is_scanned_once(self, scans):
+        dg = Diagram(1, ((1, 2),), ((2, 1),), ((1, 1), (2, 1)))
+        assert validate(dg) == [] and rotation_genus(dg) == 1 and validate(dg) == [] and len(scans) == 1
+        assert "_ints" not in dg.__dict__
+
+    def test_built_read_and_decoded_diagrams_are_not_scanned(self, scans):
+        built = build_positive_vertical(SeifertData.normalized(0, [(3, 1), (5, 2), (7, 3)], -1))
+        doc = built.to_json()
+        signed = dict(doc, signs={k: -1 if int(k) % 3 == 0 else v for k, v in doc["signs"].items()})
+        shifted = dict(doc, x_curves=[[c + 10 for c in curve] for curve in doc["x_curves"]],
+                       y_curves=[[c + 10 for c in curve] for curve in doc["y_curves"]],
+                       signs={str(int(k) + 10): v for k, v in doc["signs"].items()})
+        reads = [Diagram.from_json(d) for d in (doc, signed, shifted)]
+        assert [type(dg.signs) for dg in reads] == [SignRun, SignRun, tuple]
+        decoded = montesinos_decode(montesinos_encode(built))
+        for dg in (built, *reads, decoded):
+            assert validate(dg) == [] and rotation_genus(dg) == dict_genus_sum(dg)
+            assert "_ints" not in dg.__dict__
+        # a defective read is not scanned either: its index is None and the pass lists the fault
+        doc["x_curves"][0][0] = doc["x_curves"][0][1]
+        assert validate(Diagram.from_json(doc))[0].code == "DuplicateOnX"
+        assert scans == []

@@ -5,6 +5,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from sfsdiag.diagram import (
     rotation_genus,
     validate,
 )
-from sfsdiag.errors import BaseGenusUnsupported, CrossingBudgetExceeded, UnsatisfiablePattern
+from sfsdiag.errors import BaseGenusUnsupported, CrossingBudgetExceeded, SynthesisInvariantViolation, UnsatisfiablePattern
 from sfsdiag.presentation import Presentation, abelianization
 from sfsdiag.seifert import FiberInvariant, SeifertData, homology, normalize, sfs_presentation
 from sfsdiag.vertical import (
@@ -123,9 +124,13 @@ class TestStrandCycle:
         assert sorted(c for c in cycle if c[0] == "h") == [("h", k) for k in range(a)]
         assert sorted(c for c in cycle if c[0] == "v") == [("v", v) for v in range(b)]
 
-    def test_rejects_non_coprime(self):
-        with pytest.raises(ValueError):
-            _strand_order(2, 4)
+    @pytest.mark.parametrize("slopes", [((2, 4), (3, -1), (3, 1)), ((3, 1), (4, -2), (5, 2)), ((3, 1), (3, -1), (6, 3))])
+    def test_non_coprime_slopes_fail_the_index_proof(self, slopes):
+        # FiberInvariant makes every slope coprime; duck-typed slopes that are not leave the strand
+        # rotation more than one cycle, and the crossing index refuses the curves it gives
+        betas = [SimpleNamespace(alpha=a, beta=b) for a, b in slopes]
+        with pytest.raises(SynthesisInvariantViolation, match="structural defect: invalid diagram: Duplicate"):
+            synthesize_diagram(ChainPlan(3), betas)
 
 
 def test_strand_rotation_matches_the_switch_walk():
@@ -134,13 +139,14 @@ def test_strand_rotation_matches_the_switch_walk():
             if gcd(a, b) == 1:
                 for hdir in (1, -1):
                     assert tagged(a, b, hdir) == walk_strand_cycle(a, b, hdir) == strand_cycle(a, b, hdir), (a, b, hdir)
+    # the synthesizer's slopes are positive and coprime, so only the two oracle walks check their counts
     for a, b in [(0, 1), (3, 0), (2, 4)]:
         errors = []
-        for strands in (tagged, walk_strand_cycle, strand_cycle):
+        for strands in (walk_strand_cycle, strand_cycle):
             with pytest.raises(ValueError) as exc:
                 strands(a, b, 1)
             errors.append(str(exc.value))
-        assert errors[0] == errors[1] == errors[2]
+        assert errors[0] == errors[1]
 
 
 class TestSynthesize:
