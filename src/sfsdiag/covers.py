@@ -42,7 +42,7 @@ class CoverSpec(Value):
     __slots__ = ("sheets", "partitions")
 
     def __init__(self, sheets: int, partitions: tuple[tuple[int, ...], ...]):
-        if sheets < 1:
+        if want(sheets, int, "sheets") < 1:
             raise ValueError(f"sheet count must be >= 1, got {sheets}")
         for i, part in enumerate(partitions):
             if not part or any(want(b, int, "partitions[{}]", i) < 1 for b in part):

@@ -81,7 +81,7 @@ class Diagram(Value):
 
     def __init__(self, declared_genus: int, x_curves: tuple[tuple[int, ...], ...],
                  y_curves: tuple[tuple[int, ...], ...], signs: tuple[tuple[int, int], ...]):
-        init_field(self, "declared_genus", declared_genus)
+        init_field(self, "declared_genus", want(declared_genus, int, "declared_genus"))
         init_field(self, "x_curves", x_curves)
         init_field(self, "y_curves", y_curves)
         init_field(self, "signs", signs)

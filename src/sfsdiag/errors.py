@@ -13,12 +13,12 @@ _JSON_TYPES = {bool: "boolean", int: "integer", float: "float", str: "string",
 
 
 def want(value, kind: type, path: str, *keys):
-    """``value`` if its JSON type is ``kind`` (a bool is no integer), else a
-    ``TypeError`` naming the JSON path ``path.format(*keys)``."""
+    """``value`` if its type is ``kind`` (a bool is no integer), else a ``TypeError``
+    naming the path ``path.format(*keys)``, with JSON names for JSON types."""
     if type(value) is kind:
         return value
     got = _JSON_TYPES.get(type(value), type(value).__name__)
-    raise TypeError(f"{path.format(*keys)}: expected {_JSON_TYPES[kind]}, got {got}")
+    raise TypeError(f"{path.format(*keys)}: expected {_JSON_TYPES.get(kind, kind.__name__)}, got {got}")
 
 
 def want_ints(value, path: str, *keys) -> list:

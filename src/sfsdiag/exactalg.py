@@ -48,16 +48,16 @@ def floor_sum(fractions: Iterable[tuple[int, int]]) -> int:
 
 
 class IntMatrix(Value):
-    """An ``int`` matrix as ``rows`` tuples of ``cols`` entries; ``from_rows`` and :func:`snf`
-    refuse other entries."""
+    """An ``int`` matrix as ``rows`` tuples of ``cols`` entries; its constructor refuses every
+    entry that is no int, a zero float too, so :func:`snf` reads proven ints."""
 
     __slots__ = ("cols", "entries")
 
     def __init__(self, cols: int, entries: tuple[tuple[int, ...], ...]):
-        if cols < 0:
+        if want(cols, int, "cols") < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        for row in entries:
-            if len(row) != cols:
+        for i, row in enumerate(entries):
+            if len(want_ints(list(row), "entries[{}]", i)) != cols:
                 raise ValueError("ragged matrix rows")
         init_field(self, "cols", cols)
         init_field(self, "entries", entries)
@@ -68,7 +68,7 @@ class IntMatrix(Value):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(want_ints(list(row), "rows[{}]", i)) for i, row in enumerate(rows))
+        data = tuple(map(tuple, rows))
         if cols is None:
             if not data:
                 raise ValueError("cols is required for an empty matrix")
@@ -89,11 +89,11 @@ class SnfResult(Value):
     __slots__ = ("invariant_factors", "free_rank")
 
     def __init__(self, invariant_factors: tuple[int, ...], free_rank: int):
-        if free_rank < 0:
+        if want(free_rank, int, "free_rank") < 0:
             raise ValueError("free rank must be nonnegative")
         prev = None
         for d in invariant_factors:
-            if d <= 0:
+            if type(d) is not int or d <= 0:
                 raise ValueError("invariant factors must be positive")
             if prev is not None and d % prev != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
@@ -116,14 +116,14 @@ class SnfResult(Value):
 
 
 def snf(m: IntMatrix) -> SnfResult:
-    """Smith normal form data of an integer matrix, by sparse elimination (:func:`_snf`)."""
+    """Smith normal form data of an integer matrix, on its proven ints, by sparse elimination (:func:`_snf`)."""
     return _snf((compress(enumerate(entries), entries) for entries in m.entries), m.cols)
 
 
 def _snf(nonzeros, ncols: int) -> SnfResult:
-    """:func:`snf` of the ``ncols``-column matrix whose row ``i`` holds the
-    nonzero entries ``nonzeros[i]``: a ``{col: value}`` mapping, which is
-    copied, or ``(col, value)`` pairs; a zero value is not allowed.
+    """:func:`snf` of the ``ncols``-column matrix whose row ``i`` holds the nonzero
+    entries ``nonzeros[i]``, ints as the callers proved (``IntMatrix``, ``Presentation``, the crossing
+    index): a ``{col: value}`` mapping, which is copied, or ``(col, value)`` pairs; no zero value.
 
     Rows are ``{col: value}`` dicts of nonzeros, beside a column -> row-set
     map.  Each pivot is the least ``|v|`` entry, ties to the shorter column,
@@ -142,9 +142,7 @@ def _snf(nonzeros, ncols: int) -> SnfResult:
     for i, row in enumerate(nonzeros):
         if row := dict(row):
             rows[i] = row
-            for j, v in row.items():
-                if type(v) is not int:
-                    want(v, int, "entries[{}][{}]", i, j)
+            for j in row:
                 if j in cols:
                     cols[j].add(i)
                 else:

@@ -23,11 +23,11 @@ class Presentation(Value):
     __slots__ = ("n_generators", "relators")
 
     def __init__(self, n_generators: int, relators: tuple[tuple[int, ...], ...]):
-        if n_generators < 0:
+        if want(n_generators, int, "n_generators") < 0:
             raise ValueError("generator count must be nonnegative")
         for word in relators:
             for letter in word:
-                if letter == 0 or abs(letter) > n_generators:
+                if type(letter) is not int or letter == 0 or abs(letter) > n_generators:
                     raise ValueError(f"letter {letter} out of range")
         init_field(self, "n_generators", n_generators)
         init_field(self, "relators", relators)

@@ -63,15 +63,17 @@ class SeifertData(Value):
     __slots__ = ("base_genus", "fibers", "euler")
 
     def __init__(self, base_genus: int, fibers: tuple[FiberInvariant, ...], euler: int | None = None):
-        if base_genus < 0:
+        if want(base_genus, int, "base_genus") < 0:
             raise InvalidInvariant(f"base genus must be >= 0, got {base_genus}")
+        if not {*map(type, fibers)} <= {FiberInvariant}:  # a pair or a bool is no fiber: name the first
+            next(want(f, FiberInvariant, "fibers[{}]", i) for i, f in enumerate(fibers) if type(f) is not FiberInvariant)
         if euler is not None:
             for f in fibers:
                 if f.alpha <= 1 or not (0 < f.beta < f.alpha):
                     raise InvalidInvariant(f"fiber ({f.alpha}, {f.beta}) is not in normalized range")
         init_field(self, "base_genus", base_genus)
         init_field(self, "fibers", fibers)
-        init_field(self, "euler", euler)
+        init_field(self, "euler", euler if euler is None else want(euler, int, "euler"))
 
     @property
     def is_normalized(self) -> bool:
@@ -286,9 +288,9 @@ class HorizontalFamily(Value):
 
     def __init__(self, family: str, n: int, sign: int | None = None, fiber_count: int | None = None):
         init_field(self, "family", family)
-        init_field(self, "n", n)
-        init_field(self, "sign", sign)
-        init_field(self, "fiber_count", fiber_count)
+        init_field(self, "n", want(n, int, "n"))
+        init_field(self, "sign", sign if sign is None else want(sign, int, "sign"))
+        init_field(self, "fiber_count", fiber_count if fiber_count is None else want(fiber_count, int, "fiber_count"))
 
 
 def horizontal_family(s: SeifertData) -> HorizontalFamily | None:
@@ -361,9 +363,9 @@ class GenusReport(Value):
                  horizontal_family: HorizontalFamily | None = None, notes: str = ""):
         if case_tag not in _CASE_TAGS:
             raise ValueError(f"unknown case tag {case_tag!r}")
-        if phg_lo > phg_hi:
+        if want(phg_lo, int, "phg_lo") > want(phg_hi, int, "phg_hi"):
             raise ValueError("phg interval is empty")
-        if hg > phg_lo:
+        if want(hg, int, "hg") > phg_lo:
             raise ValueError("hg exceeds the phg lower bound")
         init_field(self, "hg", hg)
         init_field(self, "phg_lo", phg_lo)

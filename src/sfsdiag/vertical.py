@@ -27,7 +27,7 @@ present the same first homology as the input invariants.
 from itertools import accumulate
 
 from .diagram import Diagram, SignRun, diagram_homology, is_positive_diagram, rotation_genus
-from .errors import BaseGenusUnsupported, CrossingBudgetExceeded, SynthesisInvariantViolation, Value, init_field
+from .errors import BaseGenusUnsupported, CrossingBudgetExceeded, SynthesisInvariantViolation, Value, init_field, want
 from .seifert import FiberInvariant, SeifertData, denormalize, homology, normalize
 
 
@@ -49,7 +49,7 @@ class ChainPlan(Value):
     __slots__ = ("r",)
 
     def __init__(self, r: int):
-        if r < 3:
+        if want(r, int, "r") < 3:
             raise ValueError("chain plans need at least three fiber slots")
         init_field(self, "r", r)
 
@@ -118,9 +118,9 @@ def synthesize_diagram(plan: ChainPlan, betas) -> Diagram:
     betas = tuple(betas)
     if len(betas) != r:
         raise ValueError(f"expected {r} slopes, got {len(betas)}")
-    for i, (f, want) in enumerate(zip(betas, plan.sign_pattern)):
-        if not f.beta or (f.beta > 0) != (want == "+"):
-            raise ValueError(f"slope {i} has sign {f.beta} against pattern {want}")
+    for i, (f, sign) in enumerate(zip(betas, plan.sign_pattern)):
+        if not f.beta or (f.beta > 0) != (sign == "+"):
+            raise ValueError(f"slope {i} has sign {f.beta} against pattern {sign}")
 
     alphas = [f.alpha for f in betas]
     bmag = [abs(f.beta) for f in betas]

@@ -29,6 +29,7 @@ TIMEOUT = 300  # seconds per mutant
 MEMORY = 2 << 30  # bytes of address space per mutant: one that loops while it allocates dies alone
 DIAGRAM_TESTS = ("tests/test_diagram.py", "tests/test_diagram_kernel.py")
 RUN_TESTS = (*DIAGRAM_TESTS, "tests/test_values.py")
+BOUNDARY_TEST = "tests/test_values.py::test_each_int_field_refuses_what_is_no_int[{}-True]"
 AGREEMENT_TESTS = ("tests/test_diagram_kernel.py::test_index_rejects_exactly_what_validate_reports",
                    "tests/test_diagram_kernel.py::test_index_rejects_every_side_that_is_not_one_to_d")
 
@@ -70,6 +71,19 @@ MUTANTS = [
     ("reader-sign-clause-dropped", "diagram.py", "and set(signs.values()) <= {1, -1}:", "and True:", RUN_TESTS),
     ("index-ignores-run-negatives", "diagram.py", "negatives = signs.negatives", "negatives = ()", RUN_TESTS),
     ("run-iter-ignores-negatives", "diagram.py", "            values[c - 1] = -1\n", "            pass\n", RUN_TESTS),
+    # one type boundary for every value class: each constructor refuses a field or an entry that is no int
+    ("euler-check-dropped", "seifert.py", 'euler if euler is None else want(euler, int, "euler")', "euler",
+     (BOUNDARY_TEST.format("SeifertData.euler"),)),
+    ("fiber-type-check-dropped", "seifert.py", "if not {*map(type, fibers)} <= {FiberInvariant}:", "if False:",
+     (BOUNDARY_TEST.format("SeifertData.fibers[0]"),)),
+    ("letter-type-test-dropped", "presentation.py", "if type(letter) is not int or letter == 0", "if letter == 0",
+     (BOUNDARY_TEST.format("Presentation.relators[0][0]"),)),
+    ("matrix-row-check-dropped", "exactalg.py", 'if len(want_ints(list(row), "entries[{}]", i)) != cols:',
+     "if len(row) != cols:", (BOUNDARY_TEST.format("IntMatrix.entries[0][0]"),)),
+    ("factor-type-test-dropped", "exactalg.py", "if type(d) is not int or d <= 0:", "if d <= 0:",
+     (BOUNDARY_TEST.format("SnfResult.invariant_factors[0]"),)),
+    ("genus-want-dropped", "diagram.py", 'want(declared_genus, int, "declared_genus")', "declared_genus",
+     (BOUNDARY_TEST.format("Diagram.declared_genus"),)),
     # every build slices one id list that the module keeps, grown past the largest d built
     ("ids-pool-short", "vertical.py", "if len(ids := _IDS[0]) <= d:", "if len(ids := _IDS[0]) < d:",
      ("tests/test_vertical.py::TestSharedIds::test_a_list_of_d_ids_is_grown_and_one_of_d_plus_one_is_sliced",)),

@@ -2,9 +2,11 @@
 
 import copy
 import glob
+import importlib
 import json
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 
@@ -27,6 +29,7 @@ from sfsdiag import (
     rotation_genus,
 )
 from sfsdiag.diagram import DiagramViolation, SignRun
+from sfsdiag.errors import Value
 
 from helpers import SRC, VERB_PAYLOADS
 
@@ -241,6 +244,86 @@ def test_checks_still_run_in_the_constructor():
         GenusReport(1, 1, 1, "ThmZ")
     with pytest.raises(ValueError, match="^hg exceeds the phg lower bound$"):
         GenusReport(3, 2, 2, "Generic_g0")
+
+
+WANT = "{path}: expected integer, got {got}"
+RUN = "a sign run takes an int d >= 0 and increasing int -1 ids in 1..d, not {}"
+
+
+def row(path, make, good=1, bad=(True, 1.0), error=TypeError, message=WANT):
+    """One int field or kind of int entry: its path, a constructor call that puts x there, an x that
+    builds, the xs that are no int, and the exception and message (of path, x and x's type) each gets."""
+    return path, make, good, bad, error, message
+
+
+# Per value class, one row per int field and per kind of int entry; the bad xs are a bool and a float
+# that equal an accepted int, and more where a class had a way to take them.  A class with no int
+# in its fields has no row.
+BOUNDARY = {
+    ChainPlan: [row("r", lambda x: ChainPlan(x), 3, (True, 3.0))],
+    CoverSpec: [row("sheets", lambda x: CoverSpec(x, ((1,),))),
+                row("partitions[0]", lambda x: CoverSpec(1, ((x,),)))],
+    # crossing ids and signs are validate's, in tests/test_diagram_kernel.py
+    Diagram: [row("declared_genus", lambda x: Diagram(x, ((1,),), ((1,),), ((1, 1),)), bad=(True, 1.0, "1"))],
+    DiagramViolation: [],
+    FiberInvariant: [row("alpha", lambda x: FiberInvariant(x, 1)), row("beta", lambda x: FiberInvariant(2, x))],
+    GenusReport: [row("hg", lambda x: GenusReport(x, 1, 1, "ThmA1")),
+                  row("phg_lo", lambda x: GenusReport(1, x, 1, "ThmA1")),
+                  row("phg_hi", lambda x: GenusReport(1, 1, x, "ThmA1"))],
+    HorizontalFamily: [row("n", lambda x: HorizontalFamily("2.1", x, 1)),
+                       row("sign", lambda x: HorizontalFamily("2.1", 1, x)),
+                       row("fiber_count", lambda x: HorizontalFamily("1.1", 1, None, x))],
+    IntMatrix: [row("cols", lambda x: IntMatrix(x, ((0,),))), row("entries[0][0]", lambda x: IntMatrix(1, ((x,),)))],
+    PermutationPair: [row("sigma_x", lambda x: PermutationPair((x,), (1,)), error=ValueError,
+                          message="sigma_x is not a permutation of 1..1"),
+                      row("sigma_y", lambda x: PermutationPair((1,), (x,)), error=ValueError,
+                          message="sigma_y is not a permutation of 1..1")],
+    Presentation: [row("n_generators", lambda x: Presentation(x, ((1,),))),
+                   row("relators[0][0]", lambda x: Presentation(1, ((x,),)), error=ValueError,
+                       message="letter {x} out of range")],
+    SeifertData: [row("base_genus", lambda x: SeifertData(x, ())), row("euler", lambda x: SeifertData(0, (), x)),
+                  row("fibers[0]", lambda x: SeifertData(0, (x,)), FiberInvariant(2, 1), (True, 1.0, (2, 1)),
+                      message="{path}: expected FiberInvariant, got {got}")],
+    SignRun: [row("d", lambda x: SignRun(x), error=ValueError, message=RUN.format("{x}, ()")),
+              row("negatives[0]", lambda x: SignRun(1, (x,)), error=ValueError, message=RUN.format("1, ({x},)"))],
+    SnfResult: [row("free_rank", lambda x: SnfResult((), x)),
+                row("invariant_factors[0]", lambda x: SnfResult((x,), 0), error=ValueError,
+                    message="invariant factors must be positive")],
+}
+GOT = {bool: "boolean", float: "float", str: "string", tuple: "tuple"}
+REFUSALS = [pytest.param(make, x, error, message.format(path=path, got=GOT[type(x)], x=x),
+                         id=f"{cls.__name__}.{path}-{x!r}")
+            for cls, rows in BOUNDARY.items() for path, make, _, bad, error, message in rows for x in bad]
+
+
+def value_classes() -> set:
+    """Every subclass of ``Value`` that the package's modules define, once all of them are imported."""
+    for module in pkgutil.iter_modules(sfsdiag.__path__):
+        importlib.import_module(f"sfsdiag.{module.name}")
+    found, todo = set(), [Value]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("sfsdiag.") and cls not in found:
+                found.add(cls)
+                todo.append(cls)
+    return found
+
+
+def test_the_boundary_table_names_every_value_class():
+    assert set(BOUNDARY) == value_classes()
+
+
+@pytest.mark.parametrize("make,x,error,message", REFUSALS)
+def test_each_int_field_refuses_what_is_no_int(make, x, error, message):
+    with pytest.raises(error) as info:
+        make(x)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("cls,make,x", [pytest.param(cls, make, good, id=f"{cls.__name__}.{path}")
+                                        for cls, rows in BOUNDARY.items() for path, make, good, *_ in rows])
+def test_each_int_field_takes_an_int(cls, make, x):
+    assert type(make(x)) is cls
 
 
 class TestPackage:
