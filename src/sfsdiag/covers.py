@@ -68,9 +68,9 @@ def cyclic_cover_spec(sheets: int) -> CoverSpec:
 
 def lifted_diagram_genus(g: int, sheets: int) -> int:
     """Genus ``sheets*(g-1) + 1`` of the lifted positive diagram."""
-    if g < 0:
+    if want(g, int, "g") < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
-    if sheets < 1:
+    if want(sheets, int, "sheets") < 1:
         raise ValueError(f"sheet count must be >= 1, got {sheets}")
     return sheets * (g - 1) + 1
 
@@ -165,7 +165,7 @@ def beta_star(pairs, lam: int):
     """Numerators congruent to the given ones, coprime to ``lam``, with
     the same floor sum.
 
-    ``lam`` must be odd; each ``(alpha, beta)`` pair must be ints, coprime,
+    ``lam`` must be odd; each ``(alpha, beta)`` pair holds two coprime ints,
     with ``alpha >= 1``.  Works one odd prime power at a time, stitches the
     per-prime answers together with the Chinese remainder theorem, and
     repairs the floor sum with one correction by a multiple of
@@ -174,14 +174,12 @@ def beta_star(pairs, lam: int):
     cannot factor raises :class:`WorkBudgetExceeded`.
     """
     pairs = tuple((a, b) for a, b in pairs)
-    if type(lam) is not int or not {type(x) for pair in pairs for x in pair} <= {int}:
-        raise TypeError(f"sheet count and pair entries must be ints, got {lam!r} and {pairs}")
-    if lam < 1 or lam % 2 == 0:
+    if want(lam, int, "lam") < 1 or lam % 2 == 0:
         raise ValueError(f"sheet count must be odd and positive, got {lam}")
-    for a, b in pairs:
-        if a < 1:
+    for i, (a, b) in enumerate(pairs):
+        if want(a, int, "pairs[{}][0]", i) < 1:
             raise ValueError(f"alpha must be >= 1, got {a}")
-        if gcd(a, b) != 1:
+        if gcd(a, want(b, int, "pairs[{}][1]", i)) != 1:
             raise ValueError(f"pair ({a}, {b}) is not coprime")
     if lam == 1 or not pairs:
         return tuple(b for _, b in pairs)

@@ -18,14 +18,12 @@ from .errors import Incompatible, Value, init_field, want, want_ints
 def crt(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """Combine congruences ``x = r_i (mod m_i)`` into one ``x = r (mod lcm)``.
 
-    Moduli need not be coprime.  Returns ``(r, lcm)`` with ``0 <= r < lcm``;
-    the empty system yields ``(0, 1)``.  Raises :class:`Incompatible` when
-    two congruences disagree modulo the gcd of their moduli.
+    Trusts its caller (``beta_star``) for ints and moduli ``m_i >= 1``; moduli need not be coprime.
+    Returns ``(r, lcm)`` with ``0 <= r < lcm``; the empty system yields ``(0, 1)``.  Raises
+    :class:`Incompatible` when two congruences disagree modulo the gcd of their moduli.
     """
     res, mod = 0, 1
     for r_i, m_i in pairs:
-        if m_i < 1:
-            raise ValueError(f"modulus must be >= 1, got {m_i}")
         g = gcd(mod, m_i)
         if (r_i - res) % g != 0:
             raise Incompatible(
@@ -38,11 +36,9 @@ def crt(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 
 def floor_sum(fractions: Iterable[tuple[int, int]]) -> int:
-    """Sum of ``floor(beta/alpha)`` over ``(beta, alpha)`` pairs, ``alpha >= 1``."""
+    """Sum of ``floor(beta/alpha)`` over ``(beta, alpha)`` pairs of ints, ``alpha >= 1`` as its callers proved."""
     total = 0
     for beta, alpha in fractions:
-        if alpha < 1:
-            raise ValueError(f"denominator must be >= 1, got {alpha}")
         total += beta // alpha
     return total
 

@@ -188,7 +188,7 @@ def denormalize(
     r = len(pattern)
     if r < m:
         raise ValueError(f"pattern length {r} is shorter than fiber count {m}")
-    if absorber_index is not None and not (0 <= absorber_index < r):
+    if absorber_index is not None and not (0 <= want(absorber_index, int, "absorber_index") < r):
         raise ValueError(f"absorber index {absorber_index} out of range")
 
     alphas = [f.alpha for f in s.fibers] + [1] * (r - m)
@@ -287,9 +287,13 @@ class HorizontalFamily(Value):
     __slots__ = ("family", "n", "sign", "fiber_count")
 
     def __init__(self, family: str, n: int, sign: int | None = None, fiber_count: int | None = None):
+        if family not in _FAMILY_NAMES:
+            raise ValueError(f"unknown horizontal family {family!r}")
+        if sign is not None and want(sign, int, "sign") not in (1, -1):
+            raise ValueError(f"unknown sign {sign!r}")
         init_field(self, "family", family)
         init_field(self, "n", want(n, int, "n"))
-        init_field(self, "sign", sign if sign is None else want(sign, int, "sign"))
+        init_field(self, "sign", sign)
         init_field(self, "fiber_count", fiber_count if fiber_count is None else want(fiber_count, int, "fiber_count"))
 
 
@@ -344,6 +348,7 @@ def horizontal_family(s: SeifertData) -> HorizontalFamily | None:
     return None
 
 
+_FAMILY_NAMES = {"1.1": None, "1.2": None, "2.1": "half-third", "2.2": "half-quarter", "2.3": "third-third"}
 _CASE_TAGS = (
     "ThmA1",
     "ThmA2",
@@ -363,6 +368,8 @@ class GenusReport(Value):
                  horizontal_family: HorizontalFamily | None = None, notes: str = ""):
         if case_tag not in _CASE_TAGS:
             raise ValueError(f"unknown case tag {case_tag!r}")
+        if (fam := horizontal_family) is not None and not (_FAMILY_NAMES[fam.family] and fam.sign):
+            raise ValueError(f"a report cannot name family {fam.family!r} with sign {fam.sign!r}")
         if want(phg_lo, int, "phg_lo") > want(phg_hi, int, "phg_hi"):
             raise ValueError("phg interval is empty")
         if want(hg, int, "hg") > phg_lo:
@@ -388,9 +395,8 @@ class GenusReport(Value):
         }
         if self.horizontal_family is not None:
             fam = self.horizontal_family
-            names = {"2.1": "half-third", "2.2": "half-quarter", "2.3": "third-third"}
             out["family"] = {
-                "id": names[fam.family],
+                "id": _FAMILY_NAMES[fam.family],
                 "n": fam.n,
                 "sign": "+" if fam.sign == 1 else "-",
             }

@@ -62,7 +62,7 @@ class ChainPlan(Value):
 
 def plan_decomposition(m: int) -> ChainPlan:
     """Deterministic chain plan for ``m`` fibers, padded up to three slots."""
-    if m < 0:
+    if want(m, int, "m") < 0:
         raise ValueError("fiber count must be nonnegative")
     return ChainPlan(max(m, 3))
 

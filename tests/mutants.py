@@ -1,7 +1,7 @@
 """Committed mutants of ``src/sfsdiag`` and a stdlib runner that checks each one is caught.
 
 Each entry of ``MUTANTS`` names a module under ``src/sfsdiag``, an exact old text that must
-occur in it once, the text that replaces it, and the test files to run.  Per mutant the runner
+occur in it once, the text that replaces it, and the test files or node ids to run.  Per mutant the runner
 copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory, applies the one
 mutant there and runs ``pytest -x -q`` on its test files within ``TIMEOUT`` and ``MEMORY``.
 The run fails on a survivor (the tests pass), a timeout, a pytest that ends in neither pass nor
@@ -30,12 +30,14 @@ MEMORY = 2 << 30  # bytes of address space per mutant: one that loops while it a
 DIAGRAM_TESTS = ("tests/test_diagram.py", "tests/test_diagram_kernel.py")
 RUN_TESTS = (*DIAGRAM_TESTS, "tests/test_values.py")
 BOUNDARY_TEST = "tests/test_values.py::test_each_int_field_refuses_what_is_no_int[{}-True]"
+FUNCTION_TEST = "tests/test_values.py::test_each_int_argument_refuses_what_is_no_int[{}-True]"
+FAMILY_TEST = "tests/test_values.py::test_a_family_is_refused_where_it_cannot_be_represented[{}]"
+HANDLE_TEST = "tests/test_diagram_kernel.py::test_handles_drawn_as_curves_make_a_positive_diagram_of_the_same_space"
 AGREEMENT_TESTS = ("tests/test_diagram_kernel.py::test_index_rejects_exactly_what_validate_reports",
                    "tests/test_diagram_kernel.py::test_index_rejects_every_side_that_is_not_one_to_d")
 
-# (name, module, old text, new text, test files)
+# (name, module, old text, new text, test files or node ids)
 MUTANTS = [
-    ("identity", "diagram.py", "def validate(", "def validate(", DIAGRAM_TESTS),
     # validate answers from the crossing index
     ("violations-keep-no-index", "diagram.py",
      '        self.__dict__["_index"] = index\n        return ()\n', "        return ()\n", ("tests/test_diagram.py",)),
@@ -69,8 +71,11 @@ MUTANTS = [
       "tests/test_diagram_kernel.py::test_a_hand_built_run_is_refused_or_validated_as_its_tuple")),
     # signs on ids 1..d are one run of their -1 ids: read only from values +-1, kept by the index and by iteration
     ("reader-sign-clause-dropped", "diagram.py", "and set(signs.values()) <= {1, -1}:", "and True:", RUN_TESTS),
-    ("index-ignores-run-negatives", "diagram.py", "negatives = signs.negatives", "negatives = ()", RUN_TESTS),
-    ("run-iter-ignores-negatives", "diagram.py", "            values[c - 1] = -1\n", "            pass\n", RUN_TESTS),
+    ("index-ignores-run-negatives", "diagram.py", "negatives = signs.negatives", "negatives = ()",
+     ("tests/test_diagram_kernel.py::test_index_of_a_signed_built_read_matches_the_tuple_path", HANDLE_TEST)),
+    ("run-iter-ignores-negatives", "diagram.py", "            values[c - 1] = -1\n", "            pass\n",
+     ("tests/test_values.py::test_a_positive_run_acts_as_the_tuple_it_stands_for",
+      "tests/test_diagram_kernel.py::test_from_json_reads_ids_one_to_d_as_a_run")),
     # one type boundary for every value class: each constructor refuses a field or an entry that is no int
     ("euler-check-dropped", "seifert.py", 'euler if euler is None else want(euler, int, "euler")', "euler",
      (BOUNDARY_TEST.format("SeifertData.euler"),)),
@@ -89,7 +94,35 @@ MUTANTS = [
      ("tests/test_vertical.py::TestSharedIds::test_a_list_of_d_ids_is_grown_and_one_of_d_plus_one_is_sliced",)),
     ("ids-pool-not-kept", "vertical.py", "ids = _IDS[0] = list(range(d + 1))", "ids = list(range(d + 1))",
      ("tests/test_vertical.py::TestSharedIds::test_consecutive_builds_hold_the_same_int_objects",)),
+    # one type boundary for every public function: each refuses an int argument or entry that is no int
+    ("g-want-dropped", "covers.py", 'if want(g, int, "g") < 0:', "if g < 0:",
+     (FUNCTION_TEST.format("lifted_diagram_genus.g"),)),
+    ("sheets-want-dropped", "covers.py", '{g}")\n    if want(sheets, int, "sheets") < 1:', '{g}")\n    if sheets < 1:',
+     (FUNCTION_TEST.format("lifted_diagram_genus.sheets"),)),
+    ("absorber-want-dropped", "seifert.py", 'want(absorber_index, int, "absorber_index")', "absorber_index",
+     (FUNCTION_TEST.format("denormalize.absorber_index"),)),
+    ("m-want-dropped", "vertical.py", 'if want(m, int, "m") < 0:', "if m < 0:",
+     (FUNCTION_TEST.format("plan_decomposition.m"),)),
+    ("lam-want-dropped", "covers.py", 'want(lam, int, "lam")', "lam", (FUNCTION_TEST.format("beta_star.lam"),)),
+    ("alpha-want-dropped", "covers.py", 'want(a, int, "pairs[{}][0]", i)', "a",
+     (FUNCTION_TEST.format("beta_star.pairs[0][0]"),)),
+    ("beta-want-dropped", "covers.py", 'want(b, int, "pairs[{}][1]", i)', "b",
+     (FUNCTION_TEST.format("beta_star.pairs[0][1]"),)),
+    # a horizontal family is refused where a report could not name it
+    ("family-check-dropped", "seifert.py", "if family not in _FAMILY_NAMES:", "if False:",
+     (FAMILY_TEST.format("unknown-family"),)),
+    ("sign-range-dropped", "seifert.py", "not in (1, -1):", "is None:", (FAMILY_TEST.format("sign-5"),)),
+    ("report-family-check-dropped", "seifert.py", "and not (_FAMILY_NAMES[fam.family] and fam.sign):", "and False:",
+     (FAMILY_TEST.format("report-family-1.1"),)),
+    # the paper's trivial handle: the index's own handles, checked against the handles drawn as curves
+    ("handle-links-p-to-c", "diagram.py", "        y_next[p] = c - 1\n", "        y_next[p] = c\n", (HANDLE_TEST,)),
+    ("exponent-sums-unsigned", "presentation.py", "    if min(counts, default=1) > 0:\n", "    if True:\n",
+     (HANDLE_TEST,)),
 ]
+# the identity checks the runner: it runs every test file and node id named above, each once
+NAMED = {test for *_, tests in MUTANTS for test in tests}
+MUTANTS.insert(0, ("identity", "diagram.py", "def validate(", "def validate(",
+                   tuple(sorted(test for test in NAMED if "::" not in test or test.split("::")[0] not in NAMED))))
 
 
 def stale(mutants) -> list[str]:

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from math import gcd, prod
@@ -164,13 +165,25 @@ class TestBetaStar:
         with pytest.raises(TypeError):
             beta_star(pairs, 3)
 
-    @pytest.mark.parametrize("pairs,lam", [
-        ([(2, 1), (5, 3)], 3.0), ([(2, True), (5, 3)], 3), ([(2, 1), (5, 3)], True), ([(2, 1), (5.0, 3)], 3),
-    ])
-    def test_bools_and_floats_are_refused(self, pairs, lam):
+    @pytest.mark.parametrize("pairs,lam,message", [
+        ([(2, 1), (5, 3)], 3.0, "lam: expected integer, got float"),
+        ([(2, True), (5, 3)], 3, "pairs[0][1]: expected integer, got boolean"),
+        ([(2, 1), (5, 3)], True, "lam: expected integer, got boolean"),
+        ([(2, 1), (5.0, 3)], 3, "pairs[1][0]: expected integer, got float"),
+    ], ids=["pairs0-3.0", "pairs1-3", "pairs2-True", "pairs3-3"])
+    def test_bools_and_floats_are_refused(self, pairs, lam, message):
         # each was read as beta_star([(2, 1), (5, 3)], 3) == (-1, 8), a float lam even under -O
-        with pytest.raises(TypeError, match="must be ints"):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             beta_star(pairs, lam)
+
+    def test_each_argument_is_checked_before_the_next(self):
+        # the sheet count's type and range, then each pair's alpha and beta in turn
+        with pytest.raises(ValueError, match="^sheet count must be odd and positive, got 2$"):
+            beta_star([(2, 1.0)], 2)
+        with pytest.raises(ValueError, match="^alpha must be >= 1, got 0$"):
+            beta_star([(0, 1), (2.0, 1)], 3)
+        with pytest.raises(TypeError, match=r"^pairs\[1\]\[0\]: expected integer, got float$"):
+            beta_star([(2, 1), (2.0, 1)], 3)
 
     def test_float_sheet_count_refused_under_optimize(self):
         code = ("from sfsdiag.covers import beta_star\n"
@@ -178,7 +191,7 @@ class TestBetaStar:
                 "except TypeError as exc:\n    print('TypeError', exc)")
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
                               env=dict(os.environ, PYTHONPATH=SRC))
-        assert proc.returncode == 0 and proc.stdout.startswith("TypeError sheet count"), proc.stderr
+        assert proc.returncode == 0 and proc.stdout == "TypeError lam: expected integer, got float\n", proc.stderr
 
     @pytest.mark.parametrize("lam,stars", [(3, (7, -17, -4)), (9, (7, -17, -4)), (15, (-17, 13, 38))])
     def test_goldens(self, lam, stars):

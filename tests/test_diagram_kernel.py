@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    S3,
     build_diagram,
     crossing_index_by_zip,
     cycles_by_scan,
@@ -18,6 +19,7 @@ from helpers import (
     dict_components,
     dict_face_count,
     dict_genus_sum,
+    hom_count,
     intersection_matrix,
     outcome,
     positivize_by_handles,
@@ -42,7 +44,7 @@ from sfsdiag.diagram import (
     validate,
 )
 from sfsdiag.errors import Disconnected
-from sfsdiag.presentation import _exponent_sums, abelianization
+from sfsdiag.presentation import _exponent_sums, abelianization, positivize
 from sfsdiag.seifert import SeifertData
 from sfsdiag.vertical import build_positive_vertical
 
@@ -264,27 +266,50 @@ def test_trivial_handles_make_a_positive_diagram_one_genus_up_per_negative_cross
 
 
 @st.composite
-def signed_builds(draw):
-    """Built diagrams of 3-5 fibers with alpha at most 9, with 1-4 of their crossings made -1."""
+def signed_builds(draw, max_negatives=4):
+    """Built diagrams of 3-5 fibers with alpha at most 9, with 1..max_negatives of their crossings made -1."""
     fibers = draw(st.lists(st.sampled_from([f for f in COPRIME_FIBERS if f[0] <= 9]), min_size=3, max_size=5))
     built = build_positive_vertical(SeifertData.normalized(0, fibers, draw(st.integers(-3, 3))))
     d = built.crossing_count
-    negatives = draw(st.lists(st.integers(1, d), min_size=1, max_size=4, unique=True))
+    negatives = draw(st.lists(st.integers(1, d), min_size=1, max_size=max_negatives, unique=True))
     return Diagram(built.declared_genus, built.x_curves, built.y_curves, SignRun(d, tuple(sorted(negatives))))
 
 
-@given(signed_builds())
+def mirrored_run(dg):
+    """A signed build with every sign flipped: a run whose -1 ids are the majority, so the index puts
+    its own handles on the +1 crossings."""
+    d = dg.crossing_count
+    negatives = tuple(sorted(set(range(1, d + 1)) - set(dg.signs.negatives)))
+    return Diagram(dg.declared_genus, dg.x_curves, dg.y_curves, SignRun(d, negatives))
+
+
+def relabelled_build(dg):
+    """A signed build with crossing ``c`` renamed ``2c + 1000``: tuple signs off ``1..d``, read by rank."""
+    return relabel(dg, [2 * c + 1000 for c in range(1, dg.crossing_count + 1)])
+
+
+@given(st.one_of(signed_builds(), signed_builds().map(mirrored_run), signed_builds().map(relabelled_build)))
 @settings(max_examples=100, deadline=None)
 def test_handles_drawn_as_curves_make_a_positive_diagram_of_the_same_space(dg):
     # the paper's move on curves, checked through the positive path: one genus up per -1 crossing,
     # the same faces and the same first homology
-    n, positive = len(dg.signs.negatives), positivize_by_handles(dg)
+    n, positive = sum(v < 0 for _, v in dg.signs), positivize_by_handles(dg)
     assert validate(positive) == [] and is_positive_diagram(positive)
     assert rotation_genus(positive) == rotation_genus(dg) + n
     assert diagram_homology(positive).same_group(diagram_homology(dg))
     pair = montesinos_encode(positive)
     decoded = montesinos_decode(pair)
     assert decoded.declared_genus == rotation_genus(positive) and montesinos_encode(decoded) == pair
+
+
+@given(st.one_of(signed_builds(max_negatives=2), signed_builds(max_negatives=2).map(relabelled_build)))
+@settings(max_examples=40, deadline=None)
+def test_handles_keep_the_s3_count(dg):
+    # one or two -1 crossings: the same number of maps into S3 from D, from D with its handles drawn as
+    # curves, and from the positivized presentation of D
+    count = hom_count(diagram_presentation(dg), S3)
+    assert hom_count(diagram_presentation(positivize_by_handles(dg)), S3) == count
+    assert hom_count(positivize(diagram_presentation(dg)), S3) == count
 
 
 @given(st.one_of(signed_pair_diagrams(), relabelled_pair_diagrams()))

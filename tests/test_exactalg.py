@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfsdiag.errors import Incompatible
+from sfsdiag.covers import beta_star
+from sfsdiag.errors import Incompatible, InvalidInvariant
 from sfsdiag.exactalg import (
     IntMatrix,
     SnfResult,
@@ -15,6 +16,7 @@ from sfsdiag.exactalg import (
     floor_sum,
     snf,
 )
+from sfsdiag.seifert import FiberInvariant
 
 from helpers import crt_by_scan, det, join_ascending, join_by_runs, least_positive_residue, smith_via_minors
 
@@ -118,8 +120,6 @@ class TestJoin:
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: crt([(1, 2), (0, 0)]), "modulus must be >= 1, got 0"),
-    (lambda: floor_sum([(1, 2), (3, -1)]), "denominator must be >= 1, got -1"),
     (lambda: IntMatrix(-1, ()), "matrix dimensions must be nonnegative"),
     (lambda: IntMatrix(2, ((1, 2), (3,))), "ragged matrix rows"),
     (lambda: IntMatrix.from_rows([]), "cols is required for an empty matrix"),
@@ -130,6 +130,18 @@ class TestJoin:
 def test_out_of_range_arguments_refused(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# crt and floor_sum trust their callers for moduli and denominators >= 1; each public way to them refuses
+# one below 1 at its own boundary
+@pytest.mark.parametrize("call,error", [
+    (lambda: beta_star([(5, 3), (0, 1)], 3), ValueError),
+    (lambda: FiberInvariant(0, 1), InvalidInvariant),
+], ids=["beta_star", "FiberInvariant"])
+def test_each_caller_refuses_what_the_kernels_trust(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == "alpha must be >= 1, got 0"
 
 
 class TestLeastPositiveResidue:

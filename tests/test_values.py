@@ -3,6 +3,7 @@
 import copy
 import glob
 import importlib
+import inspect
 import json
 import os
 import pickle
@@ -25,7 +26,12 @@ from sfsdiag import (
     Presentation,
     SeifertData,
     SnfResult,
+    beta_star,
     build_positive_vertical,
+    cyclic_cover_spec,
+    denormalize,
+    lifted_diagram_genus,
+    plan_decomposition,
     rotation_genus,
 )
 from sfsdiag.diagram import DiagramViolation, SignRun
@@ -246,6 +252,24 @@ def test_checks_still_run_in_the_constructor():
         GenusReport(3, 2, 2, "Generic_g0")
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: HorizontalFamily("9.9", 1), "unknown horizontal family '9.9'"),
+    (lambda: HorizontalFamily("2.1", 1, sign=5), "unknown sign 5"),
+    (lambda: HorizontalFamily("1.2", 1, sign=0), "unknown sign 0"),
+    (lambda: GenusReport(2, 3, 3, "ThmA1", horizontal_family=HorizontalFamily("1.1", 1, fiber_count=4)),
+     "a report cannot name family '1.1' with sign None"),
+    (lambda: GenusReport(2, 3, 3, "ThmA2", horizontal_family=HorizontalFamily("1.2", 1, sign=1)),
+     "a report cannot name family '1.2' with sign 1"),
+    (lambda: GenusReport(2, 2, 2, "ThmB_family", HorizontalFamily("2.1", 1)),
+     "a report cannot name family '2.1' with sign None"),
+], ids=["unknown-family", "sign-5", "sign-0", "report-family-1.1", "report-family-1.2", "report-no-sign"])
+def test_a_family_is_refused_where_it_cannot_be_represented(make, message):
+    # a family is one of the five, its sign None or +-1, and a report's to_json names only 2.1-2.3 with a sign
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 WANT = "{path}: expected integer, got {got}"
 RUN = "a sign run takes an int d >= 0 and increasing int -1 ids in 1..d, not {}"
 
@@ -324,6 +348,49 @@ def test_each_int_field_refuses_what_is_no_int(make, x, error, message):
                                         for cls, rows in BOUNDARY.items() for path, make, good, *_ in rows])
 def test_each_int_field_takes_an_int(cls, make, x):
     assert type(make(x)) is cls
+
+
+# Per public function, one row per int parameter and per kind of int entry, by the rows of the class
+# table: each refuses a bool and a float that equal an accepted int with want's TypeError, naming it.
+FUNCTION_BOUNDARY = {
+    beta_star: [row("lam", lambda x: beta_star([(2, 1)], x)), row("pairs[0][0]", lambda x: beta_star([(x, 1)], 3)),
+                row("pairs[0][1]", lambda x: beta_star([(2, x)], 3)),
+                row("pairs[1][0]", lambda x: beta_star([(2, 1), (x, 3)], 3)),
+                row("pairs[1][1]", lambda x: beta_star([(2, 1), (5, x)], 3))],
+    cyclic_cover_spec: [row("sheets", lambda x: cyclic_cover_spec(x))],
+    denormalize: [row("absorber_index", lambda x: denormalize(SeifertData(0, (), 0), ("free", "free"), x))],
+    lifted_diagram_genus: [row("g", lambda x: lifted_diagram_genus(x, 3)),
+                           row("sheets", lambda x: lifted_diagram_genus(2, x))],
+    plan_decomposition: [row("m", lambda x: plan_decomposition(x))],
+}
+
+
+def int_parameters() -> set:
+    """``(function, parameter)`` for each parameter annotated ``int`` or ``int | None`` of a function in
+    ``sfsdiag.__all__``."""
+    functions = filter(inspect.isfunction, (getattr(sfsdiag, name) for name in sfsdiag.__all__))
+    return {(f, p.name) for f in functions for p in inspect.signature(f).parameters.values()
+            if p.annotation in (int, int | None)}
+
+
+def test_the_function_table_names_every_int_parameter():
+    named = {(f, path) for f, rows in FUNCTION_BOUNDARY.items() for path, *_ in rows if "[" not in path}
+    assert named == int_parameters()
+
+
+@pytest.mark.parametrize("make,x,message", [
+    pytest.param(make, x, WANT.format(path=path, got=GOT[type(x)]), id=f"{f.__name__}.{path}-{x!r}")
+    for f, rows in FUNCTION_BOUNDARY.items() for path, make, _, bad, *_ in rows for x in bad])
+def test_each_int_argument_refuses_what_is_no_int(make, x, message):
+    with pytest.raises(TypeError) as info:
+        make(x)
+    assert type(info.value) is TypeError and str(info.value) == message
+
+
+@pytest.mark.parametrize("make,x", [pytest.param(make, good, id=f"{f.__name__}.{path}")
+                                    for f, rows in FUNCTION_BOUNDARY.items() for path, make, good, *_ in rows])
+def test_each_int_argument_takes_an_int(make, x):
+    make(x)
 
 
 class TestPackage:
